@@ -1,8 +1,9 @@
 """Command-line front end for diagram invariants, moves, and fuzzing.
 
 Exit codes: 0 success, 1 invalid input (unreadable file, bad code, bad
-move, bad flags), 2 internal invariant violation (a cross-check or a
-fuzz trajectory failed -- these indicate a bug, not bad input).
+move, bad flags), 2 internal invariant violation (an InternalError, such
+as a failed cross-check, or a failed fuzz trajectory -- these indicate a
+bug, not bad input).
 """
 
 from __future__ import annotations
@@ -14,13 +15,13 @@ from importlib import resources
 
 from longzeta.diagram import (
     Diagram,
+    InternalError,
     InvalidDiagram,
     connect_sum,
     read_gauss_file,
 )
 from longzeta.fuzz import run_campaign
 from longzeta.invariant import (
-    CrossCheckError,
     certify_minimality,
     virtual_lower_bound,
     zeta,
@@ -123,10 +124,8 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_certify(args) -> int:
-    d = read_gauss_file(args.file)
-    cert = certify_minimality(d)
-    z = zeta(d)
-    if z.is_zero():
+    cert = certify_minimality(read_gauss_file(args.file))
+    if cert.zeta_top is None:
         human = "zeta = 0; k = %d; no certificate" % cert.k
     elif not cert.minimal:
         human = "k = %d; det B = 0; no certificate" % cert.k
@@ -266,7 +265,7 @@ def main(argv=None) -> int:
     except (OSError, InvalidDiagram, InapplicableMove, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    except (CrossCheckError, AssertionError) as exc:
+    except InternalError as exc:
         print("internal invariant violation: %s" % exc, file=sys.stderr)
         return 2
 

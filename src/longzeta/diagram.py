@@ -34,6 +34,10 @@ class InvalidDiagram(ValueError):
     """Raised when an operation needs a valid code but the code is not."""
 
 
+class InternalError(RuntimeError):
+    """An internal check failed: a bug in longzeta, never bad user input."""
+
+
 _TOKEN = re.compile(r"^([OUV])([1-9][0-9]*)([+-])$")
 
 
@@ -132,7 +136,8 @@ class Diagram:
         for cid in sorted(seen):
             toks = seen[cid]
             kinds = sorted(t.kind for t in toks)
-            if "V" in kinds and kinds != ["V", "V"]:
+            # sorted, so the passages are all virtual exactly when the first is
+            if "V" in kinds and kinds[0] != "V":
                 out.append("crossing %d mixes virtual and classical passages" % cid)
                 continue
             if len(toks) != 2:
@@ -326,10 +331,12 @@ class Decomposition:
         self.long_arcs = tuple(long_arcs)
 
         n = diagram.n
-        assert len(long_arcs) == n + 1, "one long arc per underpass plus the initial"
-        assert sum(la.increasing for la in long_arcs) == sum(
+        if len(long_arcs) != n + 1:
+            raise InternalError("expected one long arc per underpass plus the initial")
+        if sum(la.increasing for la in long_arcs) != sum(
             1 for t in tokens if t.kind == "V" and t.sign > 0
-        )
+        ):
+            raise InternalError("long arcs miscount the increasing virtual passages")
 
         columns: list[Column] = []
         self.column_of_long_arc: dict[int, int] = {}
@@ -348,7 +355,8 @@ class Decomposition:
                 columns.append(Column(cid, pair, threshold))
                 for idx in pair:
                     self.column_of_long_arc[idx] = j
-            assert final.origin is not None  # n >= 1 forces a final underpass cut
+            if final.origin is None:  # n >= 1 forces a final underpass cut
+                raise InternalError("the final long arc has no underpass origin")
         self.columns = tuple(columns)
 
     def arc_starting_at(self, token_pos: int) -> Arc | None:

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 
 from longzeta.diagram import Diagram, PassageToken, generate
-from longzeta.invariant import det_division_free, leading_matrix, zeta
+from longzeta.invariant import determinant, leading_matrix, zeta
 from longzeta.moves import MoveSpec, apply, random_equivalent
 from longzeta.rings import RingT, ZetaPolynomial
 
@@ -64,7 +64,7 @@ def check_theorems(d: Diagram, z: ZetaPolynomial) -> list[str]:
         problems.append("top degree %d exceeds k=%d" % (top, d.k))
     sk = z.coeff(d.k)
     if d.n >= 1:
-        det_b = det_division_free(leading_matrix(d), RingT.one(), RingT.zero())
+        det_b = determinant(leading_matrix(d)).coeff(0)
     else:
         det_b = sk
     if det_b != sk:

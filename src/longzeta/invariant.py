@@ -11,8 +11,16 @@ it (these may coincide).  Their incidence coefficients are
 with w the writhe sign of v, and t = p when v's overpass comes first along
 the strand, t = q otherwise.  The matrix entry for crossing v_i and column
 j collects [v_i:a]*s^(deg a) over the arcs a of the column's long arc(s),
-and zeta is its determinant, computed division-free because the
-coefficient ring has zero divisors.
+and zeta is its determinant.
+
+T has zero divisors, but the ring map f(q) + a*(p - q) -> (f, f(1) + a*eps)
+embeds it into Z[q^+-1] x Z[eps]/(eps^2), the pair of specializations the
+oracle uses.  The determinant is therefore taken twice over integral
+domains: over Z[q, s] for the Laurent part, and over Z[s, eps] for the
+(p - q) part, read off the eps^1 slice.  Each runs fraction-free Bareiss
+elimination on entries packed into one integer each (Kronecker
+substitution), so the arithmetic is plain big-integer arithmetic.  The
+division-free Berkowitz recursion stays as the independent slow reference.
 
 The leading matrix B keeps, per column, only the s^threshold coefficient,
 where threshold is the column's count of increasing virtual passages.  No
@@ -25,16 +33,16 @@ virtual crossing number among all equivalent diagrams.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
-from longzeta.diagram import Decomposition, Diagram, decompose
+from longzeta.diagram import Decomposition, Diagram, InternalError, decompose
 from longzeta.rings import RingT, ZetaPolynomial
 
 
-class CrossCheckError(RuntimeError):
-    """Internal inconsistency: det B disagreed with the s^k coefficient.
-
-    The two values are computed along independent paths, so a mismatch
-    means an implementation bug, never bad user input.
+class CrossCheckError(InternalError):
+    """Two independently computed values disagreed: det B and the s^k
+    coefficient of zeta, or the two integral-domain images of one
+    determinant.  A mismatch means an implementation bug, never bad input.
     """
 
 
@@ -171,14 +179,152 @@ def det_division_free(mat, one, zero):
     return det if n % 2 == 0 else -det
 
 
+def _det_packed(mat) -> dict[tuple[int, int], int]:
+    """Determinant over Z[x^+-1, y^+-1] of a matrix of {(x_exp, y_exp): c}.
+
+    Rows, then columns, are divided by the largest monomial dividing them,
+    so every exponent is non-negative.  The determinant P then has
+    x-degree at most the smaller of the sums of the row maxima and of the
+    column maxima (likewise y), and Hadamard's inequality bounds its
+    coefficients.  Those bounds fix a digit width b such that P is read
+    back from the balanced base-2^b digits of P(2^b, 2^(b*(Dx + 1))), the
+    determinant of the integer matrix that packs each entry the same way
+    (Kronecker substitution).  Fraction-free Bareiss elimination computes
+    that integer determinant exactly.
+    """
+    n = len(mat)
+    cols = [[row[j] for row in mat] for j in range(n)]
+    if not all(any(row) for row in mat) or not all(any(col) for col in cols):
+        return {}
+    low = []  # per variable: (row shifts, column shifts)
+    sizes = []  # per variable: degree bound + 1
+    for v in (0, 1):
+        r = [min(e[v] for x in row for e in x) for row in mat]
+        c = [min(e[v] - r[i] for i, x in enumerate(col) for e in x) for col in cols]
+        row_top = sum(max(e[v] - r[i] - c[j] for j, x in enumerate(row) for e in x)
+                      for i, row in enumerate(mat))
+        col_top = sum(max(e[v] - r[i] - c[j] for i, x in enumerate(col) for e in x)
+                      for j, col in enumerate(cols))
+        low.append((r, c))
+        sizes.append(min(row_top, col_top) + 1)
+    # Hadamard on the torus |x| = |y| = 1: |coefficient of P| <= max |P|
+    # <= prod_i |row_i|_2, each entry at most its l1 norm; squared to stay
+    # in integers, and the same by columns
+    square = min(
+        prod(sum(sum(map(abs, x.values())) ** 2 for x in line) for line in lines)
+        for lines in (mat, cols)
+    )
+    # |c| < 2^half_bits, and a digit of `width` bytes holds |c| < 2^(8*width - 1)
+    half_bits = (square.bit_length() + 1) // 2
+    width = half_bits // 8 + 1
+    b = 8 * width
+    (rx, cx), (ry, cy) = low
+    sx, digits = sizes[0], sizes[0] * sizes[1]
+    a = [
+        [
+            sum(c << b * (ex - rx[i] - cx[j] + (ey - ry[i] - cy[j]) * sx)
+                for (ex, ey), c in x.items())
+            for j, x in enumerate(row)
+        ]
+        for i, row in enumerate(mat)
+    ]
+
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return {}
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        pivot, row_k = a[k][k], a[k]
+        for i in range(k + 1, n):
+            row_i = a[i]
+            f = row_i[k]
+            row_i[k + 1:] = [
+                (pivot * y - f * z) // prev
+                for y, z in zip(row_i[k + 1:], row_k[k + 1:])
+            ]
+        prev = pivot
+    det = sign * a[n - 1][n - 1]
+
+    # adding half a digit everywhere makes every digit non-negative
+    det += int.from_bytes((bytes(width - 1) + b"\x80") * digits, "little")
+    if det < 0 or det >> b * digits:
+        raise CrossCheckError("packed determinant leaves a remainder after unpacking")
+    raw = det.to_bytes(width * digits, "little")
+    half = 1 << (b - 1)
+    x0 = sum(rx) + sum(cx)
+    y0 = sum(ry) + sum(cy)
+    out = {}
+    for pos in range(digits):
+        c = int.from_bytes(raw[pos * width:(pos + 1) * width], "little") - half
+        if c:
+            out[(pos % sx + x0, pos // sx + y0)] = c
+    return out
+
+
+def determinant(mat) -> ZetaPolynomial:
+    """Exact determinant of a square matrix over T[s^+-1].
+
+    Entries are ZetaPolynomials or RingT elements (read as s^0 terms).  The
+    Laurent part comes from one determinant over Z[q, s], the (p - q)
+    part from the eps^1 slice of one over Z[s, eps] built from the
+    entries f(1) + a*eps; the eps^0 slice must equal the Laurent part at
+    q = 1, which is checked.
+    """
+    n = len(mat)
+    for row in mat:
+        if len(row) != n:
+            raise ValueError("matrix is not square")
+    if n == 0:
+        return ZetaPolynomial.one()
+    laurent, dual = [], []
+    for row in mat:
+        laurent_row, dual_row = [], []
+        for x in row:
+            terms = x.coeffs.items() if isinstance(x, ZetaPolynomial) else ((0, x),)
+            lx, dx = {}, {}
+            for d, c in terms:
+                for e, v in c.lau.items():
+                    lx[(e, d)] = v
+                at_one = c.eval_pq1()
+                if at_one:
+                    dx[(d, 0)] = at_one
+                if c.eps:
+                    dx[(d, 1)] = c.eps
+            laurent_row.append(lx)
+            dual_row.append(dx)
+        laurent.append(laurent_row)
+        dual.append(dual_row)
+    lau_det = _det_packed(laurent)
+    dual_det = _det_packed(dual)
+
+    lau_parts: dict[int, dict[int, int]] = {}
+    at_one: dict[int, int] = {}
+    for (e, d), c in lau_det.items():
+        lau_parts.setdefault(d, {})[e] = c
+        at_one[d] = at_one.get(d, 0) + c
+    if {d: c for d, c in at_one.items() if c} != {
+        d: c for (d, e), c in dual_det.items() if e == 0
+    }:
+        raise CrossCheckError(
+            "the eps^0 slice of the dual determinant differs from the"
+            " Laurent determinant at q = 1"
+        )
+    eps_parts = {d: c for (d, e), c in dual_det.items() if e == 1}
+    return ZetaPolynomial({
+        d: RingT(lau_parts.get(d), eps_parts.get(d, 0))
+        for d in lau_parts.keys() | eps_parts.keys()
+    })
+
+
 def zeta(diagram_or_dec) -> ZetaPolynomial:
     """The zeta polynomial; 1 for diagrams without classical crossings."""
     dec = _as_dec(diagram_or_dec)
     if dec.diagram.n == 0:
         return ZetaPolynomial.one()
-    return det_division_free(
-        incidence_matrix(dec), ZetaPolynomial.one(), ZetaPolynomial.zero()
-    )
+    return determinant(incidence_matrix(dec))
 
 
 def zeta_split(diagram_or_dec) -> tuple[ZetaPolynomial, ZetaPolynomial]:
@@ -187,11 +333,7 @@ def zeta_split(diagram_or_dec) -> tuple[ZetaPolynomial, ZetaPolynomial]:
     Rejects n = 0, where the united column does not exist."""
     dec = _as_dec(diagram_or_dec)
     minus, plus = split_matrices(dec)
-    one, zero = ZetaPolynomial.one(), ZetaPolynomial.zero()
-    return (
-        det_division_free(minus, one, zero),
-        det_division_free(plus, one, zero),
-    )
+    return determinant(minus), determinant(plus)
 
 
 def leading_matrix(diagram_or_dec) -> list[list[RingT]]:
@@ -199,7 +341,7 @@ def leading_matrix(diagram_or_dec) -> list[list[RingT]]:
 
     Within one long arc the threshold-achieving arc is unique when it
     exists (degrees climb by at most one per virtual passage and can never
-    recover a loss), and that is asserted.  The united column's two halves
+    recover a loss), and that is checked.  The united column's two halves
     can both achieve the threshold exactly when neither half has any
     increasing passage; the entry is then the sum of both contributions,
     i.e. still the s^threshold coefficient of the matrix entry.
@@ -211,7 +353,8 @@ def leading_matrix(diagram_or_dec) -> list[list[RingT]]:
 
     for la in dec.long_arcs:
         achieved = [a for a in la.arcs if dec.arcs[a].degree == la.increasing]
-        assert len(achieved) <= 1, "two arcs at the top degree inside one long arc"
+        if len(achieved) > 1:
+            raise InternalError("two arcs at the top degree inside one long arc")
 
     thresholds = {j: col.threshold for j, col in enumerate(dec.columns)}
     mat = [[RingT.zero() for _ in range(n)] for _ in range(n)]
@@ -257,7 +400,7 @@ def certify_minimality(diagram_or_dec) -> MinimalityCertificate:
     if dec.diagram.n == 0:
         det_b = sk
     else:
-        det_b = det_division_free(leading_matrix(dec), RingT.one(), RingT.zero())
+        det_b = determinant(leading_matrix(dec)).coeff(0)
     if det_b != sk:
         raise CrossCheckError(
             "det B = %s but the s^%d coefficient of zeta is %s"

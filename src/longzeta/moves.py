@@ -31,7 +31,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from longzeta.diagram import Diagram, PassageToken, decompose
+from longzeta.diagram import Diagram, InternalError, PassageToken, decompose
 
 
 class InapplicableMove(ValueError):
@@ -163,7 +163,7 @@ def _arc_at_gap(dec, g):
     for a in dec.arcs:
         if a.start < g <= a.end:
             return a
-    raise AssertionError("gap %d outside every arc" % g)
+    raise InternalError("gap %d outside every arc" % g)
 
 
 def _cut_gap_ok(dec, g):
@@ -486,7 +486,7 @@ def apply(diagram: Diagram, move: MoveSpec) -> Diagram:
     out = Diagram(_HANDLERS[move.kind](list(diagram.tokens), move.params, diagram))
     problems = out.validate()
     if problems:
-        raise RuntimeError(
+        raise InternalError(
             "%s produced an invalid code: %s" % (move.render(), "; ".join(problems))
         )
     return out

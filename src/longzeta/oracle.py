@@ -27,6 +27,8 @@ from __future__ import annotations
 
 from itertools import permutations
 
+from longzeta.diagram import InternalError
+
 RawPQ = dict  # {(p_exp, q_exp): int}
 RawPQS = dict  # {(p_exp, q_exp, s_exp): int}
 
@@ -231,12 +233,18 @@ def _random_raw(rng, terms: int = 4, exp: int = 3, coeff: int = 5) -> RawPQ:
     return out
 
 
+def _check(ok: bool, what: str) -> None:
+    if not ok:
+        raise InternalError("oracle selftest: " + what)
+
+
 def selftest(trials: int = 200, seed: int = 0) -> int:
     """Internal consistency checks; returns the number of checks run.
 
     Covers: both specialization maps kill the ideal generators, reduction
     agrees with the specializations on random elements, reduction is a ring
     map, and the Leibniz determinant matches the textbook 2x2 formula.
+    The first failed check raises InternalError.
     """
     import random
 
@@ -252,9 +260,9 @@ def selftest(trials: int = 200, seed: int = 0) -> int:
         raw_mul(raw_sub(q, one), p_minus_q),
     ]
     for g in gens:
-        assert not spec_p_to_q(g), "p->q must kill the ideal"
-        assert spec_dual(g) == (0, 0), "dual map must kill the ideal"
-        assert raw_equal_in_T(g, {}), "generators are zero in T"
+        _check(not spec_p_to_q(g), "p->q must kill the ideal")
+        _check(spec_dual(g) == (0, 0), "dual map must kill the ideal")
+        _check(raw_equal_in_T(g, {}), "generators are zero in T")
         checks += 3
 
     for _ in range(trials):
@@ -263,13 +271,15 @@ def selftest(trials: int = 200, seed: int = 0) -> int:
 
         # reduction must agree with both specializations
         lau, eps = raw_reduce(x)
-        assert spec_p_to_q(x) == lau
+        _check(spec_p_to_q(x) == lau, "reduction disagrees with p->q")
         val, drv = spec_dual(x)
-        assert val == sum(lau.values()) and drv == eps
+        _check(val == sum(lau.values()) and drv == eps,
+               "reduction disagrees with the dual map")
         checks += 2
 
         # the normal-form representative must be the same element of T
-        assert raw_equal_in_T(x, raw_from_parts(lau, eps))
+        _check(raw_equal_in_T(x, raw_from_parts(lau, eps)),
+               "normal-form representative differs in T")
         checks += 1
 
         # reduction is additive and multiplicative
@@ -283,7 +293,7 @@ def selftest(trials: int = 200, seed: int = 0) -> int:
                 diff[k] = v
             elif k in diff:
                 del diff[k]
-        assert ls == diff and es == ex - ey
+        _check(ls == diff and es == ex - ey, "reduction is not additive")
         lm, em = raw_reduce(raw_mul(x, y))
         lhs: dict[int, int] = {}
         for i, ci in lx.items():
@@ -293,14 +303,16 @@ def selftest(trials: int = 200, seed: int = 0) -> int:
                     lhs[i + j] = v
                 elif i + j in lhs:
                     del lhs[i + j]
-        assert lm == lhs
-        assert em == sum(lx.values()) * ey + sum(ly.values()) * ex
+        _check(lm == lhs, "reduction is not multiplicative on the Laurent part")
+        _check(em == sum(lx.values()) * ey + sum(ly.values()) * ex,
+               "reduction is not multiplicative on the p - q part")
         checks += 2
 
     for _ in range(trials // 4):
         a, b, c, d = (_random_raw(rng, terms=2, exp=2, coeff=3) for _ in range(4))
         det = perm_determinant([[a, b], [c, d]], raw_add, raw_mul, raw_neg, {})
-        assert det == raw_sub(raw_mul(a, d), raw_mul(b, c))
+        _check(det == raw_sub(raw_mul(a, d), raw_mul(b, c)),
+               "Leibniz determinant differs from ad - bc")
         checks += 1
 
     return checks

@@ -312,33 +312,12 @@ class ZetaPolynomial:
             return self.scaled(other)
         if not isinstance(other, ZetaPolynomial):
             return NotImplemented
-        # coefficient arithmetic is inlined here; this product dominates the
-        # determinant runtime on fuzzed diagrams
-        acc: dict[int, list] = {}
+        acc: dict[int, RingT] = {}
         for d1, c1 in self.coeffs.items():
-            f, a = c1.lau, c1.eps
-            f1 = sum(f.values())
             for d2, c2 in other.coeffs.items():
-                g, b = c2.lau, c2.eps
-                slot = acc.get(d1 + d2)
-                if slot is None:
-                    slot = [{}, 0]
-                    acc[d1 + d2] = slot
-                lau = slot[0]
-                for i, ci in f.items():
-                    for j, cj in g.items():
-                        k = i + j
-                        v = lau.get(k, 0) + ci * cj
-                        if v:
-                            lau[k] = v
-                        elif k in lau:
-                            del lau[k]
-                slot[1] += f1 * b + sum(g.values()) * a
-        out = ZetaPolynomial()
-        for d, (lau, eps) in acc.items():
-            if lau or eps:
-                out.coeffs[d] = RingT(lau, eps)
-        return out
+                d = d1 + d2
+                acc[d] = acc[d] + c1 * c2 if d in acc else c1 * c2
+        return ZetaPolynomial(acc)
 
     __rmul__ = __mul__
 

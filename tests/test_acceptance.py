@@ -25,6 +25,7 @@ from longzeta.fuzz import predicted_shift, run_campaign
 from longzeta.invariant import (
     certify_minimality,
     det_division_free,
+    determinant,
     leading_matrix,
     row_sums_at_s1,
     zeta,
@@ -428,6 +429,7 @@ def test_criterion_10_determinant_cross_check():
             zero=ZetaPolynomial.zero(),
         )
         assert fast == slow, "matrix %d (size %d)" % (i, size)
+        assert determinant(mat) == slow, "lifted, matrix %d (size %d)" % (i, size)
     _line(
         "[criterion 10] PASS: division-free determinant = permutation "
         "expansion on 100 random matrices, sizes 2..7"

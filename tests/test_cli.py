@@ -124,6 +124,18 @@ def test_moves_apply_rejects_bad_site(capsys):
     assert code == 1 and "no moves" in err
 
 
+def test_moves_apply_internal_fault_is_exit_2(monkeypatch, capsys):
+    import longzeta.moves as moves
+
+    monkeypatch.setitem(
+        moves._HANDLERS, "V1_insert", lambda toks, params, diagram: toks + [toks[0]]
+    )
+    code, out, err = run(capsys, "moves", "apply", VK, "V1_insert 0 +")
+    assert code == 2 and out == ""
+    assert "internal invariant violation" in err and "invalid code" in err
+    assert "Traceback" not in err
+
+
 def test_moves_sites_lists_and_filters(tmp_path, capsys):
     pair = tmp_path / "pair.gauss"
     pair.write_text("V1+ V1-\n")

@@ -86,6 +86,13 @@ class TestValidate:
         out = Diagram.parse("O1+ V1- U1+").validate()
         assert out == ["crossing 1 mixes virtual and classical passages"]
 
+    def test_lone_virtual_passage(self):
+        out = Diagram.parse("V1+").validate()
+        assert out == ["crossing 1 has 1 passages, expected 2"]
+        assert Diagram.parse("V1+ V1- V1+").validate() == [
+            "crossing 1 has 3 passages, expected 2"
+        ]
+
     def test_reports_everything_at_once(self):
         out = Diagram.parse("O1+ U1- V2+ V2+").validate()
         assert out == [

@@ -4,6 +4,8 @@ import random
 
 import pytest
 from conftest import random_code
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from longzeta import oracle
 from longzeta.diagram import Diagram, connect_sum, decompose, generate
@@ -11,6 +13,7 @@ from longzeta.invariant import (
     CrossCheckError,
     certify_minimality,
     det_division_free,
+    determinant,
     incidence,
     incidence_matrix,
     leading_matrix,
@@ -181,23 +184,34 @@ class TestConnectSumGoldens:
             assert zeta(d) == minus + plus
 
 
+def berkowitz(mat):
+    return det_division_free(mat, ZP_ONE, ZP_ZERO)
+
+
+# the fast lifted determinant and the slow division-free reference
+DETERMINANTS = (determinant, berkowitz)
+
+
 class TestDeterminant:
     def test_identity(self):
-        for n in range(1, 7):
-            mat = [
-                [ZP_ONE if i == j else ZP_ZERO for j in range(n)] for i in range(n)
-            ]
-            assert det_division_free(mat, ZP_ONE, ZP_ZERO) == ZP_ONE
+        for det in DETERMINANTS:
+            for n in range(1, 7):
+                mat = [
+                    [ZP_ONE if i == j else ZP_ZERO for j in range(n)] for i in range(n)
+                ]
+                assert det(mat) == ZP_ONE
 
     def test_tiny(self):
-        assert det_division_free([], ZP_ONE, ZP_ZERO) == ZP_ONE
-        assert det_division_free([[ZP_ZERO]], ZP_ONE, ZP_ZERO) == ZP_ZERO
         a = ZetaPolynomial({1: P})
-        assert det_division_free([[a]], ZP_ONE, ZP_ZERO) == a
+        for det in DETERMINANTS:
+            assert det([]) == ZP_ONE
+            assert det([[ZP_ZERO]]) == ZP_ZERO
+            assert det([[a]]) == a
 
     def test_not_square(self):
-        with pytest.raises(ValueError, match="square"):
-            det_division_free([[ZP_ONE, ZP_ZERO]], ZP_ONE, ZP_ZERO)
+        for det in DETERMINANTS:
+            with pytest.raises(ValueError, match="square"):
+                det([[ZP_ONE, ZP_ZERO]])
 
     def test_against_permutation_expansion(self):
         rng = random.Random(13)
@@ -207,23 +221,24 @@ class TestDeterminant:
             want = oracle.perm_determinant(
                 mat, lambda a, b: a + b, lambda a, b: a * b, lambda a: -a, ZP_ZERO
             )
-            assert det_division_free(mat, ZP_ONE, ZP_ZERO) == want
+            for det in DETERMINANTS:
+                assert det(mat) == want
 
     def test_row_swap_flips_sign(self):
         rng = random.Random(14)
         for _ in range(25):
             mat = [[rand_poly(rng) for _ in range(4)] for _ in range(4)]
             swapped = [mat[1], mat[0], mat[2], mat[3]]
-            assert det_division_free(swapped, ZP_ONE, ZP_ZERO) == -det_division_free(
-                mat, ZP_ONE, ZP_ZERO
-            )
+            for det in DETERMINANTS:
+                assert det(swapped) == -det(mat)
 
     def test_duplicate_row_is_singular(self):
         rng = random.Random(15)
         for _ in range(25):
             mat = [[rand_poly(rng) for _ in range(3)] for _ in range(3)]
             mat[2] = list(mat[0])
-            assert det_division_free(mat, ZP_ONE, ZP_ZERO).is_zero()
+            for det in DETERMINANTS:
+                assert det(mat).is_zero()
 
     def test_row_scaling(self):
         rng = random.Random(16)
@@ -231,9 +246,104 @@ class TestDeterminant:
             mat = [[rand_poly(rng) for _ in range(3)] for _ in range(3)]
             c = rand_poly(rng)
             scaled = [mat[0], [c * x for x in mat[1]], mat[2]]
-            assert det_division_free(scaled, ZP_ONE, ZP_ZERO) == c * det_division_free(
-                mat, ZP_ONE, ZP_ZERO
-            )
+            for det in DETERMINANTS:
+                assert det(scaled) == c * det(mat)
+
+
+def zp(*terms):
+    """ZetaPolynomial from (s_exp, {q_exp: coeff}, eps) triples."""
+    return ZetaPolynomial({d: RingT(lau, eps) for d, lau, eps in terms})
+
+
+class TestLiftedDeterminant:
+    """Cases aimed at the lift to Z[q, s] x Z[s, eps] and the packing."""
+
+    def test_zero_divisor_leading_minors(self):
+        # p - q and q - 1 kill each other, so every leading minor of these
+        # matrices is a zero divisor or zero in T
+        pq = zp((0, {}, 1))
+        q1 = zp((0, {1: 1, 0: -1}, 0))
+        mats = [
+            [[pq, ZP_ONE], [ZP_ONE, q1]],
+            [[q1, pq], [pq, q1]],
+            [[pq, q1, ZP_ONE], [q1, pq, ZP_ZERO], [ZP_ONE, ZP_ONE, pq]],
+        ]
+        for mat in mats:
+            assert determinant(mat) == berkowitz(mat)
+        assert determinant([[pq, ZP_ZERO], [ZP_ZERO, q1]]).is_zero()
+
+    def test_eps_only_entries(self):
+        rng = random.Random(17)
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            mat = [
+                [zp((rng.randint(-2, 2), {}, rng.randint(-3, 3))) for _ in range(n)]
+                for _ in range(n)
+            ]
+            assert determinant(mat) == berkowitz(mat)
+        # a whole matrix of (p - q) multiples squares to zero past 1x1
+        pq = zp((0, {}, 1))
+        assert determinant([[pq]]) == pq
+        assert determinant([[pq, pq], [pq, -pq]]).is_zero()
+
+    def test_negative_exponents(self):
+        mat = [
+            [zp((-3, {-4: 2}, 1)), zp((-1, {-2: -1, 5: 3}, 0))],
+            [zp((2, {-7: 1}, -2), (-5, {1: 1}, 0)), zp((-2, {0: 4}, 1))],
+        ]
+        got = determinant(mat)
+        assert got == berkowitz(mat)
+        assert got.low_degree() < 0 and min(got.coeff(-5).lau) < 0
+
+    def test_singular(self):
+        a = zp((1, {2: 3}, 1), (0, {-1: 1}, 0))
+        b = zp((-1, {0: 2}, -1))
+        c = zp((0, {1: -1}, 2))
+        for mat in (
+            [[a, b], [a, b]],
+            [[a, b, c], [b, c, a], [a + b, b + c, c + a]],
+            [[ZP_ZERO, a], [ZP_ZERO, b]],
+        ):
+            assert determinant(mat).is_zero()
+            assert berkowitz(mat).is_zero()
+
+    def test_wide_coefficients(self):
+        # products of 2^70-sized coefficients need digits far wider than 64 bits
+        big = 1 << 70
+        mat = [
+            [zp((0, {0: big, 1: -3}, big + 1)), zp((1, {2: 5}, -big))],
+            [zp((-1, {-1: -big}, 7)), zp((0, {0: big - 1}, 3), (2, {3: big}, 0))],
+        ]
+        got = determinant(mat)
+        assert got == berkowitz(mat)
+        assert max(abs(v) for c in got.coeffs.values() for v in c.lau.values()) > big
+
+    def test_ring_entries(self):
+        mat = [[P, RingT.q_power(-1)], [RingT({0: 2, 3: -1}, 4), P - ONE]]
+        want = P * (P - ONE) - RingT.q_power(-1) * RingT({0: 2, 3: -1}, 4)
+        assert determinant(mat) == ZetaPolynomial({0: want})
+
+
+ring_elements = st.builds(
+    RingT,
+    st.dictionaries(st.integers(-3, 3), st.integers(-5, 5), max_size=2),
+    st.integers(-3, 3),
+)
+polys = st.dictionaries(st.integers(-2, 2), ring_elements, max_size=2).map(
+    ZetaPolynomial
+)
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(1, 6))
+    return [[draw(polys) for _ in range(n)] for _ in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_matrices())
+def test_lifted_matches_berkowitz(mat):
+    assert determinant(mat) == berkowitz(mat)
 
 
 class TestTheorems:

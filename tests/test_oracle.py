@@ -4,6 +4,11 @@ The oracle is the trust anchor for everything else, so it gets tested
 against hand-computed values and textbook identities only.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from longzeta import oracle
@@ -30,6 +35,27 @@ ONE = {(0, 0): 1}
 
 def test_selftest_passes():
     assert oracle.selftest(trials=300, seed=7) > 0
+
+
+def test_selftest_fails_under_python_O():
+    # the checks are explicit raises, so stripping asserts keeps them
+    script = (
+        "import sys\n"
+        "from longzeta import cli, oracle\n"
+        "if __debug__:\n"
+        "    sys.exit('not running under -O')\n"
+        "oracle.spec_dual = lambda x: (0, 0)\n"
+        "sys.exit(cli.main(['oracle', 'selftest', '--trials', '20']))\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "internal invariant violation: oracle selftest:" in proc.stderr
+    assert "checks passed" not in proc.stdout
 
 
 def test_ideal_generators_vanish():
