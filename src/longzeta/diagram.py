@@ -57,12 +57,17 @@ class PassageToken:
 
 
 class Diagram:
-    """Immutable passage sequence, possibly not yet validated."""
+    """Immutable passage sequence, possibly not yet validated.
 
-    __slots__ = ("tokens",)
+    The result of validate() is cached on first use, so re-checking a
+    diagram that was already checked costs nothing.
+    """
+
+    __slots__ = ("tokens", "_problems")
 
     def __init__(self, tokens):
         self.tokens = tuple(tokens)
+        self._problems = None
 
     @classmethod
     def parse(cls, text: str) -> "Diagram":
@@ -129,6 +134,8 @@ class Diagram:
         Never raises: parseable-but-wrong codes come back with the full
         list so a caller can report everything at once.
         """
+        if self._problems is not None:
+            return list(self._problems)
         seen: dict[int, list[PassageToken]] = {}
         for t in self.tokens:
             seen.setdefault(t.cid, []).append(t)
@@ -159,10 +166,13 @@ class Diagram:
                     "classical crossing %d needs one overpass and one underpass,"
                     " got %s" % (cid, "+".join(kinds))
                 )
+        self._problems = tuple(out)
         return out
 
     def check(self) -> "Diagram":
         """Return self if valid, else raise InvalidDiagram with all violations."""
+        if self._problems == ():
+            return self
         problems = self.validate()
         if problems:
             raise InvalidDiagram("; ".join(problems))

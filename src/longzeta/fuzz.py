@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from longzeta.diagram import Diagram, PassageToken, generate
+from longzeta.diagram import Decomposition, Diagram, PassageToken, decompose, generate
 from longzeta.invariant import determinant, leading_matrix, zeta
 from longzeta.moves import MoveSpec, apply, random_equivalent
 from longzeta.rings import RingT, ZetaPolynomial
@@ -56,15 +56,19 @@ def predicted_shift(before: Diagram, move: MoveSpec) -> int:
     return 0
 
 
-def check_theorems(d: Diagram, z: ZetaPolynomial) -> list[str]:
+def check_theorems(diagram_or_dec, z: ZetaPolynomial) -> list[str]:
     """Degree-bound and leading-coefficient checks on one diagram."""
+    if isinstance(diagram_or_dec, Decomposition):
+        d = diagram_or_dec.diagram
+    else:
+        d = diagram_or_dec
     problems = []
     top = z.top_degree()
     if top is not None and top > d.k:
         problems.append("top degree %d exceeds k=%d" % (top, d.k))
     sk = z.coeff(d.k)
     if d.n >= 1:
-        det_b = determinant(leading_matrix(d)).coeff(0)
+        det_b = determinant(leading_matrix(diagram_or_dec)).coeff(0)
     else:
         det_b = sk
     if det_b != sk:
@@ -128,19 +132,22 @@ def run_trial(source: Diagram, steps: int, seed: int, index: int = 0) -> TrialRe
         max_virtual=MAX_VIRTUAL,
     )
     result = TrialResult(index=index, source=source.render(), log=log, r=0)
+    # each replayed diagram is decomposed once, for zeta and det B alike
     d = source
-    z = zeta(d)
+    dec = decompose(d)
+    z = zeta(dec)
     z0 = z
-    result.problems.extend(check_theorems(d, z))
+    result.problems.extend(check_theorems(dec, z))
     for move in log:
         shift = predicted_shift(d, move)
         d = apply(d, move)
-        z_next = zeta(d)
+        dec = decompose(d)
+        z_next = zeta(dec)
         if z_next != z.scaled(RingT.q_power(shift)):
             result.problems.append(
                 "%s changed zeta by something other than q^%+d" % (move, shift)
             )
-        result.problems.extend(check_theorems(d, z_next))
+        result.problems.extend(check_theorems(dec, z_next))
         result.r += shift
         z = z_next
     if z != z0.scaled(RingT.q_power(result.r)):

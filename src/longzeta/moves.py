@@ -24,6 +24,11 @@ passage, shifting every degree on the long arc the cut opens; it is
 allowed only when the overpass side shifts by the opposite power and
 the cut does not open the final long arc.  Sites violating these
 conditions raise InapplicableMove like any other pattern mismatch.
+
+These conditions are read off the tokens directly, without a full arc
+decomposition: the final long arc is the stretch after the last
+underpass token, and its degree at a gap is the sum of the virtual
+senses between that underpass and the gap.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from longzeta.diagram import Diagram, InternalError, PassageToken, decompose
+from longzeta.diagram import Diagram, InternalError, PassageToken
 
 
 class InapplicableMove(ValueError):
@@ -159,30 +164,29 @@ def _fresh(diagram, count):
     return [base + 1 + i for i in range(count)]
 
 
-def _arc_at_gap(dec, g):
-    for a in dec.arcs:
-        if a.start < g <= a.end:
-            return a
-    raise InternalError("gap %d outside every arc" % g)
+def _last_underpass(toks):
+    """Position of the last underpass token, -1 when there is none."""
+    for i in range(len(toks) - 1, -1, -1):
+        if toks[i].kind == "U":
+            return i
+    return -1
 
 
-def _cut_gap_ok(dec, g):
-    a = _arc_at_gap(dec, g)
-    return not dec.long_arcs[a.long_arc].is_final or a.degree == 0
-
-
-def _require_cut_gap(diagram, g, dec=None):
+def _require_cut_gap(toks, g):
     # an undercut on the final long arc at nonzero degree re-anchors the
-    # degrees feeding the united first/last column and changes zeta
-    if dec is None:
-        dec = decompose(diagram)
-    a = _arc_at_gap(dec, g)
+    # degrees feeding the united first/last column and changes zeta.  The
+    # final long arc is the stretch after the last underpass; its degree
+    # starts at 0 and moves by the sense of every virtual passage on it.
+    last_u = _last_underpass(toks)
+    if g <= last_u:
+        return
+    degree = sum(t.sign for t in toks[last_u + 1 : g] if t.kind == "V")
     _require(
-        not dec.long_arcs[a.long_arc].is_final or a.degree == 0,
+        degree == 0,
         "an underpass cut at gap %d would land on the final long arc at "
         "degree %d; only degree-0 sites keep the invariant there",
         g,
-        a.degree,
+        degree,
     )
 
 
@@ -202,7 +206,7 @@ def _ins_r1(toks, params, diagram):
     g, w, order = params
     _require(0 <= g <= len(toks), "gap %d out of range 0..%d", g, len(toks))
     _require_anchored(diagram, "a classical kink insertion")
-    _require_cut_gap(diagram, g)
+    _require_cut_gap(toks, g)
     (c,) = _fresh(diagram, 1)
     over, under = PassageToken("O", c, w), PassageToken("U", c, w)
     pair = [over, under] if order == "OU" else [under, over]
@@ -222,7 +226,7 @@ def _ins_r2(toks, params, diagram):
         0 <= g1 <= g2 <= len(toks), "gaps %d <= %d must lie in 0..%d", g1, g2, len(toks)
     )
     _require_anchored(diagram, "a strand poke")
-    _require_cut_gap(diagram, g2)
+    _require_cut_gap(toks, g2)
     c, d = _fresh(diagram, 2)
     oc, od = PassageToken("O", c, s), PassageToken("O", d, -s)
     uc, ud = PassageToken("U", c, s), PassageToken("U", d, -s)
@@ -272,10 +276,9 @@ def _del_r1(toks, params, diagram):
         i + 1,
     )
     out = toks[:i] + toks[i + 2 :]
-    result = Diagram(out)
-    _require_anchored(result, "the code left after a kink deletion")
+    _require_anchored(Diagram(out), "the code left after a kink deletion")
     # deleting is the inverse insertion at gap i of the result
-    _require_cut_gap(result, i)
+    _require_cut_gap(out, i)
     return out
 
 
@@ -329,10 +332,9 @@ def _del_pair_pair(toks, i, j, kind_first, kind_second, what):
 def _del_r2(toks, params, diagram):
     i, j = params
     out = _del_pair_pair(toks, i, j, "O", "U", ("overpass", "underpass"))
-    result = Diagram(out)
-    _require_anchored(result, "the code left after a poke deletion")
+    _require_anchored(Diagram(out), "the code left after a poke deletion")
     # the underpass pair re-inserts at gap j - 2 of the result
-    _require_cut_gap(result, j - 2)
+    _require_cut_gap(out, j - 2)
     return out
 
 
@@ -456,9 +458,8 @@ def _tri_semivirtual(toks, params, diagram):
         delta,
         delta_o,
     )
-    dec = decompose(diagram)
     _require(
-        dec.u_pos[ut.cid] != max(dec.u_pos.values()),
+        toks[_last_underpass(toks)].cid != ut.cid,
         "the underpass at this triangle opens the final long arc; sliding "
         "a virtual passage across it rescales half of the united column",
     )
@@ -506,9 +507,20 @@ def _take_spread(items, cap):
     return [items[(i * (len(items) - 1)) // (cap - 1)] for i in range(cap)]
 
 
-def _safe_cut_gaps(diagram):
-    dec = decompose(diagram)
-    return [g for g in range(len(diagram.tokens) + 1) if _cut_gap_ok(dec, g)]
+def _safe_cut_gaps(toks):
+    """Gaps where _require_cut_gap passes, in one pass over the tokens."""
+    last_u = _last_underpass(toks)
+    # gaps up to the last underpass lie off the final long arc, and the
+    # gap right after it starts that arc at degree 0
+    out = list(range(last_u + 2))
+    degree = 0
+    for g in range(last_u + 2, len(toks) + 1):
+        t = toks[g - 1]
+        if t.kind == "V":
+            degree += t.sign
+        if degree == 0:
+            out.append(g)
+    return out
 
 
 def _insert_params(diagram, kind):
@@ -530,11 +542,11 @@ def _insert_params(diagram, kind):
     if diagram.n < 1:
         return []
     if kind == "R1_insert":
-        cut = _take_spread(_safe_cut_gaps(diagram), _KINK_GAP_CAP)
+        cut = _take_spread(_safe_cut_gaps(diagram.tokens), _KINK_GAP_CAP)
         return [(g, w, o) for g in cut for w in (1, -1) for o in _ORDERS]
     # R2: the underpass pair needs a safe cut gap, the overpass pair may
     # precede it anywhere
-    cut = _take_spread(_safe_cut_gaps(diagram), _PAIR_GAP_CAP)
+    cut = _take_spread(_safe_cut_gaps(diagram.tokens), _PAIR_GAP_CAP)
     overs = _take_spread(gaps, _PAIR_GAP_CAP)
     out = []
     for g2 in cut:
@@ -638,6 +650,7 @@ def _semivirtual_sites(toks):
 
 
 def _pattern_sites(diagram, kind):
+    """Yield, in order, the pattern sites of `kind` that the handler accepts."""
     toks = diagram.tokens
     if kind == "R1_delete":
         raw = _kink_delete_sites(toks, want_virtual=False)
@@ -658,17 +671,31 @@ def _pattern_sites(diagram, kind):
     # the scans above find the token patterns; the handlers also check the
     # regime conditions, so filter through them for an exact answer
     handler = _HANDLERS[kind]
-    out = []
     for ps in raw:
         try:
             handler(list(toks), ps, diagram)
         except InapplicableMove:
             continue
-        out.append(ps)
-    return out
+        yield ps
 
 
 _INSERT_KINDS = ("R1_insert", "V1_insert", "R2_insert", "V2_insert")
+
+
+def _site_params(diagram, kind):
+    if kind in _INSERT_KINDS:
+        return _insert_params(diagram, kind)
+    return list(_pattern_sites(diagram, kind))
+
+
+def _has_site(diagram, kind, n):
+    """Whether _site_params(diagram, kind) is nonempty, without listing it."""
+    if kind in ("V1_insert", "V2_insert"):
+        return True
+    if kind in ("R1_insert", "R2_insert"):
+        # gap 0 is always a safe cut once there is an underpass
+        return n >= 1
+    return next(_pattern_sites(diagram, kind), None) is not None
 
 
 def enumerate_sites(diagram: Diagram, kind: str | None = None) -> list[MoveSpec]:
@@ -676,7 +703,8 @@ def enumerate_sites(diagram: Diagram, kind: str | None = None) -> list[MoveSpec]
 
     Deletions and triangles come from exact pattern scans.  Insertion
     sites exist at every gap, so they are enumerated over an evenly
-    spread, capped set of gaps to keep the list bounded.
+    spread, capped set of gaps to keep the list bounded.  An invalid
+    code raises InvalidDiagram.
     """
     if kind is None:
         out = []
@@ -685,9 +713,8 @@ def enumerate_sites(diagram: Diagram, kind: str | None = None) -> list[MoveSpec]
         return out
     if kind not in _SCHEMA:
         raise ValueError("unknown move kind %r" % (kind,))
-    if kind in _INSERT_KINDS:
-        return [MoveSpec(kind, ps) for ps in _insert_params(diagram, kind)]
-    return [MoveSpec(kind, ps) for ps in _pattern_sites(diagram, kind)]
+    diagram.check()
+    return [MoveSpec(kind, ps) for ps in _site_params(diagram, kind)]
 
 
 # ------------------------------------------------------------ random walk
@@ -725,6 +752,10 @@ def random_equivalent(
     optional crossing-count bounds), then a site uniformly within the
     kind.  Kinds with no sites are skipped; if nothing at all applies the
     walk stops early.
+
+    Only the chosen kind's sites are listed; for the others the step
+    stops at the first valid site.  The random draws are the same as
+    when every kind is listed, so each seed keeps its trajectory.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -732,22 +763,17 @@ def random_equivalent(
     d = diagram.check()
     log: list[MoveSpec] = []
     for _ in range(steps):
-        choices = []
-        for kind in KINDS:
-            if not _kind_allowed(
-                kind, d.n, d.k, max_classical, max_virtual, min_classical
-            ):
-                continue
-            sites = (
-                _insert_params(d, kind)
-                if kind in _INSERT_KINDS
-                else _pattern_sites(d, kind)
-            )
-            if sites:
-                choices.append((kind, sites))
+        n, k = d.n, d.k
+        choices = [
+            kind
+            for kind in KINDS
+            if _kind_allowed(kind, n, k, max_classical, max_virtual, min_classical)
+            and _has_site(d, kind, n)
+        ]
         if not choices:
             break
-        kind, sites = rng.choice(choices)
+        kind = rng.choice(choices)
+        sites = _site_params(d, kind)
         move = MoveSpec(kind, sites[rng.randrange(len(sites))])
         d = apply(d, move)
         log.append(move)

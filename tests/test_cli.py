@@ -1,17 +1,24 @@
 """Exit codes, pinned command outputs, JSON round-trips, and corpus sync."""
 
+import io
 import json
+import random
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from conftest import random_code
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from longzeta import cli
 from longzeta.diagram import Diagram, connect_sum, generate, read_gauss_file
 from longzeta.fuzz import CampaignReport, TrialResult
 from longzeta.invariant import zeta, zeta_split
-from longzeta.moves import MoveSpec
+from longzeta.moves import KINDS, MoveSpec
 from longzeta.rings import ZetaPolynomial
 
 REPO = Path(__file__).resolve().parent.parent
@@ -134,6 +141,65 @@ def test_moves_apply_internal_fault_is_exit_2(monkeypatch, capsys):
     assert code == 2 and out == ""
     assert "internal invariant violation" in err and "invalid code" in err
     assert "Traceback" not in err
+
+
+_WORDS = st.sampled_from(
+    ["O1+", "U1+", "O1-", "U1-", "V2+", "V2-", "O3+", "U3+", "V4-", "V4+",
+     "O0+", "U01-", "V2", "#", "\n", "X", "O99999999999999999999+"]
+)
+_CODES = st.one_of(
+    st.binary(max_size=120),
+    st.lists(_WORDS, max_size=14).map(lambda ws: " ".join(ws).encode()),
+    st.builds(
+        lambda seed, n, k: random_code(random.Random(seed), n, k).render().encode(),
+        st.integers(0, 2**32),
+        st.integers(0, 6),
+        st.integers(0, 6),
+    ),
+)
+_MOVE_LINES = st.builds(
+    lambda kind, words: " ".join([kind] + words),
+    st.sampled_from(KINDS + ("Flype",)),
+    st.lists(
+        st.one_of(
+            st.integers(-2, 30).map(str),
+            st.sampled_from(["+", "-", "OU", "UO", "parallel", "antiparallel", "x"]),
+        ),
+        max_size=4,
+    ),
+)
+_LOGS = st.one_of(
+    st.binary(max_size=80),
+    st.lists(_MOVE_LINES, min_size=1, max_size=4).map(lambda ls: "\n".join(ls).encode()),
+)
+
+
+def _exit_status(argv):
+    """cli.main's exit status and stderr; any other exception escapes."""
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            status = cli.main(argv)
+        except SystemExit as exc:
+            status = exc.code
+    return status, err.getvalue()
+
+
+@settings(max_examples=80, deadline=None)
+@given(_CODES, _LOGS, st.one_of(st.none(), st.sampled_from(KINDS + ("R7_insert",))))
+def test_arbitrary_input_never_escapes(code, log, kind):
+    with tempfile.TemporaryDirectory() as tmp:
+        path, log_path = Path(tmp) / "in.gauss", Path(tmp) / "moves.log"
+        path.write_bytes(code)
+        log_path.write_bytes(log)
+        runs = [[cmd, str(path)] for cmd in ("zeta", "split", "certify", "bound")]
+        runs.append(["moves", "sites", str(path)] + ([kind] if kind else []))
+        runs.append(["moves", "apply", str(path), "--log", str(log_path)])
+        for argv in runs:
+            for mode in ([], ["--json"]):
+                status, err = _exit_status(argv + mode)
+                assert status in (0, 1, 2), (argv, status)
+                assert "Traceback" not in err
 
 
 def test_moves_sites_lists_and_filters(tmp_path, capsys):

@@ -4,6 +4,8 @@ import random
 
 import pytest
 from conftest import random_code
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from longzeta.diagram import (
     Arc,
@@ -105,6 +107,70 @@ class TestValidate:
             Diagram.parse("O1+ U1- V2+ V2+").check()
         d = generate("virtual_kink")
         assert d.check() is d
+
+
+class TestValidationCache:
+    def test_validate_returns_a_fresh_list(self):
+        bad = Diagram.parse("O1+ U1- V2+ V2+")
+        first = bad.validate()
+        first.append("scribble")
+        first.clear()
+        assert bad.validate() == [
+            "classical crossing 1 has mismatched signs",
+            "virtual crossing 2 has equal senses on both passages",
+        ]
+        assert bad.validate() is not bad.validate()
+        good = generate("virtual_kink")
+        good.check()
+        good.validate().append("scribble")
+        assert good.validate() == []
+        assert good.check() is good
+
+    def test_check_repeats_the_same_error(self):
+        bad = Diagram.parse("O1+ U1- V3+")
+        texts = set()
+        for _ in range(3):
+            with pytest.raises(InvalidDiagram) as err:
+                bad.check()
+            texts.add(str(err.value))
+        assert texts == {
+            "classical crossing 1 has mismatched signs; "
+            "crossing 3 has 1 passages, expected 2"
+        }
+
+    def test_equality_and_hash_ignore_the_cache(self):
+        for code in ("O1+ V2+ U1+ V2-", "O1+ U1-"):
+            checked, fresh = Diagram.parse(code), Diagram.parse(code)
+            checked.validate()
+            assert checked == fresh and hash(checked) == hash(fresh)
+            assert {checked: 1}[fresh] == 1
+
+
+_TOKENS = st.builds(
+    PassageToken,
+    st.sampled_from("OUV"),
+    st.integers(1, 12),
+    st.sampled_from((1, -1)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        st.builds(
+            lambda seed, n, k: random_code(random.Random(seed), n, k),
+            st.integers(0, 2**32),
+            st.integers(0, 8),
+            st.integers(0, 8),
+        ),
+        st.lists(_TOKENS, max_size=16).map(Diagram),
+    )
+)
+def test_render_parse_roundtrip_property(d):
+    before = d.validate()
+    back = Diagram.parse(d.render())
+    assert back == d and hash(back) == hash(d)
+    assert back.validate() == before
 
 
 class TestDecomposition:

@@ -1,17 +1,22 @@
 """Move rewrites: pinned examples, regime preconditions, site enumeration,
 seeded walks, and the q-power transport laws."""
 
+import hashlib
 import random
 
 import pytest
 from conftest import random_code
 
-from longzeta.diagram import Diagram, PassageToken, generate
+from longzeta.diagram import Diagram, InvalidDiagram, PassageToken, decompose, generate
 from longzeta.invariant import zeta
 from longzeta.moves import (
     KINDS,
     InapplicableMove,
     MoveSpec,
+    _has_site,
+    _last_underpass,
+    _require_cut_gap,
+    _safe_cut_gaps,
     apply,
     enumerate_sites,
     random_equivalent,
@@ -285,6 +290,13 @@ def test_enumerate_rejects_unknown_kind():
         enumerate_sites(VK, "R7_insert")
 
 
+def test_enumerate_rejects_invalid_codes():
+    bad = Diagram.parse("O1+ U1- V2+ V2-")
+    for kind in KINDS:
+        with pytest.raises(InvalidDiagram, match="mismatched signs"):
+            enumerate_sites(bad, kind)
+
+
 def test_enumerate_none_concatenates_all_kinds_in_order():
     sites = enumerate_sites(VK)
     kinds = [m.kind for m in sites]
@@ -391,3 +403,130 @@ def test_apply_validates_handler_output(monkeypatch):
     )
     with pytest.raises(RuntimeError, match="invalid code"):
         moves.apply(VK, MoveSpec("V1_insert", (0, 1)))
+
+
+# ------------------------------------------- token-scan regime conditions
+
+
+def _edge_variants(d):
+    """d, d with its last underpass moved to the end, and d with up to
+    three increasing virtual passages moved to the end (a final run of
+    V tokens at rising degree).  Any token order is a valid code."""
+    toks = list(d.tokens)
+    out = [d]
+    us = [i for i, t in enumerate(toks) if t.kind == "U"]
+    if us:
+        rest = toks[: us[-1]] + toks[us[-1] + 1 :]
+        out.append(Diagram(rest + [toks[us[-1]]]))
+    ups = [t for t in toks if t.kind == "V" and t.sign > 0][:3]
+    if ups:
+        out.append(Diagram([t for t in toks if t not in ups] + ups))
+    return out
+
+
+def _random_codes(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield from _edge_variants(random_code(rng, rng.randint(0, 8), rng.randint(0, 8)))
+
+
+def _cut_gap_reference(d):
+    """{gap: degree of its arc if on the final long arc, else None}, read
+    off the full decomposition."""
+    dec = decompose(d)
+    out = {}
+    for g in range(len(d) + 1):
+        (arc,) = [a for a in dec.arcs if a.start < g <= a.end]
+        out[g] = arc.degree if dec.long_arcs[arc.long_arc].is_final else None
+    return out
+
+
+def test_token_cut_gap_rule_matches_the_decomposition():
+    seen_u_end = seen_v_end = 0
+    for d in _random_codes(20261018, 120):
+        toks = d.tokens
+        seen_u_end += bool(toks) and toks[-1].kind == "U"
+        seen_v_end += len(toks) >= 2 and toks[-1].kind == toks[-2].kind == "V"
+        ref = _cut_gap_reference(d)
+        safe = set(_safe_cut_gaps(toks))
+        assert safe == {g for g, deg in ref.items() if not deg}
+        for g, deg in ref.items():
+            if not deg:
+                _require_cut_gap(toks, g)
+                continue
+            with pytest.raises(InapplicableMove) as err:
+                _require_cut_gap(toks, g)
+            assert "at gap %d " % g in str(err.value)
+            assert "at degree %d;" % deg in str(err.value)
+        if d.n >= 1:
+            assert _last_underpass(toks) == max(decompose(d).u_pos.values())
+        else:
+            assert _last_underpass(toks) == -1
+    assert seen_u_end > 20 and seen_v_end > 20
+
+
+def test_site_existence_matches_enumeration():
+    codes = list(_random_codes(77, 40))
+    codes += [Diagram.parse(c) for c in ("", "V1+ V1-", "O1+ U1+", "U1- O1-", "O1+ V2+ U1+ V2-")]
+    assert any(d.n == 0 for d in codes) and any(d.n == 1 for d in codes)
+    for d in codes:
+        for kind in KINDS:
+            assert _has_site(d, kind, d.n) == bool(enumerate_sites(d, kind)), (d, kind)
+
+
+# (source, steps, seed, bounds) -> (final code, sha256 prefix of the log
+# lines joined by newlines); recorded before the walk learned to skip
+# listing the sites of kinds it does not choose
+GOLDEN_WALKS = [
+    (
+        ("O1+ V2+ U1+ V2-", 12, 5, {}),
+        "V5- V6+ O1+ V7- V8+ V16- V17+ O3+ O18- O19+ V6- V8- V7+ U10- O11+ O12- "
+        "U12- U11+ O10- V5+ O4- O13+ U19+ U18- O14- V2+ V16+ V17- U1+ U3+ U4- "
+        "U13+ U14- V2-",
+        "5aed01dc13f5d813",
+    ),
+    (
+        ("O1+ U1+ O2+ V3+ U2+ V3-", 20, 3, dict(min_classical=2, max_classical=2)),
+        "O1+ V14+ V15- U1+ V11+ V11- V15+ V14- O2+ V3+ V4- V9+ V10- V9- V12- "
+        "V13+ V10+ V12+ V13- V4+ U2+ V3-",
+        "6107b3a40bf88c59",
+    ),
+    (
+        ("O1+ V2+ U1+ V2-", 25, 9, dict(max_classical=3, max_virtual=4)),
+        "V4+ V5- O1+ O3- U3- V2+ U1+ V5+ V4- V7- V7+ V2-",
+        "0a912c94eaef349d",
+    ),
+    (("V1+ V1-", 8, 2, {}), "V2+ V2- V1+ V7+ V7- V1-", "9896b394bbeb79ad"),
+    (
+        ("O1+ U1+", 10, 4, {}),
+        "O4- U4- V8+ V9- V7+ V6- O1+ O5+ U5+ V8- V9+ V6+ V10+ V10- V7- U1+",
+        "74659b52d9150c37",
+    ),
+    (
+        (
+            "U36+ U30+ V13- V17- V6+ V6- O33- V26- O29- V17+ V26+ V13+ U37- O37- "
+            "U33- U29- O36+ O30+",
+            30,
+            11,
+            dict(max_classical=10, max_virtual=10),
+        ),
+        "U36+ V37- V55- V56+ U54+ O54+ O49- O50+ V40- V40+ V37+ U30+ V56- V55+ "
+        "V13- V17- V41- V42+ O33- V26- O29- V17+ V26+ U49- U50+ V13+ U33- U29- "
+        "O36+ O30+ V41+ V42-",
+        "af01ddb6fc0a86e9",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "case,final,log_hash",
+    GOLDEN_WALKS,
+    ids=["kink", "classical_floor", "growth_caps", "virtual_only", "lone_kink", "random"],
+)
+def test_walk_trajectories_are_pinned(case, final, log_hash):
+    code, steps, seed, bounds = case
+    d, log = random_equivalent(Diagram.parse(code), steps, seed, **bounds)
+    assert d.render() == final
+    lines = "\n".join(m.render() for m in log)
+    assert hashlib.sha256(lines.encode()).hexdigest()[:16] == log_hash
+
