@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass, field
 
 from longzeta.diagram import Decomposition, Diagram, PassageToken, decompose, generate
-from longzeta.invariant import determinant, leading_matrix, zeta
+from longzeta.invariant import leading_determinant, zeta
 from longzeta.moves import MoveSpec, apply, random_equivalent
 from longzeta.rings import RingT, ZetaPolynomial
 
@@ -67,10 +67,7 @@ def check_theorems(diagram_or_dec, z: ZetaPolynomial) -> list[str]:
     if top is not None and top > d.k:
         problems.append("top degree %d exceeds k=%d" % (top, d.k))
     sk = z.coeff(d.k)
-    if d.n >= 1:
-        det_b = determinant(leading_matrix(diagram_or_dec)).coeff(0)
-    else:
-        det_b = sk
+    det_b = leading_determinant(diagram_or_dec)
     if det_b != sk:
         problems.append(
             "det B = %s but the s^%d coefficient is %s"

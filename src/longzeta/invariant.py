@@ -17,7 +17,13 @@ T has zero divisors, but the ring map f(q) + a*(p - q) -> (f, f(1) + a*eps)
 embeds it into Z[q^+-1] x Z[eps]/(eps^2), the pair of specializations the
 oracle uses.  The determinant is therefore taken twice over integral
 domains: over Z[q, s] for the Laurent part, and over Z[s, eps] for the
-(p - q) part, read off the eps^1 slice.  Each runs fraction-free Bareiss
+(p - q) part, read off the eps^1 slice.  zeta, its split halves and det B
+never build a matrix over T: one table holds each of the twelve incidence
+coefficients next to its two lifts, and the two integer-polynomial
+matrices are filled straight from the crossings.  incidence_matrix and
+leading_matrix are the T-valued views built from the same table.  Each
+determinant takes one pass over the nonzero entries for its monomial
+shifts, degree bounds and Hadamard bound, then runs fraction-free Bareiss
 elimination on entries packed into one integer each (Kronecker
 substitution), so the arithmetic is plain big-integer arithmetic.  The
 division-free Berkowitz recursion stays as the independent slow reference.
@@ -32,6 +38,7 @@ virtual crossing number among all equivalent diagrams.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import prod
 
@@ -46,85 +53,82 @@ class CrossCheckError(InternalError):
     """
 
 
+def _lift(x: RingT) -> tuple[dict[int, int], dict[int, int]]:
+    """Images of x = f(q) + a*(p - q) under x -> (f, f(1) + a*eps): the
+    Laurent part {q_exp: c} and the dual part {eps_exp: c}."""
+    return dict(x.lau), {e: c for e, c in ((0, x.eval_pq1()), (1, x.eps)) if c}
+
+
+def _incidence_rule() -> dict:
+    """The incidence rule, keyed by (role, t, w).
+
+    Role 0 is the arc emanating from the underpass, 1 the arc passing over,
+    2 the arc coming into the underpass.  Each value is held as a RingT
+    followed by its two lifts, so t^w lifts to q^w and to
+    1 + [t = p]*w*eps, because p^w = q^w + w*(p - q).
+    """
+    rule = {}
+    for t in ("p", "q"):
+        for w in (1, -1):
+            tw = RingT.gen_power(t, w)
+            for role, val in enumerate((RingT.one(), tw - RingT.one(), -tw)):
+                rule[role, t, w] = (val, *_lift(val))
+    return rule
+
+
+_INCIDENCE = _incidence_rule()
+
+
 def incidence(dec: Decomposition, cid: int, arc) -> RingT:
     """Incidence coefficient of classical crossing cid and one arc."""
-    t = dec.early[cid].lower()  # 'o' -> p, 'u' -> q
-    tw = RingT.gen_power("p" if t == "o" else "q", dec.sign[cid])
+    t = "p" if dec.early[cid] == "O" else "q"
+    w = dec.sign[cid]
     u = dec.u_pos[cid]
-    o = dec.o_pos[cid]
-    val = RingT.zero()
-    if arc.start == u:
-        val = val + RingT.one()
-    if arc.start < o < arc.end:
-        val = val + tw - RingT.one()
-    if arc.end == u:
-        val = val - tw
-    return val
+    hits = (arc.start == u, arc.start < dec.o_pos[cid] < arc.end, arc.end == u)
+    return sum(
+        (_INCIDENCE[role, t, w][0] for role, hit in enumerate(hits) if hit),
+        RingT.zero(),
+    )
 
 
 def _column_contributions(dec: Decomposition):
-    """Yield (row_index, column_index, in_final_half, RingT value, degree).
+    """Yield (row_index, column_index, in_final_half, degree, rule value).
 
     Walks crossings instead of all (crossing, arc) pairs: each crossing
     touches at most three arcs, so the matrix has at most three nonzero
-    contributions per row.
+    contributions per row.  The rule value is an _INCIDENCE value.
     """
-    ids = dec.diagram.classical_ids()
-    row = {cid: i for i, cid in enumerate(ids)}
-    by_start = {a.start: a for a in dec.arcs}
-    by_end = {a.end: a for a in dec.arcs}
+    arcs = dec.arcs
     final_idx = dec.long_arcs[-1].index
-
-    for cid in ids:
-        i = row[cid]
+    column = dec.column_of_long_arc
+    for i, cid in enumerate(dec.diagram.classical_ids()):
+        t = "p" if dec.early[cid] == "O" else "q"
         w = dec.sign[cid]
-        tw = RingT.gen_power("p" if dec.early[cid] == "O" else "q", w)
-        u = dec.u_pos[cid]
-        contributions = [
-            (by_start[u], RingT.one()),
-            (dec.arc_containing(dec.o_pos[cid]), tw - RingT.one()),
-            (by_end[u], -tw),
-        ]
-        for arc, val in contributions:
-            j = dec.column_of_long_arc[arc.long_arc]
-            yield i, j, arc.long_arc == final_idx, val, arc.degree
+        # arcs[a] starts at the underpass, so arcs[a - 1] ends there
+        a = bisect_left(dec.arc_starts, dec.u_pos[cid])
+        for role, arc in enumerate(
+            (arcs[a], dec.arc_containing(dec.o_pos[cid]), arcs[a - 1])
+        ):
+            yield (i, column[arc.long_arc], arc.long_arc == final_idx,
+                   arc.degree, _INCIDENCE[role, t, w])
+
+
+def _matrix_dec(diagram_or_dec) -> Decomposition:
+    dec = _as_dec(diagram_or_dec)
+    if dec.diagram.n == 0:
+        raise ValueError("no matrix for a diagram without classical crossings")
+    return dec
 
 
 def incidence_matrix(diagram_or_dec) -> list[list[ZetaPolynomial]]:
-    """The n x n matrix whose determinant is zeta.  Rejects n = 0."""
-    dec = _as_dec(diagram_or_dec)
+    """The n x n matrix over T[s^+-1] whose determinant is zeta.  Rejects
+    n = 0.  zeta itself goes straight to the lifts of this matrix."""
+    dec = _matrix_dec(diagram_or_dec)
     n = dec.diagram.n
-    if n == 0:
-        raise ValueError("no matrix for a diagram without classical crossings")
     mat = [[ZetaPolynomial.zero() for _ in range(n)] for _ in range(n)]
-    for i, j, _half, val, deg in _column_contributions(dec):
-        mat[i][j] = mat[i][j] + ZetaPolynomial({deg: val})
+    for i, j, _half, deg, rule in _column_contributions(dec):
+        mat[i][j] = mat[i][j] + ZetaPolynomial({deg: rule[0]})
     return mat
-
-
-def split_matrices(dec: Decomposition):
-    """Matrices for the two halves of the united column.
-
-    The united column is the sum of its initial-half and final-half
-    contributions; replacing it by either half and leaving every other
-    column alone gives the matrices behind the zeta decomposition.
-    """
-    n = dec.diagram.n
-    if n == 0:
-        raise ValueError("no matrix for a diagram without classical crossings")
-    united = dec.column_of_long_arc[dec.long_arcs[-1].index]
-    minus = [[ZetaPolynomial.zero() for _ in range(n)] for _ in range(n)]
-    plus = [[ZetaPolynomial.zero() for _ in range(n)] for _ in range(n)]
-    for i, j, in_final, val, deg in _column_contributions(dec):
-        term = ZetaPolynomial({deg: val})
-        if j != united:
-            minus[i][j] = minus[i][j] + term
-            plus[i][j] = plus[i][j] + term
-        elif in_final:
-            plus[i][j] = plus[i][j] + term
-        else:
-            minus[i][j] = minus[i][j] + term
-    return minus, plus
 
 
 def _as_dec(diagram_or_dec) -> Decomposition:
@@ -186,48 +190,82 @@ def _det_packed(mat) -> dict[tuple[int, int], int]:
     so every exponent is non-negative.  The determinant P then has
     x-degree at most the smaller of the sums of the row maxima and of the
     column maxima (likewise y), and Hadamard's inequality bounds its
-    coefficients.  Those bounds fix a digit width b such that P is read
-    back from the balanced base-2^b digits of P(2^b, 2^(b*(Dx + 1))), the
+    coefficients.  All of these come from one pass over the nonzero
+    entries.  The bounds fix a digit width b such that P is read back from
+    the balanced base-2^b digits of P(2^b, 2^(b*(Dx + 1))), the
     determinant of the integer matrix that packs each entry the same way
     (Kronecker substitution).  Fraction-free Bareiss elimination computes
     that integer determinant exactly.
     """
     n = len(mat)
-    cols = [[row[j] for row in mat] for j in range(n)]
-    if not all(any(row) for row in mat) or not all(any(col) for col in cols):
+    inf = float("inf")
+    # the only pass over the terms: each nonzero entry with its exponent
+    # box, each row's lowest exponents, and the squared Hadamard norms of
+    # rows and columns (on the torus |x| = |y| = 1, |coefficient of P| <=
+    # max |P| <= prod_i |row_i|_2 with each entry at most its l1 norm;
+    # the same holds by columns)
+    entries = []  # (row, column, entry, low x, high x, low y, high y)
+    rx, ry = [inf] * n, [inf] * n
+    row_sq, col_sq = [0] * n, [0] * n
+    for i, row in enumerate(mat):
+        for j, x in enumerate(row):
+            if not x:
+                continue
+            lx = ly = inf
+            hx = hy = -inf
+            norm = 0
+            for (ex, ey), c in x.items():
+                if c:
+                    if ex < lx:
+                        lx = ex
+                    if ex > hx:
+                        hx = ex
+                    if ey < ly:
+                        ly = ey
+                    if ey > hy:
+                        hy = ey
+                    norm += abs(c)
+            if norm:
+                entries.append((i, j, x, lx, hx, ly, hy))
+                row_sq[i] += norm * norm
+                col_sq[j] += norm * norm
+                if lx < rx[i]:
+                    rx[i] = lx
+                if ly < ry[i]:
+                    ry[i] = ly
+    if inf in rx:  # a zero row
         return {}
-    low = []  # per variable: (row shifts, column shifts)
-    sizes = []  # per variable: degree bound + 1
-    for v in (0, 1):
-        r = [min(e[v] for x in row for e in x) for row in mat]
-        c = [min(e[v] - r[i] for i, x in enumerate(col) for e in x) for col in cols]
-        row_top = sum(max(e[v] - r[i] - c[j] for j, x in enumerate(row) for e in x)
-                      for i, row in enumerate(mat))
-        col_top = sum(max(e[v] - r[i] - c[j] for i, x in enumerate(col) for e in x)
-                      for j, col in enumerate(cols))
-        low.append((r, c))
-        sizes.append(min(row_top, col_top) + 1)
-    # Hadamard on the torus |x| = |y| = 1: |coefficient of P| <= max |P|
-    # <= prod_i |row_i|_2, each entry at most its l1 norm; squared to stay
-    # in integers, and the same by columns
-    square = min(
-        prod(sum(sum(map(abs, x.values())) ** 2 for x in line) for line in lines)
-        for lines in (mat, cols)
-    )
+    cx, cy = [inf] * n, [inf] * n
+    for i, j, _, lx, _, ly, _ in entries:
+        if lx - rx[i] < cx[j]:
+            cx[j] = lx - rx[i]
+        if ly - ry[i] < cy[j]:
+            cy[j] = ly - ry[i]
+    if inf in cx:  # a zero column
+        return {}
+    row_hx, row_hy, col_hx, col_hy = [0] * n, [0] * n, [0] * n, [0] * n
+    for i, j, _, _, hx, _, hy in entries:
+        hx -= rx[i] + cx[j]
+        hy -= ry[i] + cy[j]
+        if hx > row_hx[i]:
+            row_hx[i] = hx
+        if hx > col_hx[j]:
+            col_hx[j] = hx
+        if hy > row_hy[i]:
+            row_hy[i] = hy
+        if hy > col_hy[j]:
+            col_hy[j] = hy
+    sx = min(sum(row_hx), sum(col_hx)) + 1
+    digits = sx * (min(sum(row_hy), sum(col_hy)) + 1)
+    square = min(prod(row_sq), prod(col_sq))
     # |c| < 2^half_bits, and a digit of `width` bytes holds |c| < 2^(8*width - 1)
     half_bits = (square.bit_length() + 1) // 2
     width = half_bits // 8 + 1
     b = 8 * width
-    (rx, cx), (ry, cy) = low
-    sx, digits = sizes[0], sizes[0] * sizes[1]
-    a = [
-        [
-            sum(c << b * (ex - rx[i] - cx[j] + (ey - ry[i] - cy[j]) * sx)
-                for (ex, ey), c in x.items())
-            for j, x in enumerate(row)
-        ]
-        for i, row in enumerate(mat)
-    ]
+    a = [[0] * n for _ in range(n)]
+    for i, j, x, *_ in entries:
+        a[i][j] = sum(c << b * (ex - rx[i] - cx[j] + (ey - ry[i] - cy[j]) * sx)
+                      for (ex, ey), c in x.items() if c)
 
     sign, prev = 1, 1
     for k in range(n - 1):
@@ -264,42 +302,13 @@ def _det_packed(mat) -> dict[tuple[int, int], int]:
     return out
 
 
-def determinant(mat) -> ZetaPolynomial:
-    """Exact determinant of a square matrix over T[s^+-1].
+def _combine(lau_det, dual_det) -> ZetaPolynomial:
+    """Reassemble a determinant over T[s^+-1] from its two lifts.
 
-    Entries are ZetaPolynomials or RingT elements (read as s^0 terms).  The
-    Laurent part comes from one determinant over Z[q, s], the (p - q)
-    part from the eps^1 slice of one over Z[s, eps] built from the
-    entries f(1) + a*eps; the eps^0 slice must equal the Laurent part at
-    q = 1, which is checked.
+    lau_det is over Z[q, s] keyed (q_exp, s_exp), dual_det over Z[s, eps]
+    keyed (s_exp, eps_exp).  The eps^0 slice must equal the Laurent part
+    at q = 1, which is checked; the eps^1 slice is the (p - q) part.
     """
-    n = len(mat)
-    for row in mat:
-        if len(row) != n:
-            raise ValueError("matrix is not square")
-    if n == 0:
-        return ZetaPolynomial.one()
-    laurent, dual = [], []
-    for row in mat:
-        laurent_row, dual_row = [], []
-        for x in row:
-            terms = x.coeffs.items() if isinstance(x, ZetaPolynomial) else ((0, x),)
-            lx, dx = {}, {}
-            for d, c in terms:
-                for e, v in c.lau.items():
-                    lx[(e, d)] = v
-                at_one = c.eval_pq1()
-                if at_one:
-                    dx[(d, 0)] = at_one
-                if c.eps:
-                    dx[(d, 1)] = c.eps
-            laurent_row.append(lx)
-            dual_row.append(dx)
-        laurent.append(laurent_row)
-        dual.append(dual_row)
-    lau_det = _det_packed(laurent)
-    dual_det = _det_packed(dual)
-
     lau_parts: dict[int, dict[int, int]] = {}
     at_one: dict[int, int] = {}
     for (e, d), c in lau_det.items():
@@ -319,25 +328,88 @@ def determinant(mat) -> ZetaPolynomial:
     })
 
 
+def determinant(mat) -> ZetaPolynomial:
+    """Exact determinant of a square matrix over T[s^+-1].
+
+    Entries are ZetaPolynomials or RingT elements (read as s^0 terms).  The
+    Laurent part comes from one determinant over Z[q, s], the (p - q)
+    part from the eps^1 slice of one over Z[s, eps] built from the
+    entries f(1) + a*eps.
+    """
+    n = len(mat)
+    for row in mat:
+        if len(row) != n:
+            raise ValueError("matrix is not square")
+    if n == 0:
+        return ZetaPolynomial.one()
+    laurent, dual = [], []
+    for row in mat:
+        laurent_row, dual_row = [], []
+        for x in row:
+            terms = x.coeffs.items() if isinstance(x, ZetaPolynomial) else ((0, x),)
+            lx, dx = {}, {}
+            for d, c in terms:
+                lau, eps = _lift(c)
+                for e, v in lau.items():
+                    lx[e, d] = v
+                for e, v in eps.items():
+                    dx[d, e] = v
+            laurent_row.append(lx)
+            dual_row.append(dx)
+        laurent.append(laurent_row)
+        dual.append(dual_row)
+    return _combine(_det_packed(laurent), _det_packed(dual))
+
+
+def _lifted(dec: Decomposition, pick) -> ZetaPolynomial:
+    """Determinant of the matrix built from the contributions pick keeps.
+
+    pick(column, in_final_half, degree) gives the s-exponent at which a
+    contribution enters its entry, or None to leave it out.  The two lifts
+    of the matrix are filled straight from the rule table, with no RingT
+    arithmetic.
+    """
+    n = dec.diagram.n
+    laurent = [[{} for _ in range(n)] for _ in range(n)]
+    dual = [[{} for _ in range(n)] for _ in range(n)]
+    for i, j, in_final, deg, (_, lau, eps) in _column_contributions(dec):
+        d = pick(j, in_final, deg)
+        if d is None:
+            continue
+        x = laurent[i][j]
+        for e, c in lau.items():
+            x[e, d] = x.get((e, d), 0) + c
+        x = dual[i][j]
+        for e, c in eps.items():
+            x[d, e] = x.get((d, e), 0) + c
+    return _combine(_det_packed(laurent), _det_packed(dual))
+
+
 def zeta(diagram_or_dec) -> ZetaPolynomial:
     """The zeta polynomial; 1 for diagrams without classical crossings."""
     dec = _as_dec(diagram_or_dec)
     if dec.diagram.n == 0:
         return ZetaPolynomial.one()
-    return determinant(incidence_matrix(dec))
+    return _lifted(dec, lambda _j, _in_final, deg: deg)
 
 
 def zeta_split(diagram_or_dec) -> tuple[ZetaPolynomial, ZetaPolynomial]:
     """(zeta_minus, zeta_plus): determinants with the united column
     restricted to its initial (resp. final) half.  Their sum is zeta.
     Rejects n = 0, where the united column does not exist."""
-    dec = _as_dec(diagram_or_dec)
-    minus, plus = split_matrices(dec)
-    return determinant(minus), determinant(plus)
+    dec = _matrix_dec(diagram_or_dec)
+    united = dec.column_of_long_arc[dec.long_arcs[-1].index]
+
+    def half(final):
+        return lambda j, in_final, deg: (
+            deg if j != united or in_final == final else None
+        )
+
+    return _lifted(dec, half(False)), _lifted(dec, half(True))
 
 
-def leading_matrix(diagram_or_dec) -> list[list[RingT]]:
-    """Matrix B of s^threshold coefficients, one threshold per column.
+def _thresholds(dec: Decomposition) -> list[int]:
+    """Per-column s-degree that B keeps.
 
     Within one long arc the threshold-achieving arc is unique when it
     exists (degrees climb by at most one per virtual passage and can never
@@ -346,22 +418,39 @@ def leading_matrix(diagram_or_dec) -> list[list[RingT]]:
     increasing passage; the entry is then the sum of both contributions,
     i.e. still the s^threshold coefficient of the matrix entry.
     """
-    dec = _as_dec(diagram_or_dec)
-    n = dec.diagram.n
-    if n == 0:
-        raise ValueError("no leading matrix for a diagram without classical crossings")
-
     for la in dec.long_arcs:
         achieved = [a for a in la.arcs if dec.arcs[a].degree == la.increasing]
         if len(achieved) > 1:
             raise InternalError("two arcs at the top degree inside one long arc")
+    return [col.threshold for col in dec.columns]
 
-    thresholds = {j: col.threshold for j, col in enumerate(dec.columns)}
+
+def leading_matrix(diagram_or_dec) -> list[list[RingT]]:
+    """Matrix B of s^threshold coefficients, one threshold per column.
+    Rejects n = 0."""
+    dec = _matrix_dec(diagram_or_dec)
+    n = dec.diagram.n
+    thresholds = _thresholds(dec)
     mat = [[RingT.zero() for _ in range(n)] for _ in range(n)]
-    for i, j, _half, val, deg in _column_contributions(dec):
+    for i, j, _half, deg, rule in _column_contributions(dec):
         if deg == thresholds[j]:
-            mat[i][j] = mat[i][j] + val
+            mat[i][j] = mat[i][j] + rule[0]
     return mat
+
+
+def leading_determinant(diagram_or_dec) -> RingT:
+    """det B, which must equal the s^k coefficient of zeta.
+
+    Without classical crossings there is no matrix B and zeta = 1, so the
+    value is that coefficient: 1 for k = 0, else 0.
+    """
+    dec = _as_dec(diagram_or_dec)
+    if dec.diagram.n == 0:
+        return ZetaPolynomial.one().coeff(dec.diagram.k)
+    thresholds = _thresholds(dec)
+    return _lifted(
+        dec, lambda j, _in_final, deg: 0 if deg == thresholds[j] else None
+    ).coeff(0)
 
 
 @dataclass(frozen=True)
@@ -397,10 +486,7 @@ def certify_minimality(diagram_or_dec) -> MinimalityCertificate:
     k = dec.diagram.k
     z = zeta(dec)
     sk = z.coeff(k)
-    if dec.diagram.n == 0:
-        det_b = sk
-    else:
-        det_b = determinant(leading_matrix(dec)).coeff(0)
+    det_b = leading_determinant(dec)
     if det_b != sk:
         raise CrossCheckError(
             "det B = %s but the s^%d coefficient of zeta is %s"
@@ -429,6 +515,6 @@ def row_sums_at_s1(diagram_or_dec) -> list[RingT]:
     cancel: 1 + (t^w - 1) + (-t^w) = 0."""
     dec = _as_dec(diagram_or_dec)
     sums = [RingT.zero() for _ in range(dec.diagram.n)]
-    for i, _j, _half, val, _deg in _column_contributions(dec):
-        sums[i] = sums[i] + val
+    for i, _j, _half, _deg, rule in _column_contributions(dec):
+        sums[i] = sums[i] + rule[0]
     return sums

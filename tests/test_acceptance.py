@@ -17,11 +17,10 @@ drift vanishes, are tested green right next to them.
 import random
 
 import pytest
-from conftest import random_code
 
 from longzeta import oracle
 from longzeta.diagram import Diagram, connect_sum, decompose, generate
-from longzeta.fuzz import predicted_shift, run_campaign
+from longzeta.fuzz import predicted_shift, random_diagram, run_campaign
 from longzeta.invariant import (
     certify_minimality,
     det_division_free,
@@ -145,7 +144,7 @@ def test_criterion_03_classical_vanishing_and_row_sums():
 
     rng = random.Random(3)
     for _ in range(500):
-        d = random_code(rng, rng.randint(0, 6), rng.randint(0, 6))
+        d = random_diagram(rng, rng.randint(0, 6), rng.randint(0, 6))
         assert all(s.is_zero() for s in row_sums_at_s1(d))
     _line(
         "[criterion 3] PASS: zeta = 0 for the trefoil and figure-eight "
@@ -205,7 +204,7 @@ def test_criterion_05_move_fuzz(campaign):
         "classical_trefoil", "classical_figure8", "virtual_kink",
     )]
     probes.append(generate("virtual_kink_chain", 3))
-    probes += [random_code(rng, rng.randint(1, 5), rng.randint(0, 4))
+    probes += [random_diagram(rng, rng.randint(1, 5), rng.randint(0, 4))
                for _ in range(6)]
     checked = 0
     for d in probes:
@@ -259,8 +258,8 @@ def test_criterion_06_degree_bound_and_leading_coefficient(campaign):
 def _product_pairs(count=200, seed=11):
     rng = random.Random(seed)
     for _ in range(count):
-        d1 = random_code(rng, rng.randint(1, 4), rng.randint(0, 3))
-        d2 = random_code(rng, rng.randint(1, 4), rng.randint(0, 3))
+        d1 = random_diagram(rng, rng.randint(1, 4), rng.randint(0, 3))
+        d2 = random_diagram(rng, rng.randint(1, 4), rng.randint(0, 3))
         yield d1, d2
 
 

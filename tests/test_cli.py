@@ -10,13 +10,12 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from conftest import random_code
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from longzeta import cli
 from longzeta.diagram import Diagram, connect_sum, generate, read_gauss_file
-from longzeta.fuzz import CampaignReport, TrialResult
+from longzeta.fuzz import CampaignReport, TrialResult, random_diagram
 from longzeta.invariant import zeta, zeta_split
 from longzeta.moves import KINDS, MoveSpec
 from longzeta.rings import ZetaPolynomial
@@ -151,7 +150,7 @@ _CODES = st.one_of(
     st.binary(max_size=120),
     st.lists(_WORDS, max_size=14).map(lambda ws: " ".join(ws).encode()),
     st.builds(
-        lambda seed, n, k: random_code(random.Random(seed), n, k).render().encode(),
+        lambda seed, n, k: random_diagram(random.Random(seed), n, k).render().encode(),
         st.integers(0, 2**32),
         st.integers(0, 6),
         st.integers(0, 6),
@@ -195,6 +194,7 @@ def test_arbitrary_input_never_escapes(code, log, kind):
         runs = [[cmd, str(path)] for cmd in ("zeta", "split", "certify", "bound")]
         runs.append(["moves", "sites", str(path)] + ([kind] if kind else []))
         runs.append(["moves", "apply", str(path), "--log", str(log_path)])
+        runs.append(["concat", str(path), str(path)])
         for argv in runs:
             for mode in ([], ["--json"]):
                 status, err = _exit_status(argv + mode)

@@ -3,7 +3,6 @@
 import random
 
 import pytest
-from conftest import random_code
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +16,7 @@ from longzeta.diagram import (
     generate,
     read_gauss_file,
 )
+from longzeta.fuzz import random_diagram
 
 
 class TestParse:
@@ -49,7 +49,7 @@ class TestParse:
     def test_random_roundtrip(self):
         rng = random.Random(7)
         for _ in range(200):
-            d = random_code(rng, rng.randint(0, 5), rng.randint(0, 5))
+            d = random_diagram(rng, rng.randint(0, 5), rng.randint(0, 5))
             assert Diagram.parse(d.render()) == d
 
     def test_counts(self):
@@ -158,7 +158,7 @@ _TOKENS = st.builds(
 @given(
     st.one_of(
         st.builds(
-            lambda seed, n, k: random_code(random.Random(seed), n, k),
+            lambda seed, n, k: random_diagram(random.Random(seed), n, k),
             st.integers(0, 2**32),
             st.integers(0, 8),
             st.integers(0, 8),
@@ -228,6 +228,21 @@ class TestDecomposition:
         with pytest.raises(LookupError):
             dec.arc_containing(2)  # cut token, not arc interior
 
+    def test_arc_containing_matches_a_scan(self):
+        rng = random.Random(37)
+        for _ in range(200):
+            dec = decompose(random_diagram(rng, rng.randint(0, 8), rng.randint(0, 8)))
+            toks = dec.diagram.tokens
+            for pos in range(-2, len(toks) + 2):
+                inside = [a for a in dec.arcs if a.start < pos < a.end]
+                # interior positions are exactly the overpass tokens
+                assert bool(inside) == (0 <= pos < len(toks) and toks[pos].kind == "O")
+                if inside:
+                    assert dec.arc_containing(pos) == inside[0]
+                else:
+                    with pytest.raises(LookupError, match="cut token"):
+                        dec.arc_containing(pos)
+
     def test_rejects_invalid(self):
         with pytest.raises(InvalidDiagram):
             decompose(Diagram.parse("O1+ U1-"))
@@ -236,7 +251,7 @@ class TestDecomposition:
         rng = random.Random(31)
         for _ in range(1000):
             n, kv = rng.randint(1, 6), rng.randint(0, 6)
-            dec = decompose(random_code(rng, n, kv))
+            dec = decompose(random_diagram(rng, n, kv))
             assert len(dec.long_arcs) == n + 1
             assert sum(la.increasing for la in dec.long_arcs) == kv
             toks = dec.diagram.tokens

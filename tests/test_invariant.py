@@ -3,12 +3,12 @@
 import random
 
 import pytest
-from conftest import random_code
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from longzeta import oracle
+from longzeta import invariant, oracle
 from longzeta.diagram import Diagram, connect_sum, decompose, generate
+from longzeta.fuzz import random_diagram
 from longzeta.invariant import (
     CrossCheckError,
     certify_minimality,
@@ -16,6 +16,7 @@ from longzeta.invariant import (
     determinant,
     incidence,
     incidence_matrix,
+    leading_determinant,
     leading_matrix,
     row_sums_at_s1,
     virtual_lower_bound,
@@ -173,8 +174,8 @@ class TestConnectSumGoldens:
     def test_product_laws_random(self):
         rng = random.Random(9)
         for _ in range(60):
-            d1 = random_code(rng, rng.randint(1, 4), rng.randint(0, 3))
-            d2 = random_code(rng, rng.randint(1, 4), rng.randint(0, 3))
+            d1 = random_diagram(rng, rng.randint(1, 4), rng.randint(0, 3))
+            d2 = random_diagram(rng, rng.randint(1, 4), rng.randint(0, 3))
             d = connect_sum(d1, d2)
             m1, p1 = zeta_split(d1)
             m2, p2 = zeta_split(d2)
@@ -324,6 +325,100 @@ class TestLiftedDeterminant:
         assert determinant(mat) == ZetaPolynomial({0: want})
 
 
+def raw_det(mat):
+    return oracle.perm_determinant(
+        mat, oracle.raw_add, oracle.raw_mul, oracle.raw_neg, {}
+    )
+
+
+class TestPackedDeterminant:
+    """The sparse bound pass of _det_packed, against the Leibniz sum."""
+
+    def test_zero_row_or_column(self):
+        x = {(1, 0): 2, (-1, 2): 1}
+        y = {(0, 0): -3}
+        for mat in (
+            [[x, y], [{}, {}]],
+            [[x, {}], [y, {}]],
+            [[x, y], [{(2, 2): 0}, {}]],  # a row of cancelled terms only
+            [[x, {(0, 5): 0}], [y, {}]],
+        ):
+            assert invariant._det_packed(mat) == {}
+            assert raw_det(mat) == {}
+
+    def test_random_sparse(self):
+        # one variable only, negative exponents, zero coefficients, and
+        # coefficients far above 2^64
+        rng = random.Random(19)
+        for trial in range(150):
+            n = rng.randint(1, 4)
+            uses = ((True, False), (False, True), (True, True))[trial % 3]
+            top = 1 << 70 if trial % 4 == 0 else 9
+
+            def entry():
+                if rng.random() < 0.4:
+                    return {}
+                return {
+                    (rng.randint(-4, 4) * uses[0], rng.randint(-4, 4) * uses[1]):
+                        rng.randint(-top, top)
+                    for _ in range(rng.randint(1, 3))
+                }
+
+            mat = [[entry() for _ in range(n)] for _ in range(n)]
+            assert invariant._det_packed(mat) == raw_det(mat)
+
+    def test_wide_result(self):
+        big = (1 << 64) + 7
+        mat = [[{(0, 0): big, (-2, 1): -big}, {(3, 0): big}],
+               [{(0, -1): -big}, {(1, 1): big, (0, 0): 1}]]
+        got = invariant._det_packed(mat)
+        assert got == raw_det(mat)
+        assert max(map(abs, got.values())) > 1 << 128
+
+
+def ring_views(dec):
+    """zeta's matrix, its minus and plus halves and B over T, built from
+    incidence() on every (crossing, arc) pair."""
+    n = dec.diagram.n
+    final = dec.long_arcs[-1].index
+    united = dec.column_of_long_arc[final]
+    full, minus, plus = ([[ZP_ZERO] * n for _ in range(n)] for _ in range(3))
+    lead = [[RingT.zero()] * n for _ in range(n)]
+    for i, cid in enumerate(dec.diagram.classical_ids()):
+        for arc in dec.arcs:
+            val = incidence(dec, cid, arc)
+            j = dec.column_of_long_arc[arc.long_arc]
+            term = ZetaPolynomial({arc.degree: val})
+            full[i][j] += term
+            if j != united or arc.long_arc != final:
+                minus[i][j] += term
+            if j != united or arc.long_arc == final:
+                plus[i][j] += term
+            if arc.degree == dec.columns[j].threshold:
+                lead[i][j] += val
+    return full, minus, plus, lead
+
+
+def test_direct_lifts_are_exact():
+    rng = random.Random(23)
+    codes = [random_diagram(rng, rng.randint(1, 8), rng.randint(0, 8))
+             for _ in range(150)]
+    codes += [random_diagram(rng, 1, k) for k in range(9)]
+    # O1 U1 and U1 O1 put all three contributions into one entry, where
+    # they cancel; O2 U2 next to other crossings cancels part of an entry
+    cancelling = ["O1+ U1+", "U1- O1-", "V3+ O1- U1- V3-", "O1+ U2- O2- U1+"]
+    codes += [Diagram.parse(text) for text in cancelling]
+    for d in codes:
+        dec = decompose(d)
+        full, minus, plus, lead = ring_views(dec)
+        assert incidence_matrix(dec) == full
+        assert leading_matrix(dec) == lead
+        assert zeta(dec) == berkowitz(full)
+        assert zeta_split(dec) == (berkowitz(minus), berkowitz(plus))
+        assert leading_determinant(dec) == det_division_free(lead, ONE, RingT.zero())
+    assert incidence_matrix(Diagram.parse("O1+ U1+")) == [[ZP_ZERO]]
+
+
 ring_elements = st.builds(
     RingT,
     st.dictionaries(st.integers(-3, 3), st.integers(-5, 5), max_size=2),
@@ -350,18 +445,18 @@ class TestTheorems:
     def test_row_sums_vanish(self):
         rng = random.Random(5)
         for _ in range(500):
-            d = random_code(rng, rng.randint(1, 6), rng.randint(0, 6))
+            d = random_diagram(rng, rng.randint(1, 6), rng.randint(0, 6))
             assert all(s.is_zero() for s in row_sums_at_s1(d))
 
     def test_classical_zeta_vanishes(self):
         rng = random.Random(6)
         for _ in range(120):
-            assert zeta(random_code(rng, rng.randint(1, 6), 0)).is_zero()
+            assert zeta(random_diagram(rng, rng.randint(1, 6), 0)).is_zero()
 
     def test_split_sums_to_zeta(self):
         rng = random.Random(8)
         for _ in range(150):
-            d = random_code(rng, rng.randint(1, 5), rng.randint(0, 5))
+            d = random_diagram(rng, rng.randint(1, 5), rng.randint(0, 5))
             minus, plus = zeta_split(d)
             assert minus + plus == zeta(d)
 
@@ -369,7 +464,7 @@ class TestTheorems:
         rng = random.Random(10)
         for _ in range(300):
             kv = rng.randint(0, 6)
-            top = zeta(random_code(rng, rng.randint(1, 6), kv)).top_degree()
+            top = zeta(random_diagram(rng, rng.randint(1, 6), kv)).top_degree()
             assert top is None or top <= kv
 
     def test_certificates_on_random_codes(self):
@@ -377,7 +472,7 @@ class TestTheorems:
         minimal_seen = 0
         for _ in range(300):
             kv = rng.randint(0, 5)
-            d = random_code(rng, rng.randint(1, 5), kv)
+            d = random_diagram(rng, rng.randint(1, 5), kv)
             cert = certify_minimality(d)  # never raises CrossCheckError
             assert cert.k == kv and cert.cross_check_passed
             assert virtual_lower_bound(d) <= kv
@@ -389,7 +484,7 @@ class TestTheorems:
     def test_renumbering_invariance(self):
         rng = random.Random(12)
         for _ in range(100):
-            d = random_code(rng, rng.randint(1, 5), rng.randint(0, 4))
+            d = random_diagram(rng, rng.randint(1, 5), rng.randint(0, 4))
             old = sorted({t.cid for t in d.tokens})
             new = rng.sample(range(1, 120), len(old))
             relabel = dict(zip(old, new))
@@ -425,6 +520,6 @@ class TestDegenerateAndErrors:
     def test_cross_check_error(self, monkeypatch):
         import longzeta.invariant as inv
 
-        monkeypatch.setattr(inv, "leading_matrix", lambda dec: [[ONE]])
+        monkeypatch.setattr(inv, "leading_determinant", lambda dec: ONE)
         with pytest.raises(CrossCheckError, match=r"det B = 1\*q\^0 but the s\^1"):
             certify_minimality(generate("virtual_kink"))

@@ -5,9 +5,9 @@ import hashlib
 import random
 
 import pytest
-from conftest import random_code
 
 from longzeta.diagram import Diagram, InvalidDiagram, PassageToken, decompose, generate
+from longzeta.fuzz import random_diagram
 from longzeta.invariant import zeta
 from longzeta.moves import (
     KINDS,
@@ -318,7 +318,7 @@ def test_every_enumerated_site_applies_and_obeys_the_law():
     rng = random.Random(20260819)
     checked = 0
     for _ in range(10):
-        d = random_code(rng, rng.randint(1, 4), rng.randint(0, 3))
+        d = random_diagram(rng, rng.randint(1, 4), rng.randint(0, 3))
         z0 = zeta(d)
         for kind in KINDS:
             sites = enumerate_sites(d, kind)
@@ -357,7 +357,7 @@ def test_walk_zero_steps_is_identity():
 def test_walk_transports_zeta_by_a_q_power():
     rng = random.Random(7)
     for trial in range(6):
-        d0 = random_code(rng, rng.randint(1, 3), rng.randint(0, 3))
+        d0 = random_diagram(rng, rng.randint(1, 3), rng.randint(0, 3))
         z0 = zeta(d0)
         d1, log = random_equivalent(d0, 10, seed=100 + trial)
         r = 0
@@ -427,7 +427,7 @@ def _edge_variants(d):
 def _random_codes(seed, count):
     rng = random.Random(seed)
     for _ in range(count):
-        yield from _edge_variants(random_code(rng, rng.randint(0, 8), rng.randint(0, 8)))
+        yield from _edge_variants(random_diagram(rng, rng.randint(0, 8), rng.randint(0, 8)))
 
 
 def _cut_gap_reference(d):

@@ -17,6 +17,18 @@ zeta_polys = st.builds(
     lambda d: ZetaPolynomial(d),
     st.dictionaries(st.integers(min_value=-3, max_value=3), ring_elems, max_size=3),
 )
+# wide exponents and coefficients, and terms that are pure multiples of p - q
+sparse_ring_elems = st.one_of(
+    st.builds(
+        RingT,
+        st.dictionaries(st.integers(-60, 60), st.integers(-(2**70), 2**70), max_size=5),
+        st.integers(-(2**70), 2**70),
+    ),
+    st.builds(lambda e: RingT({}, e), st.integers(-(2**70), 2**70).filter(bool)),
+)
+sparse_zeta_polys = st.dictionaries(
+    st.integers(-60, 60), sparse_ring_elems, max_size=6
+).map(ZetaPolynomial)
 
 
 def to_raw(x: RingT) -> dict:
@@ -175,7 +187,8 @@ class TestZetaPolynomial:
         assert z.render() == "(1*q^1 + 1*(p-q))*s^0 + (-1*q^1 - 1*(p-q))*s^1"
         assert ZetaPolynomial.zero().render() == "0"
 
-    @given(zeta_polys)
+    @settings(max_examples=150)
+    @given(st.one_of(zeta_polys, sparse_zeta_polys))
     def test_render_parse_roundtrip(self, z):
         assert ZetaPolynomial.parse(z.render()) == z
 
