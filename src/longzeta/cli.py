@@ -54,36 +54,39 @@ def build_parser() -> _Parser:
     top = _Parser(prog="longzeta", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
 
-    def cmd(name, help_text, **kwargs):
-        p = sub.add_parser(name, help=help_text, **kwargs)
+    def cmd(name, help_text, func):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="machine output")
+        p.set_defaults(func=func)
         return p
 
-    p = cmd("zeta", "print the zeta polynomial of a .gauss file")
+    p = cmd("zeta", "print the zeta polynomial of a .gauss file", _cmd_zeta)
     p.add_argument("file")
-    p = cmd("split", "print the two halves of the united-column split")
+    p = cmd("split", "print the two halves of the united-column split", _cmd_split)
     p.add_argument("file")
-    p = cmd("certify", "minimality certificate from the leading coefficient")
+    p = cmd("certify", "minimality certificate from the leading coefficient", _cmd_certify)
     p.add_argument("file")
-    p = cmd("bound", "lower bound for the virtual crossing number")
+    p = cmd("bound", "lower bound for the virtual crossing number", _cmd_bound)
     p.add_argument("file")
-    p = cmd("concat", "concatenate two long codes end to end")
+    p = cmd("concat", "concatenate two long codes end to end", _cmd_concat)
     p.add_argument("file1")
     p.add_argument("file2")
 
     moves = sub.add_parser("moves", help="apply or enumerate rewrite moves")
     moves_sub = moves.add_subparsers(dest="moves_command", required=True)
     p = moves_sub.add_parser("apply", help="apply move lines to a code")
+    p.set_defaults(func=_cmd_moves_apply)
     p.add_argument("--json", action="store_true")
     p.add_argument("file")
     p.add_argument("move", nargs="*", help="move lines, e.g. 'R1_insert 0 + OU'")
     p.add_argument("--log", metavar="PATH", help="file of move lines to apply")
     p = moves_sub.add_parser("sites", help="list applicable moves")
+    p.set_defaults(func=_cmd_moves_sites)
     p.add_argument("--json", action="store_true")
     p.add_argument("file")
     p.add_argument("kind", nargs="?", help="restrict to one move kind")
 
-    p = cmd("fuzz", "run seeded move-walk trajectories and check the laws")
+    p = cmd("fuzz", "run seeded move-walk trajectories and check the laws", _cmd_fuzz)
     p.add_argument("--trials", type=_nonneg, default=DEFAULT_TRIALS)
     p.add_argument("--steps", type=_nonneg, default=DEFAULT_STEPS)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -92,6 +95,7 @@ def build_parser() -> _Parser:
     oracle_p = sub.add_parser("oracle", help="independent slow-path checks")
     oracle_sub = oracle_p.add_subparsers(dest="oracle_command", required=True)
     p = oracle_sub.add_parser("selftest", help="cross-check the ring arithmetic")
+    p.set_defaults(func=_cmd_oracle_selftest)
     p.add_argument("--json", action="store_true")
     p.add_argument("--trials", type=_nonneg, default=200)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
@@ -99,6 +103,7 @@ def build_parser() -> _Parser:
     corpus = sub.add_parser("corpus", help="bundled example diagrams")
     corpus_sub = corpus.add_subparsers(dest="corpus_command", required=True)
     p = corpus_sub.add_parser("list", help="list the bundled .gauss files")
+    p.set_defaults(func=_cmd_corpus_list)
     p.add_argument("--json", action="store_true")
     return top
 
@@ -240,28 +245,8 @@ def _cmd_corpus_list(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    handlers = {
-        "zeta": _cmd_zeta,
-        "split": _cmd_split,
-        "certify": _cmd_certify,
-        "bound": _cmd_bound,
-        "concat": _cmd_concat,
-        "fuzz": _cmd_fuzz,
-    }
     try:
-        if args.command == "moves":
-            run = (
-                _cmd_moves_apply
-                if args.moves_command == "apply"
-                else _cmd_moves_sites
-            )
-        elif args.command == "oracle":
-            run = _cmd_oracle_selftest
-        elif args.command == "corpus":
-            run = _cmd_corpus_list
-        else:
-            run = handlers[args.command]
-        return run(args)
+        return args.func(args)
     except (OSError, InvalidDiagram, InapplicableMove, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1

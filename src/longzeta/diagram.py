@@ -111,20 +111,19 @@ class Diagram:
         return len(self.tokens)
 
     def classical_ids(self) -> list[int]:
+        """Classical crossing ids in ascending order: the matrix row and
+        column order."""
         return sorted({t.cid for t in self.tokens if t.kind in ("O", "U")})
-
-    def virtual_ids(self) -> list[int]:
-        return sorted({t.cid for t in self.tokens if t.kind == "V"})
 
     @property
     def n(self) -> int:
         """Number of classical crossings."""
-        return len(self.classical_ids())
+        return len({t.cid for t in self.tokens if t.kind in ("O", "U")})
 
     @property
     def k(self) -> int:
         """Number of virtual crossings."""
-        return len(self.virtual_ids())
+        return len({t.cid for t in self.tokens if t.kind == "V"})
 
     def max_id(self) -> int:
         return max((t.cid for t in self.tokens), default=0)
@@ -374,18 +373,6 @@ class Decomposition:
             if final.origin is None:  # n >= 1 forces a final underpass cut
                 raise InternalError("the final long arc has no underpass origin")
         self.columns = tuple(columns)
-
-    def arc_starting_at(self, token_pos: int) -> Arc | None:
-        for a in self.arcs:
-            if a.start == token_pos:
-                return a
-        return None
-
-    def arc_ending_at(self, token_pos: int) -> Arc | None:
-        for a in self.arcs:
-            if a.end == token_pos:
-                return a
-        return None
 
     def arc_containing(self, token_pos: int) -> Arc:
         i = bisect_left(self.arc_starts, token_pos)

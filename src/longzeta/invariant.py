@@ -42,7 +42,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from math import prod
 
-from longzeta.diagram import Decomposition, Diagram, InternalError, decompose
+from longzeta.diagram import Decomposition, InternalError, decompose
 from longzeta.rings import RingT, ZetaPolynomial
 
 
@@ -77,18 +77,6 @@ def _incidence_rule() -> dict:
 
 
 _INCIDENCE = _incidence_rule()
-
-
-def incidence(dec: Decomposition, cid: int, arc) -> RingT:
-    """Incidence coefficient of classical crossing cid and one arc."""
-    t = "p" if dec.early[cid] == "O" else "q"
-    w = dec.sign[cid]
-    u = dec.u_pos[cid]
-    hits = (arc.start == u, arc.start < dec.o_pos[cid] < arc.end, arc.end == u)
-    return sum(
-        (_INCIDENCE[role, t, w][0] for role, hit in enumerate(hits) if hit),
-        RingT.zero(),
-    )
 
 
 def _column_contributions(dec: Decomposition):
@@ -328,39 +316,6 @@ def _combine(lau_det, dual_det) -> ZetaPolynomial:
     })
 
 
-def determinant(mat) -> ZetaPolynomial:
-    """Exact determinant of a square matrix over T[s^+-1].
-
-    Entries are ZetaPolynomials or RingT elements (read as s^0 terms).  The
-    Laurent part comes from one determinant over Z[q, s], the (p - q)
-    part from the eps^1 slice of one over Z[s, eps] built from the
-    entries f(1) + a*eps.
-    """
-    n = len(mat)
-    for row in mat:
-        if len(row) != n:
-            raise ValueError("matrix is not square")
-    if n == 0:
-        return ZetaPolynomial.one()
-    laurent, dual = [], []
-    for row in mat:
-        laurent_row, dual_row = [], []
-        for x in row:
-            terms = x.coeffs.items() if isinstance(x, ZetaPolynomial) else ((0, x),)
-            lx, dx = {}, {}
-            for d, c in terms:
-                lau, eps = _lift(c)
-                for e, v in lau.items():
-                    lx[e, d] = v
-                for e, v in eps.items():
-                    dx[d, e] = v
-            laurent_row.append(lx)
-            dual_row.append(dx)
-        laurent.append(laurent_row)
-        dual.append(dual_row)
-    return _combine(_det_packed(laurent), _det_packed(dual))
-
-
 def _lifted(dec: Decomposition, pick) -> ZetaPolynomial:
     """Determinant of the matrix built from the contributions pick keeps.
 
@@ -507,14 +462,3 @@ def virtual_lower_bound(diagram_or_dec) -> int:
     class: the top s-degree of zeta, clamped at zero."""
     top = zeta(diagram_or_dec).top_degree()
     return max(top, 0) if top is not None else 0
-
-
-def row_sums_at_s1(diagram_or_dec) -> list[RingT]:
-    """Row sums of the matrix at s = 1; identically zero for every valid
-    diagram, because the three incidence contributions of a crossing
-    cancel: 1 + (t^w - 1) + (-t^w) = 0."""
-    dec = _as_dec(diagram_or_dec)
-    sums = [RingT.zero() for _ in range(dec.diagram.n)]
-    for i, _j, _half, _deg, rule in _column_contributions(dec):
-        sums[i] = sums[i] + rule[0]
-    return sums

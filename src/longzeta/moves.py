@@ -5,7 +5,8 @@ classical (R1) and virtual (V1) crossings, strand-pair pokes (R2, V2),
 and three triangle slides (classical, virtual, semivirtual).  Inserts
 take gap positions (0..len, between tokens); deletes and triangles take
 token positions and succeed only when the exact inverse / slide pattern
-is present.  Every move maps valid codes to valid codes.
+is present.  Every move maps valid codes to valid codes.  Each kind is one
+entry of _KIND_TABLE, whose order is the order of KINDS.
 
 Moves are purely formal: planarity of intermediate diagrams is not
 tracked.  The random walk driver keeps codes valid by construction and
@@ -33,6 +34,7 @@ senses between that underpass and the gap.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -43,38 +45,30 @@ class InapplicableMove(ValueError):
     """The move's site pattern does not hold at the given parameters."""
 
 
-KINDS = (
-    "R1_insert",
-    "R1_delete",
-    "V1_insert",
-    "V1_delete",
-    "R2_insert",
-    "R2_delete",
-    "V2_insert",
-    "V2_delete",
-    "Triangle_classical",
-    "Triangle_virtual",
-    "Triangle_semivirtual",
-)
-
-# parameter codecs per kind: i = position/gap, s = sign or sense (+/-),
-# o = kink order (OU/UO), v = strand variant (parallel/antiparallel)
-_SCHEMA = {
-    "R1_insert": "iso",
-    "R1_delete": "i",
-    "V1_insert": "is",
-    "V1_delete": "i",
-    "R2_insert": "iisv",
-    "R2_delete": "ii",
-    "V2_insert": "iisv",
-    "V2_delete": "ii",
-    "Triangle_classical": "iii",
-    "Triangle_virtual": "iii",
-    "Triangle_semivirtual": "iii",
-}
-
 _ORDERS = ("OU", "UO")
 _VARIANTS = ("parallel", "antiparallel")
+
+# parameter codecs per schema letter: the noun parse errors name and the
+# word -> value map (None for integer positions).  i = position/gap,
+# s = sign or sense, o = kink order, v = strand variant
+_CODECS = {
+    "i": ("position", None),
+    "s": ("sign", {"+": 1, "-": -1}),
+    "o": ("kink order", {w: w for w in _ORDERS}),
+    "v": ("variant", {w: w for w in _VARIANTS}),
+}
+
+
+def _schema(kind, count):
+    """The parameter schema of `kind`, which must take `count` parameters."""
+    entry = _KIND_TABLE.get(kind)
+    if entry is None:
+        raise ValueError("unknown move kind %r" % (kind,))
+    if count != len(entry.schema):
+        raise ValueError(
+            "%s takes %d parameters, got %d" % (kind, len(entry.schema), count)
+        )
+    return entry.schema
 
 
 @dataclass(frozen=True)
@@ -85,35 +79,22 @@ class MoveSpec:
     params: tuple
 
     def __post_init__(self):
-        schema = _SCHEMA.get(self.kind)
-        if schema is None:
-            raise ValueError("unknown move kind %r" % (self.kind,))
-        if len(self.params) != len(schema):
-            raise ValueError(
-                "%s takes %d parameters, got %d"
-                % (self.kind, len(schema), len(self.params))
-            )
-        for code, p in zip(schema, self.params):
-            if code == "i":
+        for code, p in zip(_schema(self.kind, len(self.params)), self.params):
+            words = _CODECS[code][1]
+            if words is None:
                 ok = isinstance(p, int) and not isinstance(p, bool)
-            elif code == "s":
-                ok = p in (1, -1)
-            elif code == "o":
-                ok = p in _ORDERS
             else:
-                ok = p in _VARIANTS
+                ok = p in words.values()
             if not ok:
                 raise ValueError("bad parameter %r for %s" % (p, self.kind))
 
     def render(self) -> str:
         out = [self.kind]
-        for code, p in zip(_SCHEMA[self.kind], self.params):
-            if code == "i":
-                out.append(str(p))
-            elif code == "s":
-                out.append("+" if p > 0 else "-")
-            else:
-                out.append(p)
+        for code, p in zip(_KIND_TABLE[self.kind].schema, self.params):
+            words = _CODECS[code][1]
+            if words is not None:
+                p = next(w for w, v in words.items() if v == p)
+            out.append(str(p))
         return " ".join(out)
 
     def __str__(self):
@@ -124,34 +105,14 @@ class MoveSpec:
         words = line.split()
         if not words:
             raise ValueError("empty move line")
-        kind = words[0]
-        schema = _SCHEMA.get(kind)
-        if schema is None:
-            raise ValueError("unknown move kind %r" % (kind,))
-        if len(words) - 1 != len(schema):
-            raise ValueError(
-                "%s takes %d parameters, got %d" % (kind, len(schema), len(words) - 1)
-            )
         params = []
-        for code, w in zip(schema, words[1:]):
-            if code == "i":
-                try:
-                    params.append(int(w))
-                except ValueError:
-                    raise ValueError("bad position %r in %r" % (w, line)) from None
-            elif code == "s":
-                if w not in ("+", "-"):
-                    raise ValueError("bad sign %r in %r" % (w, line))
-                params.append(1 if w == "+" else -1)
-            elif code == "o":
-                if w not in _ORDERS:
-                    raise ValueError("bad kink order %r in %r" % (w, line))
-                params.append(w)
-            else:
-                if w not in _VARIANTS:
-                    raise ValueError("bad variant %r in %r" % (w, line))
-                params.append(w)
-        return cls(kind, tuple(params))
+        for code, w in zip(_schema(words[0], len(words) - 1), words[1:]):
+            noun, values = _CODECS[code]
+            try:
+                params.append(int(w) if values is None else values[w])
+            except (ValueError, KeyError):
+                raise ValueError("bad %s %r in %r" % (noun, w, line)) from None
+        return cls(words[0], tuple(params))
 
 
 def _require(cond, msg, *args):
@@ -202,9 +163,19 @@ def _require_anchored(diagram, what):
 # ---------------------------------------------------------------- inserts
 
 
+def _require_gap(toks, g):
+    _require(0 <= g <= len(toks), "gap %d out of range 0..%d", g, len(toks))
+
+
+def _require_gap_pair(toks, g1, g2):
+    _require(
+        0 <= g1 <= g2 <= len(toks), "gaps %d <= %d must lie in 0..%d", g1, g2, len(toks)
+    )
+
+
 def _ins_r1(toks, params, diagram):
     g, w, order = params
-    _require(0 <= g <= len(toks), "gap %d out of range 0..%d", g, len(toks))
+    _require_gap(toks, g)
     _require_anchored(diagram, "a classical kink insertion")
     _require_cut_gap(toks, g)
     (c,) = _fresh(diagram, 1)
@@ -215,67 +186,61 @@ def _ins_r1(toks, params, diagram):
 
 def _ins_v1(toks, params, diagram):
     g, s = params
-    _require(0 <= g <= len(toks), "gap %d out of range 0..%d", g, len(toks))
+    _require_gap(toks, g)
     (c,) = _fresh(diagram, 1)
     return toks[:g] + [PassageToken("V", c, s), PassageToken("V", c, -s)] + toks[g:]
 
 
+def _poke(toks, g1, g2, variant, first, c2, d2):
+    """Insert the pair `first` (crossings c, d) at g1 and the closing
+    passages c2, d2 at g2: in c, d order for the parallel variant, else
+    reversed.  At one gap (a strand poked under an adjacent fold of
+    itself) the closing pair nests reversed whatever the variant."""
+    out = list(toks)
+    out[g2:g2] = [c2, d2] if variant == "parallel" and g1 != g2 else [d2, c2]
+    out[g1:g1] = first
+    return out
+
+
 def _ins_r2(toks, params, diagram):
     g1, g2, s, variant = params
-    _require(
-        0 <= g1 <= g2 <= len(toks), "gaps %d <= %d must lie in 0..%d", g1, g2, len(toks)
-    )
+    _require_gap_pair(toks, g1, g2)
     _require_anchored(diagram, "a strand poke")
     _require_cut_gap(toks, g2)
     c, d = _fresh(diagram, 2)
-    oc, od = PassageToken("O", c, s), PassageToken("O", d, -s)
-    uc, ud = PassageToken("U", c, s), PassageToken("U", d, -s)
-    out = list(toks)
-    if g1 == g2:
-        # poking a strand under an adjacent fold of itself; the token
-        # order is fixed regardless of the requested variant
-        out[g1:g1] = [oc, od, ud, uc]
-        return out
-    under = [uc, ud] if variant == "parallel" else [ud, uc]
-    out[g2:g2] = under
-    out[g1:g1] = [oc, od]
-    return out
+    over = [PassageToken("O", c, s), PassageToken("O", d, -s)]
+    under_c, under_d = PassageToken("U", c, s), PassageToken("U", d, -s)
+    return _poke(toks, g1, g2, variant, over, under_c, under_d)
 
 
 def _ins_v2(toks, params, diagram):
     g1, g2, s, variant = params
-    _require(
-        0 <= g1 <= g2 <= len(toks), "gaps %d <= %d must lie in 0..%d", g1, g2, len(toks)
-    )
+    _require_gap_pair(toks, g1, g2)
     c, d = _fresh(diagram, 2)
     first = [PassageToken("V", c, s), PassageToken("V", d, -s)]
-    out = list(toks)
-    if g1 == g2:
-        out[g1:g1] = first + [PassageToken("V", d, s), PassageToken("V", c, -s)]
-        return out
-    if variant == "parallel":
-        second = [PassageToken("V", c, -s), PassageToken("V", d, s)]
-    else:
-        second = [PassageToken("V", d, s), PassageToken("V", c, -s)]
-    out[g2:g2] = second
-    out[g1:g1] = first
-    return out
+    second_c, second_d = PassageToken("V", c, -s), PassageToken("V", d, s)
+    return _poke(toks, g1, g2, variant, first, second_c, second_d)
 
 
 # ---------------------------------------------------------------- deletes
 
 
-def _del_r1(toks, params, diagram):
-    (i,) = params
+def _del_kink(toks, i, virtual):
     _require(0 <= i <= len(toks) - 2, "position %d is not a pair start", i)
     a, b = toks[i], toks[i + 1]
     _require(
-        a.cid == b.cid and a.kind != "V" and b.kind != "V",
-        "tokens at %d..%d are not an adjacent classical kink",
+        a.cid == b.cid and (a.kind == "V") == virtual and (b.kind == "V") == virtual,
+        "tokens at %d..%d are not an adjacent %s kink",
         i,
         i + 1,
+        "virtual" if virtual else "classical",
     )
-    out = toks[:i] + toks[i + 2 :]
+    return toks[:i] + toks[i + 2 :]
+
+
+def _del_r1(toks, params, diagram):
+    (i,) = params
+    out = _del_kink(toks, i, virtual=False)
     _require_anchored(Diagram(out), "the code left after a kink deletion")
     # deleting is the inverse insertion at gap i of the result
     _require_cut_gap(out, i)
@@ -283,16 +248,7 @@ def _del_r1(toks, params, diagram):
 
 
 def _del_v1(toks, params, diagram):
-    (i,) = params
-    _require(0 <= i <= len(toks) - 2, "position %d is not a pair start", i)
-    a, b = toks[i], toks[i + 1]
-    _require(
-        a.cid == b.cid and a.kind == "V" and b.kind == "V",
-        "tokens at %d..%d are not an adjacent virtual kink",
-        i,
-        i + 1,
-    )
-    return toks[:i] + toks[i + 2 :]
+    return _del_kink(toks, params[0], virtual=True)
 
 
 def _del_pair_pair(toks, i, j, kind_first, kind_second, what):
@@ -466,25 +422,11 @@ def _tri_semivirtual(toks, params, diagram):
     return _swap_pairs(toks, params)
 
 
-_HANDLERS = {
-    "R1_insert": _ins_r1,
-    "R1_delete": _del_r1,
-    "V1_insert": _ins_v1,
-    "V1_delete": _del_v1,
-    "R2_insert": _ins_r2,
-    "R2_delete": _del_r2,
-    "V2_insert": _ins_v2,
-    "V2_delete": _del_v2,
-    "Triangle_classical": _tri_classical,
-    "Triangle_virtual": _tri_virtual,
-    "Triangle_semivirtual": _tri_semivirtual,
-}
-
-
 def apply(diagram: Diagram, move: MoveSpec) -> Diagram:
     """The rewritten diagram; InapplicableMove if the site does not match."""
     diagram.check()
-    out = Diagram(_HANDLERS[move.kind](list(diagram.tokens), move.params, diagram))
+    rewrite = _KIND_TABLE[move.kind].handler
+    out = Diagram(rewrite(list(diagram.tokens), move.params, diagram))
     problems = out.validate()
     if problems:
         raise InternalError(
@@ -523,31 +465,21 @@ def _safe_cut_gaps(toks):
     return out
 
 
-def _insert_params(diagram, kind):
-    gaps = list(range(len(diagram.tokens) + 1))
-    if kind == "V1_insert":
-        return [(g, s) for g in _take_spread(gaps, _KINK_GAP_CAP) for s in (1, -1)]
-    if kind == "V2_insert":
-        gs = _take_spread(gaps, _PAIR_GAP_CAP)
-        out = [
-            (a, b, s, v)
-            for ai, a in enumerate(gs)
-            for b in gs[ai + 1 :]
-            for s in (1, -1)
-            for v in _VARIANTS
-        ]
-        # same-gap sites have one fixed shape; list them once
-        out.extend((g, g, s, "antiparallel") for g in gs for s in (1, -1))
-        return out
-    if diagram.n < 1:
-        return []
-    if kind == "R1_insert":
-        cut = _take_spread(_safe_cut_gaps(diagram.tokens), _KINK_GAP_CAP)
-        return [(g, w, o) for g in cut for w in (1, -1) for o in _ORDERS]
-    # R2: the underpass pair needs a safe cut gap, the overpass pair may
+def _r1_gaps(toks):
+    cut = _take_spread(_safe_cut_gaps(toks), _KINK_GAP_CAP)
+    return [(g, w, o) for g in cut for w in (1, -1) for o in _ORDERS]
+
+
+def _v1_gaps(toks):
+    gaps = _take_spread(range(len(toks) + 1), _KINK_GAP_CAP)
+    return [(g, s) for g in gaps for s in (1, -1)]
+
+
+def _r2_gaps(toks):
+    # the underpass pair needs a safe cut gap, the overpass pair may
     # precede it anywhere
-    cut = _take_spread(_safe_cut_gaps(diagram.tokens), _PAIR_GAP_CAP)
-    overs = _take_spread(gaps, _PAIR_GAP_CAP)
+    cut = _take_spread(_safe_cut_gaps(toks), _PAIR_GAP_CAP)
+    overs = _take_spread(range(len(toks) + 1), _PAIR_GAP_CAP)
     out = []
     for g2 in cut:
         for g1 in overs:
@@ -557,25 +489,38 @@ def _insert_params(diagram, kind):
     return out
 
 
-def _kink_delete_sites(toks, want_virtual):
+def _v2_gaps(toks):
+    gs = _take_spread(range(len(toks) + 1), _PAIR_GAP_CAP)
+    out = [
+        (a, b, s, v)
+        for ai, a in enumerate(gs)
+        for b in gs[ai + 1 :]
+        for s in (1, -1)
+        for v in _VARIANTS
+    ]
+    # same-gap sites have one fixed shape; list them once
+    out.extend((g, g, s, "antiparallel") for g in gs for s in (1, -1))
+    return out
+
+
+def _kink_delete_sites(toks, virtual):
     out = []
     for i in range(len(toks) - 1):
         a, b = toks[i], toks[i + 1]
-        if a.cid == b.cid and (a.kind == "V") == want_virtual and (b.kind == "V") == want_virtual:
+        if a.cid == b.cid and (a.kind == "V") == virtual and (b.kind == "V") == virtual:
             out.append((i,))
     return out
 
 
-def _pair_delete_sites(toks, kind_first, kind_second, need_opposite_first):
+def _pair_delete_sites(toks, kind_first, kind_second):
     firsts = []
     seconds = {}
     for i in range(len(toks) - 1):
         a, b = toks[i], toks[i + 1]
         if a.cid == b.cid:
             continue
-        if a.kind == kind_first and b.kind == kind_first:
-            if not need_opposite_first or a.sign == -b.sign:
-                firsts.append((i, frozenset((a.cid, b.cid))))
+        if a.kind == kind_first and b.kind == kind_first and a.sign == -b.sign:
+            firsts.append((i, frozenset((a.cid, b.cid))))
         if a.kind == kind_second and b.kind == kind_second:
             seconds.setdefault(frozenset((a.cid, b.cid)), []).append(i)
     out = []
@@ -649,52 +594,68 @@ def _semivirtual_sites(toks):
     return sorted(found)
 
 
+class _Kind:
+    """One move kind: its parameter schema (one _CODECS letter per
+    parameter), its rewrite, how it changes the classical and virtual
+    crossing counts (dn, dk), and where its sites come from.  Insert kinds
+    list their sites from the tokens (`gaps`); every other kind scans the
+    tokens for candidate patterns (`scan`) that its handler then filters."""
+
+    __slots__ = ("schema", "handler", "dn", "dk", "gaps", "scan")
+
+    def __init__(self, schema, handler, dn, dk, *, gaps=None, scan=None):
+        self.schema, self.handler, self.dn, self.dk = schema, handler, dn, dk
+        self.gaps, self.scan = gaps, scan
+
+
+# in walk order: the random walk draws among the kinds in this order
+_KIND_TABLE = {
+    "R1_insert": _Kind("iso", _ins_r1, 1, 0, gaps=_r1_gaps),
+    "R1_delete": _Kind("i", _del_r1, -1, 0, scan=lambda t: _kink_delete_sites(t, False)),
+    "V1_insert": _Kind("is", _ins_v1, 0, 1, gaps=_v1_gaps),
+    "V1_delete": _Kind("i", _del_v1, 0, -1, scan=lambda t: _kink_delete_sites(t, True)),
+    "R2_insert": _Kind("iisv", _ins_r2, 2, 0, gaps=_r2_gaps),
+    "R2_delete": _Kind("ii", _del_r2, -2, 0, scan=lambda t: _pair_delete_sites(t, "O", "U")),
+    "V2_insert": _Kind("iisv", _ins_v2, 0, 2, gaps=_v2_gaps),
+    "V2_delete": _Kind("ii", _del_v2, 0, -2, scan=lambda t: _pair_delete_sites(t, "V", "V")),
+    "Triangle_classical": _Kind(
+        "iii", _tri_classical, 0, 0, scan=lambda t: _triangle_sites(t, False)
+    ),
+    "Triangle_virtual": _Kind(
+        "iii", _tri_virtual, 0, 0, scan=lambda t: _triangle_sites(t, True)
+    ),
+    "Triangle_semivirtual": _Kind("iii", _tri_semivirtual, 0, 0, scan=_semivirtual_sites),
+}
+KINDS = tuple(_KIND_TABLE)
+
+
 def _pattern_sites(diagram, kind):
-    """Yield, in order, the pattern sites of `kind` that the handler accepts."""
+    """Yield, in order, the scanned sites of `kind` that its handler accepts."""
     toks = diagram.tokens
-    if kind == "R1_delete":
-        raw = _kink_delete_sites(toks, want_virtual=False)
-    elif kind == "V1_delete":
-        raw = _kink_delete_sites(toks, want_virtual=True)
-    elif kind == "R2_delete":
-        raw = _pair_delete_sites(toks, "O", "U", need_opposite_first=True)
-    elif kind == "V2_delete":
-        raw = _pair_delete_sites(toks, "V", "V", need_opposite_first=True)
-    elif kind == "Triangle_classical":
-        raw = _triangle_sites(toks, virtual=False)
-    elif kind == "Triangle_virtual":
-        raw = _triangle_sites(toks, virtual=True)
-    elif kind == "Triangle_semivirtual":
-        raw = _semivirtual_sites(toks)
-    else:
-        raise ValueError("unknown move kind %r" % (kind,))
-    # the scans above find the token patterns; the handlers also check the
+    # the scans find the token patterns; the handlers also check the
     # regime conditions, so filter through them for an exact answer
-    handler = _HANDLERS[kind]
-    for ps in raw:
+    for ps in kind.scan(toks):
         try:
-            handler(list(toks), ps, diagram)
+            kind.handler(list(toks), ps, diagram)
         except InapplicableMove:
             continue
         yield ps
 
 
-_INSERT_KINDS = ("R1_insert", "V1_insert", "R2_insert", "V2_insert")
-
-
 def _site_params(diagram, kind):
-    if kind in _INSERT_KINDS:
-        return _insert_params(diagram, kind)
-    return list(_pattern_sites(diagram, kind))
+    if kind.gaps is None:
+        return list(_pattern_sites(diagram, kind))
+    # classical inserts need a classical crossing to anchor to
+    if kind.dn and diagram.n < 1:
+        return []
+    return kind.gaps(diagram.tokens)
 
 
 def _has_site(diagram, kind, n):
     """Whether _site_params(diagram, kind) is nonempty, without listing it."""
-    if kind in ("V1_insert", "V2_insert"):
-        return True
-    if kind in ("R1_insert", "R2_insert"):
+    if kind.gaps is not None:
         # gap 0 is always a safe cut once there is an underpass
-        return n >= 1
+        return not kind.dn or n >= 1
     return next(_pattern_sites(diagram, kind), None) is not None
 
 
@@ -711,29 +672,24 @@ def enumerate_sites(diagram: Diagram, kind: str | None = None) -> list[MoveSpec]
         for each in KINDS:
             out.extend(enumerate_sites(diagram, each))
         return out
-    if kind not in _SCHEMA:
+    entry = _KIND_TABLE.get(kind)
+    if entry is None:
         raise ValueError("unknown move kind %r" % (kind,))
     diagram.check()
-    return [MoveSpec(kind, ps) for ps in _site_params(diagram, kind)]
+    return [MoveSpec(kind, ps) for ps in _site_params(diagram, entry)]
 
 
 # ------------------------------------------------------------ random walk
 
 
-def _kind_allowed(kind, n, k, max_classical, max_virtual, min_classical):
-    if kind == "R1_insert":
-        return max_classical is None or n + 1 <= max_classical
-    if kind == "R2_insert":
-        return max_classical is None or n + 2 <= max_classical
-    if kind == "V1_insert":
-        return max_virtual is None or k + 1 <= max_virtual
-    if kind == "V2_insert":
-        return max_virtual is None or k + 2 <= max_virtual
-    if kind == "R1_delete":
-        return n - 1 >= min_classical
-    if kind == "R2_delete":
-        return n - 2 >= min_classical
-    return True
+def _in_bounds(kind, n, k, max_n, max_k, min_n):
+    """Whether the move keeps the walk's bounds: a growing count stays at
+    most its cap, a shrinking classical count at least min_n."""
+    if kind.dn > 0 and n + kind.dn > max_n:
+        return False
+    if kind.dn < 0 and n + kind.dn < min_n:
+        return False
+    return kind.dk <= 0 or k + kind.dk <= max_k
 
 
 def random_equivalent(
@@ -759,22 +715,24 @@ def random_equivalent(
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
+    max_n = math.inf if max_classical is None else max_classical
+    max_k = math.inf if max_virtual is None else max_virtual
     rng = random.Random(seed)
     d = diagram.check()
     log: list[MoveSpec] = []
     for _ in range(steps):
         n, k = d.n, d.k
         choices = [
-            kind
-            for kind in KINDS
-            if _kind_allowed(kind, n, k, max_classical, max_virtual, min_classical)
+            name
+            for name, kind in _KIND_TABLE.items()
+            if _in_bounds(kind, n, k, max_n, max_k, min_classical)
             and _has_site(d, kind, n)
         ]
         if not choices:
             break
-        kind = rng.choice(choices)
-        sites = _site_params(d, kind)
-        move = MoveSpec(kind, sites[rng.randrange(len(sites))])
+        name = rng.choice(choices)
+        sites = _site_params(d, _KIND_TABLE[name])
+        move = MoveSpec(name, sites[rng.randrange(len(sites))])
         d = apply(d, move)
         log.append(move)
     return d, log

@@ -33,14 +33,20 @@ RawPQ = dict  # {(p_exp, q_exp): int}
 RawPQS = dict  # {(p_exp, q_exp, s_exp): int}
 
 
+def _add_term(out: dict, k, c: int) -> None:
+    """Add c to the coefficient of key k, dropping the key at zero."""
+    v = out.get(k, 0) + c
+    if v:
+        out[k] = v
+    elif k in out:
+        del out[k]
+
+
 def raw_add(x: RawPQ, y: RawPQ) -> RawPQ:
+    """Sum of raw polynomials in any number of variables."""
     out = dict(x)
     for k, c in y.items():
-        v = out.get(k, 0) + c
-        if v:
-            out[k] = v
-        elif k in out:
-            del out[k]
+        _add_term(out, k, c)
     return out
 
 
@@ -53,15 +59,12 @@ def raw_sub(x: RawPQ, y: RawPQ) -> RawPQ:
 
 
 def raw_mul(x: RawPQ, y: RawPQ) -> RawPQ:
+    """Product of raw polynomials whose keys are exponent tuples of one
+    length: exponents add componentwise."""
     out: RawPQ = {}
-    for (i1, j1), c1 in x.items():
-        for (i2, j2), c2 in y.items():
-            k = (i1 + i2, j1 + j2)
-            v = out.get(k, 0) + c1 * c2
-            if v:
-                out[k] = v
-            elif k in out:
-                del out[k]
+    for k1, c1 in x.items():
+        for k2, c2 in y.items():
+            _add_term(out, tuple(a + b for a, b in zip(k1, k2)), c1 * c2)
     return out
 
 
@@ -69,12 +72,7 @@ def spec_p_to_q(x: RawPQ) -> dict[int, int]:
     """Image under p -> q, a Laurent polynomial in q alone."""
     out: dict[int, int] = {}
     for (i, j), c in x.items():
-        k = i + j
-        v = out.get(k, 0) + c
-        if v:
-            out[k] = v
-        elif k in out:
-            del out[k]
+        _add_term(out, i + j, c)
     return out
 
 
@@ -106,12 +104,7 @@ def raw_reduce(x: RawPQ) -> tuple[dict[int, int], int]:
     lau: dict[int, int] = {}
     eps = 0
     for (i, j), c in x.items():
-        k = i + j
-        v = lau.get(k, 0) + c
-        if v:
-            lau[k] = v
-        elif k in lau:
-            del lau[k]
+        _add_term(lau, i + j, c)
         eps += i * c
     return lau, eps
 
@@ -120,40 +113,11 @@ def raw_from_parts(lau: dict[int, int], eps: int) -> RawPQ:
     """Raw representative of a normal form f(q) + eps*(p - q)."""
     out: RawPQ = {}
     for k, c in lau.items():
-        if c:
-            out[(0, k)] = out.get((0, k), 0) + c
+        _add_term(out, (0, k), c)
     if eps:
-        out[(1, 0)] = out.get((1, 0), 0) + eps
-        out[(0, 1)] = out.get((0, 1), 0) - eps
-    return {k: c for k, c in out.items() if c}
-
-
-def raw3_add(x: RawPQS, y: RawPQS) -> RawPQS:
-    out = dict(x)
-    for k, c in y.items():
-        v = out.get(k, 0) + c
-        if v:
-            out[k] = v
-        elif k in out:
-            del out[k]
+        _add_term(out, (1, 0), eps)
+        _add_term(out, (0, 1), -eps)
     return out
-
-
-def raw3_mul(x: RawPQS, y: RawPQS) -> RawPQS:
-    out: RawPQS = {}
-    for (i1, j1, d1), c1 in x.items():
-        for (i2, j2, d2), c2 in y.items():
-            k = (i1 + i2, j1 + j2, d1 + d2)
-            v = out.get(k, 0) + c1 * c2
-            if v:
-                out[k] = v
-            elif k in out:
-                del out[k]
-    return out
-
-
-def raw3_neg(x: RawPQS) -> RawPQS:
-    return {k: -c for k, c in x.items()}
 
 
 def raw3_from_parts(parts: dict[int, tuple[dict[int, int], int]]) -> RawPQS:
@@ -161,12 +125,7 @@ def raw3_from_parts(parts: dict[int, tuple[dict[int, int], int]]) -> RawPQS:
     out: RawPQS = {}
     for d, (lau, eps) in parts.items():
         for (i, j), c in raw_from_parts(lau, eps).items():
-            k = (i, j, d)
-            v = out.get(k, 0) + c
-            if v:
-                out[k] = v
-            elif k in out:
-                del out[k]
+            _add_term(out, (i, j, d), c)
     return out
 
 
@@ -225,11 +184,7 @@ def _random_raw(rng, terms: int = 4, exp: int = 3, coeff: int = 5) -> RawPQ:
     out: RawPQ = {}
     for _ in range(rng.randint(0, terms)):
         k = (rng.randint(-exp, exp), rng.randint(-exp, exp))
-        v = out.get(k, 0) + rng.randint(-coeff, coeff)
-        if v:
-            out[k] = v
-        elif k in out:
-            del out[k]
+        _add_term(out, k, rng.randint(-coeff, coeff))
     return out
 
 
@@ -288,21 +243,13 @@ def selftest(trials: int = 200, seed: int = 0) -> int:
         ly, ey = raw_reduce(y)
         diff = dict(lx)
         for k, c in ly.items():
-            v = diff.get(k, 0) - c
-            if v:
-                diff[k] = v
-            elif k in diff:
-                del diff[k]
+            _add_term(diff, k, -c)
         _check(ls == diff and es == ex - ey, "reduction is not additive")
         lm, em = raw_reduce(raw_mul(x, y))
         lhs: dict[int, int] = {}
         for i, ci in lx.items():
             for j, cj in ly.items():
-                v = lhs.get(i + j, 0) + ci * cj
-                if v:
-                    lhs[i + j] = v
-                elif i + j in lhs:
-                    del lhs[i + j]
+                _add_term(lhs, i + j, ci * cj)
         _check(lm == lhs, "reduction is not multiplicative on the Laurent part")
         _check(em == sum(lx.values()) * ey + sum(ly.values()) * ex,
                "reduction is not multiplicative on the p - q part")

@@ -20,10 +20,10 @@ from longzeta.invariant import zeta, zeta_split
 from longzeta.moves import KINDS, MoveSpec
 from longzeta.rings import ZetaPolynomial
 
-REPO = Path(__file__).resolve().parent.parent
-VK = str(REPO / "data" / "virtual_kink.gauss")
-TREFOIL = str(REPO / "data" / "trefoil.gauss")
-CHAIN3 = str(REPO / "data" / "kink_chain_3.gauss")
+DATA = Path(__file__).resolve().parent.parent / "src" / "longzeta" / "data"
+VK = str(DATA / "virtual_kink.gauss")
+TREFOIL = str(DATA / "trefoil.gauss")
+CHAIN3 = str(DATA / "kink_chain_3.gauss")
 
 
 def run(capsys, *argv):
@@ -133,8 +133,10 @@ def test_moves_apply_rejects_bad_site(capsys):
 def test_moves_apply_internal_fault_is_exit_2(monkeypatch, capsys):
     import longzeta.moves as moves
 
-    monkeypatch.setitem(
-        moves._HANDLERS, "V1_insert", lambda toks, params, diagram: toks + [toks[0]]
+    monkeypatch.setattr(
+        moves._KIND_TABLE["V1_insert"],
+        "handler",
+        lambda toks, params, diagram: toks + [toks[0]],
     )
     code, out, err = run(capsys, "moves", "apply", VK, "V1_insert 0 +")
     assert code == 2 and out == ""
@@ -281,7 +283,7 @@ def test_corpus_list_matches_repo_data(capsys):
     code, out, _ = run(capsys, "corpus", "list", "--json")
     assert code == 0
     packaged = json.loads(out)
-    repo_files = sorted((REPO / "data").glob("*.gauss"))
+    repo_files = sorted(DATA.glob("*.gauss"))
     assert sorted(packaged) == [f.name for f in repo_files]
     for f in repo_files:
         assert packaged[f.name] == Diagram.parse(f.read_text()).render()

@@ -221,10 +221,11 @@ class TestDecomposition:
 
     def test_position_lookups(self):
         dec = decompose(generate("virtual_kink"))
-        assert dec.arc_starting_at(2).index == 2
-        assert dec.arc_ending_at(2).index == 1
+        # the underpass at token 2 ends arc 1 and starts arc 2
+        assert [a.index for a in dec.arcs if a.start == 2] == [2]
+        assert [a.index for a in dec.arcs if a.end == 2] == [1]
         assert dec.arc_containing(0).index == 0  # overpass token sits inside arc 0
-        assert dec.arc_starting_at(0) is None
+        assert not any(a.start == 0 for a in dec.arcs)
         with pytest.raises(LookupError):
             dec.arc_containing(2)  # cut token, not arc interior
 
