@@ -9,6 +9,7 @@ bug, not bad input).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from importlib import resources
@@ -106,6 +107,13 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_corpus_list)
     p.add_argument("--json", action="store_true")
     return top
+
+
+@functools.lru_cache(maxsize=None)
+def _parser() -> _Parser:
+    """The parser tree, built on the first main call and reused after it:
+    parse_args keeps no state between calls."""
+    return build_parser()
 
 
 def _emit(args, human: str, payload) -> None:
@@ -244,7 +252,7 @@ def _cmd_corpus_list(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, InvalidDiagram, InapplicableMove, ValueError) as exc:

@@ -41,6 +41,25 @@ class InternalError(RuntimeError):
 
 _TOKEN = re.compile(r"^([OUV])([1-9][0-9]*)([+-])$")
 
+# the kind of the passage that pairs with a passage of each kind
+_PARTNER = {"V": "V", "O": "U", "U": "O"}
+
+
+def _well_paired(tokens) -> bool:
+    """Whether every crossing has exactly two passages: V and V with
+    opposite senses, or one O and one U with equal signs.  One pass, no
+    per-crossing lists; validate() explains a code that fails it."""
+    first = {}  # cid -> its first passage, then False once paired
+    for t in tokens:
+        a = first.get(t.cid)
+        if a is None:
+            first[t.cid] = t
+            continue
+        if not a or t.kind != _PARTNER.get(a.kind) or (t.sign == a.sign) == (t.kind == "V"):
+            return False
+        first[t.cid] = False
+    return not any(first.values())
+
 
 @dataclass(frozen=True)
 class PassageToken:
@@ -132,10 +151,15 @@ class Diagram:
         """All invariant violations, empty when the code is a valid diagram.
 
         Never raises: parseable-but-wrong codes come back with the full
-        list so a caller can report everything at once.
+        list so a caller can report everything at once.  A valid code
+        passes one pairing pass; only a code that fails it is sorted by
+        crossing to name every violation.
         """
         if self._problems is not None:
             return list(self._problems)
+        if _well_paired(self.tokens):
+            self._problems = ()
+            return []
         seen: dict[int, list[PassageToken]] = {}
         for t in self.tokens:
             seen.setdefault(t.cid, []).append(t)

@@ -30,6 +30,12 @@ These conditions are read off the tokens directly, without a full arc
 decomposition: the final long arc is the stretch after the last
 underpass token, and its degree at a gap is the sum of the virtual
 senses between that underpass and the gap.
+
+Deletion and triangle sites are patterns of adjacent token pairs.  One
+pass over the pairs groups them by kind and crossing ids (_PairIndex);
+every pattern kind lists its candidates from that index, and its handler
+keeps the candidates that pass.  A walk step or an enumerate_sites call
+builds one index and drops it when it returns.
 """
 
 from __future__ import annotations
@@ -151,9 +157,10 @@ def _require_cut_gap(toks, g):
     )
 
 
-def _require_anchored(diagram, what):
+def _require_anchored(n, what):
+    """`n` is the classical crossing count of the code the move leaves."""
     _require(
-        diagram.n >= 1,
+        n >= 1,
         "%s needs a code that already has a classical crossing; the "
         "invariant is discontinuous at zero of them",
         what,
@@ -176,7 +183,7 @@ def _require_gap_pair(toks, g1, g2):
 def _ins_r1(toks, params, diagram):
     g, w, order = params
     _require_gap(toks, g)
-    _require_anchored(diagram, "a classical kink insertion")
+    _require_anchored(diagram.n, "a classical kink insertion")
     _require_cut_gap(toks, g)
     (c,) = _fresh(diagram, 1)
     over, under = PassageToken("O", c, w), PassageToken("U", c, w)
@@ -205,7 +212,7 @@ def _poke(toks, g1, g2, variant, first, c2, d2):
 def _ins_r2(toks, params, diagram):
     g1, g2, s, variant = params
     _require_gap_pair(toks, g1, g2)
-    _require_anchored(diagram, "a strand poke")
+    _require_anchored(diagram.n, "a strand poke")
     _require_cut_gap(toks, g2)
     c, d = _fresh(diagram, 2)
     over = [PassageToken("O", c, s), PassageToken("O", d, -s)]
@@ -241,7 +248,8 @@ def _del_kink(toks, i, virtual):
 def _del_r1(toks, params, diagram):
     (i,) = params
     out = _del_kink(toks, i, virtual=False)
-    _require_anchored(Diagram(out), "the code left after a kink deletion")
+    # the kink held both passages of one classical crossing
+    _require_anchored(diagram.n - 1, "the code left after a kink deletion")
     # deleting is the inverse insertion at gap i of the result
     _require_cut_gap(out, i)
     return out
@@ -288,7 +296,8 @@ def _del_pair_pair(toks, i, j, kind_first, kind_second, what):
 def _del_r2(toks, params, diagram):
     i, j = params
     out = _del_pair_pair(toks, i, j, "O", "U", ("overpass", "underpass"))
-    _require_anchored(Diagram(out), "the code left after a poke deletion")
+    # the two pairs held both passages of two classical crossings
+    _require_anchored(diagram.n - 2, "the code left after a poke deletion")
     # the underpass pair re-inserts at gap j - 2 of the result
     _require_cut_gap(out, j - 2)
     return out
@@ -503,94 +512,93 @@ def _v2_gaps(toks):
     return out
 
 
-def _kink_delete_sites(toks, virtual):
-    out = []
-    for i in range(len(toks) - 1):
-        a, b = toks[i], toks[i + 1]
-        if a.cid == b.cid and (a.kind == "V") == virtual and (b.kind == "V") == virtual:
-            out.append((i,))
-    return out
+class _PairIndex:
+    """The adjacent token pairs (toks[i], toks[i + 1]) of one code, grouped
+    in one pass by what the pattern scans look for.  Positions ascend in
+    every list; an id pair is the tuple (smaller id, larger id).
 
+    classical_kinks, virtual_kinks: positions of pairs of one crossing.
+    oo_opp, vv_opp: (position, id pair) of O/O and V/V pairs of two
+    crossings with opposite signs (the leading pair of a poke deletion).
+    uu, vv, cc: id pair -> positions of U/U, V/V and non-V/non-V pairs of
+    two crossings.
+    side: virtual id -> (position, classical id) of the pairs coupling one
+    virtual passage with one classical passage.
 
-def _pair_delete_sites(toks, kind_first, kind_second):
-    firsts = []
-    seconds = {}
-    for i in range(len(toks) - 1):
-        a, b = toks[i], toks[i + 1]
-        if a.cid == b.cid:
-            continue
-        if a.kind == kind_first and b.kind == kind_first and a.sign == -b.sign:
-            firsts.append((i, frozenset((a.cid, b.cid))))
-        if a.kind == kind_second and b.kind == kind_second:
-            seconds.setdefault(frozenset((a.cid, b.cid)), []).append(i)
-    out = []
-    for i, ids in firsts:
-        for j in seconds.get(ids, ()):
-            if j >= i + 2:
-                out.append((i, j))
-    return out
+    An index describes one code and lives for one walk step or one
+    enumerate_sites call.  It is not cached on the Diagram: callers such
+    as the fuzz pool keep many diagrams alive.
+    """
 
-
-def _adjacent_pairs(toks, keep):
-    """Positions i where (toks[i], toks[i+1]) passes keep and ids differ."""
-    out = []
-    for i in range(len(toks) - 1):
-        a, b = toks[i], toks[i + 1]
-        if a.cid != b.cid and keep(a, b):
-            out.append(i)
-    return out
-
-
-def _disjoint(ps):
-    return all(b - a >= 2 for a, b in zip(ps, ps[1:]))
-
-
-def _triangle_sites(toks, virtual):
-    want = (lambda a, b: a.kind == "V" and b.kind == "V") if virtual else (
-        lambda a, b: a.kind != "V" and b.kind != "V"
+    __slots__ = (
+        "classical_kinks", "virtual_kinks", "oo_opp", "vv_opp", "uu", "vv", "cc", "side"
     )
-    by_ids = {}
-    for p in _adjacent_pairs(toks, want):
-        by_ids.setdefault(frozenset((toks[p].cid, toks[p + 1].cid)), []).append(p)
-    idsets = sorted(by_ids, key=sorted)
-    found = set()
-    for a_i in range(len(idsets)):
-        for b_i in range(a_i + 1, len(idsets)):
-            sa, sb = idsets[a_i], idsets[b_i]
-            shared = sa & sb
-            if len(shared) != 1:
+
+    def __init__(self, toks):
+        self.classical_kinks, self.virtual_kinks = ck, vk = [], []
+        self.oo_opp, self.vv_opp = oo_opp, vv_opp = [], []
+        self.uu, self.vv, self.cc, self.side = uu, vv, cc, side = {}, {}, {}, {}
+        for i, (a, b) in enumerate(zip(toks, toks[1:])):
+            ca, cb = a.cid, b.cid
+            if ca == cb:
+                (vk if a.kind == "V" else ck).append(i)
                 continue
-            third = (sa | sb) - shared
-            if third not in by_ids:
-                continue
-            for p1 in by_ids[sa]:
-                for p2 in by_ids[sb]:
-                    for p3 in by_ids[third]:
-                        ps = tuple(sorted((p1, p2, p3)))
-                        if _disjoint(ps):
-                            found.add(ps)
+            key = (ca, cb) if ca < cb else (cb, ca)
+            if a.kind == "V":
+                if b.kind == "V":
+                    vv.setdefault(key, []).append(i)
+                    if a.sign == -b.sign:
+                        vv_opp.append((i, key))
+                else:
+                    side.setdefault(ca, []).append((i, cb))
+            elif b.kind == "V":
+                side.setdefault(cb, []).append((i, ca))
+            else:
+                cc.setdefault(key, []).append(i)
+                if a.kind == b.kind == "U":
+                    uu.setdefault(key, []).append(i)
+                elif a.kind == b.kind == "O" and a.sign == -b.sign:
+                    oo_opp.append((i, key))
+
+
+def _pair_delete_sites(leading, closing):
+    """(i, j): a leading pair at i closed by a pair of the same ids at j."""
+    return [(i, j) for i, key in leading for j in closing.get(key, ()) if j >= i + 2]
+
+
+def _triangle_sites(by_ids):
+    """Sorted disjoint position triples with one pair on each edge of a
+    triangle of crossing ids.  Each triangle a < b < c is found once, from
+    its edge (a, b): c is a larger neighbour of both a and b."""
+    above = {}
+    for a, b in by_ids:
+        above.setdefault(a, set()).add(b)
+    found = []
+    for (a, b), ab in by_ids.items():
+        for c in above[a].intersection(above.get(b, ())):
+            for p1 in ab:
+                for p2 in by_ids[a, c]:
+                    for p3 in by_ids[b, c]:
+                        x, y, z = sorted((p1, p2, p3))
+                        if y - x >= 2 and z - y >= 2:
+                            found.append((x, y, z))
     return sorted(found)
 
 
-def _semivirtual_sites(toks):
-    movers = _adjacent_pairs(toks, lambda a, b: a.kind == "V" and b.kind == "V")
-    side = {}
-    for p in _adjacent_pairs(
-        toks, lambda a, b: (a.kind == "V") != (b.kind == "V")
-    ):
-        a, b = toks[p], toks[p + 1]
-        v, c = (a, b) if a.kind == "V" else (b, a)
-        side.setdefault(v.cid, []).append((p, c.cid))
-    found = set()
-    for p1 in movers:
-        u, w = toks[p1].cid, toks[p1 + 1].cid
+def _semivirtual_sites(index):
+    """Sorted disjoint triples: a V/V pair of virtual ids u, w and two side
+    pairs, one on u and one on w, that share their classical crossing."""
+    side = index.side
+    found = []
+    for (u, w), movers in index.vv.items():
         for p2, c2 in side.get(u, ()):
             for p3, c3 in side.get(w, ()):
                 if c2 != c3:
                     continue
-                ps = tuple(sorted((p1, p2, p3)))
-                if _disjoint(ps) and len({p1, p2, p3}) == 3:
-                    found.add(ps)
+                for p1 in movers:
+                    x, y, z = sorted((p1, p2, p3))
+                    if y - x >= 2 and z - y >= 2:
+                        found.append((x, y, z))
     return sorted(found)
 
 
@@ -598,8 +606,9 @@ class _Kind:
     """One move kind: its parameter schema (one _CODECS letter per
     parameter), its rewrite, how it changes the classical and virtual
     crossing counts (dn, dk), and where its sites come from.  Insert kinds
-    list their sites from the tokens (`gaps`); every other kind scans the
-    tokens for candidate patterns (`scan`) that its handler then filters."""
+    list their sites from the tokens (`gaps`); every other kind reads its
+    candidate patterns off the step's _PairIndex (`scan`), and its handler
+    then filters them."""
 
     __slots__ = ("schema", "handler", "dn", "dk", "gaps", "scan")
 
@@ -611,30 +620,36 @@ class _Kind:
 # in walk order: the random walk draws among the kinds in this order
 _KIND_TABLE = {
     "R1_insert": _Kind("iso", _ins_r1, 1, 0, gaps=_r1_gaps),
-    "R1_delete": _Kind("i", _del_r1, -1, 0, scan=lambda t: _kink_delete_sites(t, False)),
+    "R1_delete": _Kind(
+        "i", _del_r1, -1, 0, scan=lambda x: [(i,) for i in x.classical_kinks]
+    ),
     "V1_insert": _Kind("is", _ins_v1, 0, 1, gaps=_v1_gaps),
-    "V1_delete": _Kind("i", _del_v1, 0, -1, scan=lambda t: _kink_delete_sites(t, True)),
+    "V1_delete": _Kind("i", _del_v1, 0, -1, scan=lambda x: [(i,) for i in x.virtual_kinks]),
     "R2_insert": _Kind("iisv", _ins_r2, 2, 0, gaps=_r2_gaps),
-    "R2_delete": _Kind("ii", _del_r2, -2, 0, scan=lambda t: _pair_delete_sites(t, "O", "U")),
+    "R2_delete": _Kind(
+        "ii", _del_r2, -2, 0, scan=lambda x: _pair_delete_sites(x.oo_opp, x.uu)
+    ),
     "V2_insert": _Kind("iisv", _ins_v2, 0, 2, gaps=_v2_gaps),
-    "V2_delete": _Kind("ii", _del_v2, 0, -2, scan=lambda t: _pair_delete_sites(t, "V", "V")),
+    "V2_delete": _Kind(
+        "ii", _del_v2, 0, -2, scan=lambda x: _pair_delete_sites(x.vv_opp, x.vv)
+    ),
     "Triangle_classical": _Kind(
-        "iii", _tri_classical, 0, 0, scan=lambda t: _triangle_sites(t, False)
+        "iii", _tri_classical, 0, 0, scan=lambda x: _triangle_sites(x.cc)
     ),
     "Triangle_virtual": _Kind(
-        "iii", _tri_virtual, 0, 0, scan=lambda t: _triangle_sites(t, True)
+        "iii", _tri_virtual, 0, 0, scan=lambda x: _triangle_sites(x.vv)
     ),
     "Triangle_semivirtual": _Kind("iii", _tri_semivirtual, 0, 0, scan=_semivirtual_sites),
 }
 KINDS = tuple(_KIND_TABLE)
 
 
-def _pattern_sites(diagram, kind):
+def _pattern_sites(diagram, kind, index):
     """Yield, in order, the scanned sites of `kind` that its handler accepts."""
     toks = diagram.tokens
     # the scans find the token patterns; the handlers also check the
     # regime conditions, so filter through them for an exact answer
-    for ps in kind.scan(toks):
+    for ps in kind.scan(index):
         try:
             kind.handler(list(toks), ps, diagram)
         except InapplicableMove:
@@ -642,41 +657,41 @@ def _pattern_sites(diagram, kind):
         yield ps
 
 
-def _site_params(diagram, kind):
+def _site_params(diagram, kind, index):
     if kind.gaps is None:
-        return list(_pattern_sites(diagram, kind))
+        return list(_pattern_sites(diagram, kind, index))
     # classical inserts need a classical crossing to anchor to
     if kind.dn and diagram.n < 1:
         return []
     return kind.gaps(diagram.tokens)
 
 
-def _has_site(diagram, kind, n):
-    """Whether _site_params(diagram, kind) is nonempty, without listing it."""
+def _has_site(diagram, kind, n, index):
+    """Whether _site_params(diagram, kind, index) is nonempty, without
+    listing it."""
     if kind.gaps is not None:
         # gap 0 is always a safe cut once there is an underpass
         return not kind.dn or n >= 1
-    return next(_pattern_sites(diagram, kind), None) is not None
+    return next(_pattern_sites(diagram, kind, index), None) is not None
 
 
 def enumerate_sites(diagram: Diagram, kind: str | None = None) -> list[MoveSpec]:
     """All applicable moves of one kind (or of every kind, in kind order).
 
-    Deletions and triangles come from exact pattern scans.  Insertion
-    sites exist at every gap, so they are enumerated over an evenly
-    spread, capped set of gaps to keep the list bounded.  An invalid
-    code raises InvalidDiagram.
+    Deletions and triangles come from exact pattern scans over one index
+    of the code's adjacent token pairs.  Insertion sites exist at every
+    gap, so they are enumerated over an evenly spread, capped set of gaps
+    to keep the list bounded.  An invalid code raises InvalidDiagram.
     """
-    if kind is None:
-        out = []
-        for each in KINDS:
-            out.extend(enumerate_sites(diagram, each))
-        return out
-    entry = _KIND_TABLE.get(kind)
-    if entry is None:
+    if kind is not None and kind not in _KIND_TABLE:
         raise ValueError("unknown move kind %r" % (kind,))
     diagram.check()
-    return [MoveSpec(kind, ps) for ps in _site_params(diagram, entry)]
+    index = _PairIndex(diagram.tokens)
+    return [
+        MoveSpec(name, ps)
+        for name in (KINDS if kind is None else (kind,))
+        for ps in _site_params(diagram, _KIND_TABLE[name], index)
+    ]
 
 
 # ------------------------------------------------------------ random walk
@@ -722,16 +737,17 @@ def random_equivalent(
     log: list[MoveSpec] = []
     for _ in range(steps):
         n, k = d.n, d.k
+        index = _PairIndex(d.tokens)
         choices = [
             name
             for name, kind in _KIND_TABLE.items()
             if _in_bounds(kind, n, k, max_n, max_k, min_classical)
-            and _has_site(d, kind, n)
+            and _has_site(d, kind, n, index)
         ]
         if not choices:
             break
         name = rng.choice(choices)
-        sites = _site_params(d, _KIND_TABLE[name])
+        sites = _site_params(d, _KIND_TABLE[name], index)
         move = MoveSpec(name, sites[rng.randrange(len(sites))])
         d = apply(d, move)
         log.append(move)

@@ -1,6 +1,8 @@
 """Test-side views of the invariant that the library itself never needs:
 a determinant for arbitrary matrices over T[s^+-1], the incidence rule
 restated per (crossing, arc) pair, and the row sums of the matrix at s = 1.
+Also slow, direct token scans for the move patterns, which the library
+reads off one index of adjacent token pairs instead.
 """
 
 from longzeta.invariant import _combine, _det_packed, _lift, incidence_matrix
@@ -69,3 +71,110 @@ def row_sums_at_s1(diagram) -> list[RingT]:
         sum((c for x in row for c in x.coeffs.values()), RingT.zero())
         for row in incidence_matrix(diagram)
     ]
+
+
+# ------------------------------------------------------ move pattern scans
+
+
+def _kink_delete_sites(toks, virtual):
+    out = []
+    for i in range(len(toks) - 1):
+        a, b = toks[i], toks[i + 1]
+        if a.cid == b.cid and (a.kind == "V") == virtual and (b.kind == "V") == virtual:
+            out.append((i,))
+    return out
+
+
+def _pair_delete_sites(toks, kind_first, kind_second):
+    firsts = []
+    seconds = {}
+    for i in range(len(toks) - 1):
+        a, b = toks[i], toks[i + 1]
+        if a.cid == b.cid:
+            continue
+        if a.kind == kind_first and b.kind == kind_first and a.sign == -b.sign:
+            firsts.append((i, frozenset((a.cid, b.cid))))
+        if a.kind == kind_second and b.kind == kind_second:
+            seconds.setdefault(frozenset((a.cid, b.cid)), []).append(i)
+    out = []
+    for i, ids in firsts:
+        for j in seconds.get(ids, ()):
+            if j >= i + 2:
+                out.append((i, j))
+    return out
+
+
+def _adjacent_pairs(toks, keep):
+    """Positions i where (toks[i], toks[i+1]) passes keep and ids differ."""
+    out = []
+    for i in range(len(toks) - 1):
+        a, b = toks[i], toks[i + 1]
+        if a.cid != b.cid and keep(a, b):
+            out.append(i)
+    return out
+
+
+def _disjoint(ps):
+    return all(b - a >= 2 for a, b in zip(ps, ps[1:]))
+
+
+def _triangle_sites(toks, virtual):
+    """Every pair of id sets sharing one id, closed by a third set."""
+    want = (lambda a, b: a.kind == "V" and b.kind == "V") if virtual else (
+        lambda a, b: a.kind != "V" and b.kind != "V"
+    )
+    by_ids = {}
+    for p in _adjacent_pairs(toks, want):
+        by_ids.setdefault(frozenset((toks[p].cid, toks[p + 1].cid)), []).append(p)
+    idsets = sorted(by_ids, key=sorted)
+    found = set()
+    for a_i in range(len(idsets)):
+        for b_i in range(a_i + 1, len(idsets)):
+            sa, sb = idsets[a_i], idsets[b_i]
+            shared = sa & sb
+            if len(shared) != 1:
+                continue
+            third = (sa | sb) - shared
+            if third not in by_ids:
+                continue
+            for p1 in by_ids[sa]:
+                for p2 in by_ids[sb]:
+                    for p3 in by_ids[third]:
+                        ps = tuple(sorted((p1, p2, p3)))
+                        if _disjoint(ps):
+                            found.add(ps)
+    return sorted(found)
+
+
+def _semivirtual_sites(toks):
+    movers = _adjacent_pairs(toks, lambda a, b: a.kind == "V" and b.kind == "V")
+    side = {}
+    for p in _adjacent_pairs(
+        toks, lambda a, b: (a.kind == "V") != (b.kind == "V")
+    ):
+        a, b = toks[p], toks[p + 1]
+        v, c = (a, b) if a.kind == "V" else (b, a)
+        side.setdefault(v.cid, []).append((p, c.cid))
+    found = set()
+    for p1 in movers:
+        u, w = toks[p1].cid, toks[p1 + 1].cid
+        for p2, c2 in side.get(u, ()):
+            for p3, c3 in side.get(w, ()):
+                if c2 != c3:
+                    continue
+                ps = tuple(sorted((p1, p2, p3)))
+                if _disjoint(ps) and len({p1, p2, p3}) == 3:
+                    found.add(ps)
+    return sorted(found)
+
+
+# the candidate list of every pattern kind, scanned straight off the tokens
+REFERENCE_SCANS = {
+    "R1_delete": lambda toks: _kink_delete_sites(toks, False),
+    "V1_delete": lambda toks: _kink_delete_sites(toks, True),
+    "R2_delete": lambda toks: _pair_delete_sites(toks, "O", "U"),
+    "V2_delete": lambda toks: _pair_delete_sites(toks, "V", "V"),
+    "Triangle_classical": lambda toks: _triangle_sites(toks, False),
+    "Triangle_virtual": lambda toks: _triangle_sites(toks, True),
+    "Triangle_semivirtual": _semivirtual_sites,
+}

@@ -297,3 +297,24 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "zeta = 0; k = 0; no certificate"
+
+
+def test_repeated_in_process_calls_match_fresh_processes(monkeypatch, capsys):
+    # main reuses one parser; a usage error or --help may not leave state
+    # behind that changes a later call.  COLUMNS fixes the help layout.
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = [["fuzz", "--trials", "-1"], ["moves", "sites", "--help"], ["certify", VK]]
+    fresh = []
+    for argv in calls:
+        proc = subprocess.run(
+            [sys.executable, "-m", "longzeta.cli", *argv], capture_output=True, text=True
+        )
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    for _round in range(2):
+        for argv, expected in zip(calls, fresh):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out = capsys.readouterr()
+            assert (code, out.out, out.err) == expected, argv

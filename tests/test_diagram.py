@@ -328,3 +328,43 @@ class TestGaussFile:
         path.write_text("O1+ U1-\n")
         with pytest.raises(InvalidDiagram, match="mismatched signs"):
             read_gauss_file(str(path))
+
+
+def _pairing_rule_holds(tokens):
+    """The validity rule stated per crossing: two passages, V/V with
+    opposite senses or one O and one U with equal signs."""
+    by_id = {}
+    for t in tokens:
+        by_id.setdefault(t.cid, []).append(t)
+    for pair in by_id.values():
+        if len(pair) != 2:
+            return False
+        a, b = sorted(pair, key=lambda t: t.kind)
+        if not ((a.kind, b.kind) == ("V", "V") and a.sign != b.sign
+                or (a.kind, b.kind) == ("O", "U") and a.sign == b.sign):
+            return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.lists(
+            st.builds(PassageToken, st.sampled_from("OUV"), st.integers(1, 4),
+                      st.sampled_from((1, -1))),
+            max_size=10,
+        ),
+        st.builds(
+            lambda seed, n, k, cut: list(
+                random_diagram(random.Random(seed), n, k).tokens
+            )[cut:],
+            st.integers(0, 2**32), st.integers(0, 4), st.integers(0, 4), st.integers(0, 1),
+        ),
+    )
+)
+def test_validate_agrees_with_the_pairing_rule(tokens):
+    problems = Diagram(tokens).validate()
+    assert (problems == []) == _pairing_rule_holds(tokens)
+    # a repeated token object is a repeated passage, never its own partner
+    if tokens:
+        assert Diagram(tokens + [tokens[0]]).validate() != []

@@ -5,6 +5,8 @@ import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from longzeta.diagram import Diagram, InvalidDiagram, PassageToken, decompose, generate
 from longzeta.fuzz import random_diagram
@@ -14,6 +16,7 @@ from longzeta.moves import (
     InapplicableMove,
     MoveSpec,
     _KIND_TABLE,
+    _PairIndex,
     _has_site,
     _last_underpass,
     _require_cut_gap,
@@ -23,6 +26,7 @@ from longzeta.moves import (
     random_equivalent,
 )
 from longzeta.rings import RingT, equal_up_to_q_power
+from reference import REFERENCE_SCANS
 
 VK = generate("virtual_kink")  # O1+ V2+ U1+ V2-
 
@@ -321,6 +325,10 @@ def test_enumerate_none_concatenates_all_kinds_in_order():
     kinds = [m.kind for m in sites]
     assert kinds == sorted(kinds, key=KINDS.index)
     assert set(kinds) >= {"R1_insert", "V1_insert", "R2_insert", "V2_insert"}
+    rng = random.Random(5)
+    for _ in range(20):
+        d = random_diagram(rng, rng.randint(0, 6), rng.randint(0, 6))
+        assert enumerate_sites(d) == [m for kind in KINDS for m in enumerate_sites(d, kind)]
 
 
 def test_insert_enumeration_is_capped():
@@ -492,8 +500,44 @@ def test_site_existence_matches_enumeration():
     assert any(d.n == 0 for d in codes) and any(d.n == 1 for d in codes)
     for d in codes:
         for kind in KINDS:
-            has = _has_site(d, _KIND_TABLE[kind], d.n)
+            has = _has_site(d, _KIND_TABLE[kind], d.n, _PairIndex(d.tokens))
             assert has == bool(enumerate_sites(d, kind)), (d, kind)
+
+
+# ------------------------------------ pair index against the direct scans
+
+
+def _assert_scans_match(d):
+    index = _PairIndex(d.tokens)
+    for kind, reference in REFERENCE_SCANS.items():
+        assert _KIND_TABLE[kind].scan(index) == reference(d.tokens), (d, kind)
+
+
+def test_index_scans_match_the_reference_scans():
+    rng = random.Random(20261018)
+    codes = [
+        random_diagram(rng, n, k) for n in range(11) for k in range(11) for _ in range(2)
+    ]
+    for seed in range(4):
+        d = random_diagram(rng, 6, 6)
+        codes.append(d)
+        _, log = random_equivalent(d, 40, seed, max_classical=12, max_virtual=12)
+        for move in log:
+            d = apply(d, move)
+            codes.append(d)
+    found = {kind: 0 for kind in REFERENCE_SCANS}
+    for d in codes:
+        _assert_scans_match(d)
+        for kind, reference in REFERENCE_SCANS.items():
+            found[kind] += bool(reference(d.tokens))
+    # every pattern kind had candidates on some of the codes
+    assert all(found.values()), found
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 9), st.integers(0, 9))
+def test_index_scans_match_on_shuffled_codes(seed, n, k):
+    _assert_scans_match(random_diagram(random.Random(seed), n, k))
 
 
 # (source, steps, seed, bounds) -> (final code, sha256 prefix of the log
