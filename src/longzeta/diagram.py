@@ -79,15 +79,16 @@ class PassageToken:
 class Diagram:
     """Immutable passage sequence, possibly not yet validated.
 
-    The result of validate() is cached on first use, so re-checking a
-    diagram that was already checked costs nothing.
+    The result of validate() and the crossing counts n and k are cached on
+    first use, so re-checking or re-counting a diagram costs nothing.
     """
 
-    __slots__ = ("tokens", "_problems")
+    __slots__ = ("tokens", "_problems", "_counts")
 
     def __init__(self, tokens):
         self.tokens = tuple(tokens)
         self._problems = None
+        self._counts = None
 
     @classmethod
     def parse(cls, text: str) -> "Diagram":
@@ -134,15 +135,23 @@ class Diagram:
         column order."""
         return sorted({t.cid for t in self.tokens if t.kind in ("O", "U")})
 
+    def _count(self) -> tuple[int, int]:
+        if self._counts is None:
+            self._counts = (
+                len({t.cid for t in self.tokens if t.kind in ("O", "U")}),
+                len({t.cid for t in self.tokens if t.kind == "V"}),
+            )
+        return self._counts
+
     @property
     def n(self) -> int:
         """Number of classical crossings."""
-        return len({t.cid for t in self.tokens if t.kind in ("O", "U")})
+        return self._count()[0]
 
     @property
     def k(self) -> int:
         """Number of virtual crossings."""
-        return len({t.cid for t in self.tokens if t.kind == "V"})
+        return self._count()[1]
 
     def max_id(self) -> int:
         return max((t.cid for t in self.tokens), default=0)

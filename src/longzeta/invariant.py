@@ -21,11 +21,16 @@ domains: over Z[q, s] for the Laurent part, and over Z[s, eps] for the
 never build a matrix over T: one table holds each of the twelve incidence
 coefficients next to its two lifts, and the two integer-polynomial
 matrices are filled straight from the crossings.  incidence_matrix and
-leading_matrix are the T-valued views built from the same table.  Each
-determinant takes one pass over the nonzero entries for its monomial
-shifts, degree bounds and Hadamard bound, then runs fraction-free Bareiss
-elimination on entries packed into one integer each (Kronecker
-substitution), so the arithmetic is plain big-integer arithmetic.  The
+leading_matrix are the T-valued views built from the same table.  The
+matrix has at most three nonzero entries per row, and most of them are
++-monomials: units of the Laurent ring.  Each determinant therefore first
+eliminates on unit pivots in Markowitz order, which needs no division.
+What is left, a few rows at most, takes one pass over its nonzero entries
+for its monomial shifts, degree bounds and Hadamard bound, then runs
+fraction-free Bareiss elimination on entries packed into one integer each
+(Kronecker substitution), so the arithmetic is plain big-integer
+arithmetic; a remainder that would pack into more than
+PACKED_BITS_BUDGET bits is refused with DeterminantTooLarge.  The
 division-free Berkowitz recursion stays as the independent slow reference.
 
 The leading matrix B keeps, per column, only the s^threshold coefficient,
@@ -171,8 +176,124 @@ def det_division_free(mat, one, zero):
     return det if n % 2 == 0 else -det
 
 
+# The largest packed size, b * digits bits, that _det_packed eliminates.
+# Bareiss's exact big-integer divisions make its cost grow about
+# quadratically with that size.  zeta on fuzz.random_diagram(Random(nk),
+# nk, nk) packs 157k bits at n = k = 60 (0.6 s) and 902k bits at
+# n = k = 70 (31 s, Python 3.11 on a 2-vCPU Xeon), so a determinant over
+# this budget is refused up front instead of run for minutes.
+PACKED_BITS_BUDGET = 1 << 19
+
+
+class DeterminantTooLarge(ValueError):
+    """A determinant would pack into more than PACKED_BITS_BUDGET bits: the
+    input is too large to evaluate in bounded time."""
+
+
+def _det_sparse(rows) -> dict[tuple[int, int], int]:
+    """Determinant over Z[x^+-1, y^+-1] of a square matrix given as sparse
+    rows: row i is {column: {(x_exp, y_exp): c}}, columns 0 .. n-1.
+
+    Every zeta, split and det B determinant comes through here.  While
+    some entry is a unit of the Laurent ring -- one term, coefficient +-1
+    -- the unit with the least Markowitz cost (row nonzeros - 1) *
+    (column nonzeros - 1) is the pivot (Markowitz 1957).  Its inverse is
+    again a +-monomial, so clearing its column is exact and needs no
+    division; the determinant gains the pivot as a factor and the sign of
+    its position.  What is left goes to _det_packed, skipped when nothing
+    is.  Pivots may be any monomial, eps^b ones of the dual lift
+    included: both lifts are polynomial matrices, and their determinant is
+    the same polynomial whether it is computed over the polynomial or the
+    Laurent ring, so dividing by x^a y^b along the way is sound, and
+    _combine reads only the eps^0 and eps^1 slices of the result.
+    """
+    n = len(rows)
+    live = []  # the rows with zero terms and empty entries dropped
+    cols = [set() for _ in range(n)]  # the rows with an entry in each column
+    for i, row in enumerate(rows):
+        out = {}
+        for j, x in row.items():
+            x = {e: c for e, c in x.items() if c}
+            if x:
+                out[j] = x
+                cols[j].add(i)
+        live.append(out)
+    left = set(range(n))  # rows not eliminated yet
+    match = [None] * n  # each eliminated row's pivot column
+    unit, ux, uy = 1, 0, 0  # product of the pivots, unit * x^ux * y^uy
+    while True:
+        best = None
+        for i in left:
+            row = live[i]
+            for j, x in row.items():
+                if len(x) == 1:
+                    ((e, c),) = x.items()
+                    if c == 1 or c == -1:
+                        cost = (len(row) - 1) * (len(cols[j]) - 1)
+                        if best is None or cost < best[0]:
+                            best = (cost, i, j, e, c)
+            if best is not None and best[0] == 0:
+                break
+        if best is None:
+            break
+        _, i, j, (px, py), pc = best
+        pivot_row = live[i]
+        for r in cols[j]:
+            if r == i:
+                continue
+            row = live[r]
+            # row r -= (row r's column j entry / pivot) * pivot row
+            f = [(ex - px, ey - py, c * pc) for (ex, ey), c in row.pop(j).items()]
+            for col, y in pivot_row.items():
+                if col == j:
+                    continue
+                z = row.get(col)
+                if z is None:
+                    z = row[col] = {}
+                    cols[col].add(r)
+                for (ax, ay), a in y.items():
+                    for fx, fy, fc in f:
+                        key = (ax + fx, ay + fy)
+                        v = z.get(key, 0) - fc * a
+                        if v:
+                            z[key] = v
+                        else:
+                            del z[key]
+                if not z:
+                    del row[col]
+                    cols[col].discard(r)
+        for col in pivot_row:
+            cols[col].discard(i)
+        cols[j] = set()
+        left.discard(i)
+        match[i] = j
+        unit *= pc
+        ux += px
+        uy += py
+
+    rest_rows = sorted(left)
+    rest_cols = sorted(set(range(n)).difference(match))
+    for i, j in zip(rest_rows, rest_cols):
+        match[i] = j
+    # det = sign of the row -> column matching * pivots * det(remainder)
+    cycles = 0
+    for start in range(n):
+        if match[start] is not None:
+            cycles += 1
+            i = start
+            while match[i] is not None:
+                match[i], i = None, match[i]
+    if (n - cycles) % 2:
+        unit = -unit
+    if not rest_rows:
+        return {(ux, uy): unit}
+    det = _det_packed([[live[i].get(j, {}) for j in rest_cols] for i in rest_rows])
+    return {(ex + ux, ey + uy): unit * c for (ex, ey), c in det.items()}
+
+
 def _det_packed(mat) -> dict[tuple[int, int], int]:
-    """Determinant over Z[x^+-1, y^+-1] of a matrix of {(x_exp, y_exp): c}.
+    """Determinant over Z[x^+-1, y^+-1] of a matrix of {(x_exp, y_exp): c}:
+    the Bareiss path, run on what _det_sparse cannot eliminate on units.
 
     Rows, then columns, are divided by the largest monomial dividing them,
     so every exponent is non-negative.  The determinant P then has
@@ -182,8 +303,10 @@ def _det_packed(mat) -> dict[tuple[int, int], int]:
     entries.  The bounds fix a digit width b such that P is read back from
     the balanced base-2^b digits of P(2^b, 2^(b*(Dx + 1))), the
     determinant of the integer matrix that packs each entry the same way
-    (Kronecker substitution).  Fraction-free Bareiss elimination computes
-    that integer determinant exactly.
+    (Kronecker substitution).  A packed size b * digits over
+    PACKED_BITS_BUDGET raises DeterminantTooLarge before any packing.
+    Fraction-free Bareiss elimination computes the integer determinant
+    exactly.
     """
     n = len(mat)
     inf = float("inf")
@@ -250,6 +373,11 @@ def _det_packed(mat) -> dict[tuple[int, int], int]:
     half_bits = (square.bit_length() + 1) // 2
     width = half_bits // 8 + 1
     b = 8 * width
+    if b * digits > PACKED_BITS_BUDGET:
+        raise DeterminantTooLarge(
+            "the determinant would pack into %d bits, over the budget of %d"
+            " bits (invariant.PACKED_BITS_BUDGET)" % (b * digits, PACKED_BITS_BUDGET)
+        )
     a = [[0] * n for _ in range(n)]
     for i, j, x, *_ in entries:
         a[i][j] = sum(c << b * (ex - rx[i] - cx[j] + (ey - ry[i] - cy[j]) * sx)
@@ -321,23 +449,23 @@ def _lifted(dec: Decomposition, pick) -> ZetaPolynomial:
 
     pick(column, in_final_half, degree) gives the s-exponent at which a
     contribution enters its entry, or None to leave it out.  The two lifts
-    of the matrix are filled straight from the rule table, with no RingT
-    arithmetic.
+    of the matrix are filled as sparse rows straight from the rule table,
+    with no RingT arithmetic.
     """
     n = dec.diagram.n
-    laurent = [[{} for _ in range(n)] for _ in range(n)]
-    dual = [[{} for _ in range(n)] for _ in range(n)]
+    laurent = [{} for _ in range(n)]
+    dual = [{} for _ in range(n)]
     for i, j, in_final, deg, (_, lau, eps) in _column_contributions(dec):
         d = pick(j, in_final, deg)
         if d is None:
             continue
-        x = laurent[i][j]
+        x = laurent[i].setdefault(j, {})
         for e, c in lau.items():
             x[e, d] = x.get((e, d), 0) + c
-        x = dual[i][j]
+        x = dual[i].setdefault(j, {})
         for e, c in eps.items():
             x[d, e] = x.get((d, e), 0) + c
-    return _combine(_det_packed(laurent), _det_packed(dual))
+    return _combine(_det_sparse(laurent), _det_sparse(dual))
 
 
 def zeta(diagram_or_dec) -> ZetaPolynomial:

@@ -5,13 +5,13 @@ Also slow, direct token scans for the move patterns, which the library
 reads off one index of adjacent token pairs instead.
 """
 
-from longzeta.invariant import _combine, _det_packed, _lift, incidence_matrix
+from longzeta.invariant import _combine, _det_sparse, _lift, incidence_matrix
 from longzeta.rings import RingT, ZetaPolynomial
 
 
 def determinant(mat) -> ZetaPolynomial:
     """Exact determinant of a square matrix over T[s^+-1], through the same
-    two lifts and packed Bareiss elimination that zeta uses.
+    two lifts, unit-pivot elimination and packed Bareiss that zeta uses.
 
     Entries are ZetaPolynomials or RingT elements (read as s^0 terms).  The
     Laurent part comes from one determinant over Z[q, s], the (p - q)
@@ -22,12 +22,10 @@ def determinant(mat) -> ZetaPolynomial:
     for row in mat:
         if len(row) != n:
             raise ValueError("matrix is not square")
-    if n == 0:
-        return ZetaPolynomial.one()
     laurent, dual = [], []
     for row in mat:
-        laurent_row, dual_row = [], []
-        for x in row:
+        laurent_row, dual_row = {}, {}
+        for j, x in enumerate(row):
             terms = x.coeffs.items() if isinstance(x, ZetaPolynomial) else ((0, x),)
             lx, dx = {}, {}
             for d, c in terms:
@@ -36,11 +34,11 @@ def determinant(mat) -> ZetaPolynomial:
                     lx[e, d] = v
                 for e, v in eps.items():
                     dx[d, e] = v
-            laurent_row.append(lx)
-            dual_row.append(dx)
+            laurent_row[j] = lx
+            dual_row[j] = dx
         laurent.append(laurent_row)
         dual.append(dual_row)
-    return _combine(_det_packed(laurent), _det_packed(dual))
+    return _combine(_det_sparse(laurent), _det_sparse(dual))
 
 
 def incidence(dec, cid, arc) -> RingT:

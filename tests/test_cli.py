@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from longzeta import cli
+from longzeta import cli, invariant
 from longzeta.diagram import Diagram, connect_sum, generate, read_gauss_file
 from longzeta.fuzz import CampaignReport, TrialResult, random_diagram
 from longzeta.invariant import zeta, zeta_split
@@ -97,6 +97,19 @@ def test_invalid_code_is_exit_1(tmp_path, capsys):
     bad.write_text("X9?\n")
     code, _, err = run(capsys, "zeta", str(bad))
     assert code == 1 and "syntax error" in err
+
+
+def test_over_budget_is_exit_1(tmp_path, capsys, monkeypatch):
+    big = tmp_path / "big.gauss"
+    big.write_text(random_diagram(random.Random(20), 20, 20).render() + "\n")
+    monkeypatch.setattr(invariant, "PACKED_BITS_BUDGET", 1000)
+    for command in ("zeta", "split", "certify", "bound"):
+        for extra in ((), ("--json",)):
+            code, out, err = run(capsys, command, str(big), *extra)
+            assert code == 1 and out == ""
+            assert err.startswith("error: the determinant would pack into ")
+            assert "over the budget of 1000 bits" in err
+            assert "Traceback" not in err
 
 
 def test_bad_flags_are_exit_1(capsys):

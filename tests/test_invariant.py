@@ -374,6 +374,135 @@ class TestPackedDeterminant:
         assert max(map(abs, got.values())) > 1 << 128
 
 
+def as_zeta(x):
+    """A raw entry {(x_exp, y_exp): c} as x -> q, y -> s in T[s^+-1]."""
+    parts = {}
+    for (ex, ey), c in x.items():
+        parts.setdefault(ey, {})[ex] = c
+    return ZetaPolynomial({ey: RingT(lau, 0) for ey, lau in parts.items()})
+
+
+def berkowitz_raw(dense):
+    det = berkowitz([[as_zeta(x) for x in row] for row in dense])
+    return {(e, d): c for d, r in det.coeffs.items() for e, c in r.lau.items()}
+
+
+exponents = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+unit_entries = st.builds(lambda e, c: {e: c}, exponents, st.sampled_from((1, -1)))
+non_unit_entries = st.builds(
+    lambda e, c: {e: c}, exponents, st.sampled_from((2, -2, 3))
+) | st.dictionaries(
+    exponents, st.integers(-3, 3).filter(bool), min_size=2, max_size=3
+)
+ENTRY_MIXES = {
+    "units only": unit_entries,
+    "no units": non_unit_entries,
+    "mixed": unit_entries | non_unit_entries,
+}
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Sparse rows over Z[x^+-1, y^+-1] whose entries are drawn from one
+    mix: every unit exponent pair, eps^b-like (0, b) and negative ones
+    included.  Optionally one row is a unit multiple of another, so the
+    elimination cancels a whole row, and optionally the matrix is
+    transposed, so it cancels a whole column instead."""
+    n = draw(st.integers(1, 5))
+    entries = st.none() | ENTRY_MIXES[draw(st.sampled_from(sorted(ENTRY_MIXES)))]
+    rows = [
+        {j: x for j in range(n) if (x := draw(entries)) is not None}
+        for _ in range(n)
+    ]
+    if n > 1 and draw(st.booleans()):
+        src, dst = draw(st.permutations(range(n)))[:2]
+        (((ux, uy), uc),) = draw(unit_entries).items()
+        rows[dst] = {
+            j: {(ex + ux, ey + uy): uc * c for (ex, ey), c in x.items()}
+            for j, x in rows[src].items()
+        }
+    if draw(st.booleans()):
+        rows = [{i: row[j] for i, row in enumerate(rows) if j in row} for j in range(n)]
+    return rows
+
+
+def dense(rows):
+    return [[row.get(j, {}) for j in range(len(rows))] for row in rows]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_matrices())
+def test_elimination_matches_bareiss_and_berkowitz(rows):
+    mat = dense(rows)
+    got = invariant._det_sparse(rows)
+    assert got == invariant._det_packed(mat)
+    assert got == berkowitz_raw(mat)
+
+
+class TestSparseElimination:
+    """_det_sparse: unit pivots first, _det_packed on what is left."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        sizes = []
+        packed = invariant._det_packed
+
+        def spy(mat):
+            sizes.append(len(mat))
+            return packed(mat)
+
+        monkeypatch.setattr(invariant, "_det_packed", spy)
+        return sizes
+
+    def test_units_leave_no_remainder(self, monkeypatch):
+        sizes = self.spy(monkeypatch)
+        # monomial permutation matrices: a 3-cycle (even) then a swap (odd)
+        cyc = [{1: {(2, 0): 1}}, {2: {(0, -1): -1}}, {0: {(-1, 3): 1}}]
+        assert invariant._det_sparse(cyc) == {(1, 2): -1}
+        swap = [{1: {(0, 1): 1}}, {0: {(-2, 0): 1}}, {2: {(0, 0): -1}}]
+        assert invariant._det_sparse(swap) == {(-2, 1): 1}
+        assert invariant._det_sparse([]) == {(0, 0): 1}
+        assert sizes == []
+
+    def test_no_unit_goes_whole_to_bareiss(self, monkeypatch):
+        sizes = self.spy(monkeypatch)
+        rows = [{0: {(0, 0): 2}, 1: {(1, 0): 3}}, {0: {(0, 1): 1, (0, 0): 1}, 1: {(0, 0): -2}}]
+        assert invariant._det_sparse(rows) == raw_det(dense(rows))
+        assert sizes == [2]
+
+    def test_large_code_against_bareiss_alone(self, monkeypatch):
+        d = random_diagram(random.Random(25), 25, 25)
+        lifts = []
+        sparse = invariant._det_sparse
+        monkeypatch.setattr(
+            invariant, "_det_sparse", lambda rows: lifts.append(rows) or sparse(rows)
+        )
+        z = zeta(d)
+        laurent, dual = lifts
+        assert z == invariant._combine(
+            invariant._det_packed(dense(laurent)), invariant._det_packed(dense(dual))
+        )
+        assert not z.is_zero()
+
+
+class TestCostBudget:
+    def test_over_budget_names_size_and_budget(self, monkeypatch):
+        d = random_diagram(random.Random(20), 20, 20)
+        zeta(d)  # leaves a remainder that packs into a few thousand bits
+        monkeypatch.setattr(invariant, "PACKED_BITS_BUDGET", 1000)
+        with pytest.raises(
+            invariant.DeterminantTooLarge,
+            match=r"pack into \d+ bits, over the budget of 1000 bits",
+        ) as info:
+            zeta(d)
+        assert isinstance(info.value, ValueError)
+
+    def test_n_k_70_fails_fast(self):
+        d = random_diagram(random.Random(70), 70, 70)
+        with pytest.raises(invariant.DeterminantTooLarge):
+            zeta(d)
+
+
 def ring_views(dec):
     """zeta's matrix, its minus and plus halves and B over T, built from
     incidence() on every (crossing, arc) pair."""
