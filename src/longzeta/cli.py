@@ -51,6 +51,9 @@ def _nonneg(text):
     return value
 
 
+# built on the first main call and reused after it: parse_args keeps no
+# state between calls
+@functools.lru_cache(maxsize=None)
 def build_parser() -> _Parser:
     top = _Parser(prog="longzeta", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
@@ -107,13 +110,6 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_corpus_list)
     p.add_argument("--json", action="store_true")
     return top
-
-
-@functools.lru_cache(maxsize=None)
-def _parser() -> _Parser:
-    """The parser tree, built on the first main call and reused after it:
-    parse_args keeps no state between calls."""
-    return build_parser()
 
 
 def _emit(args, human: str, payload) -> None:
@@ -252,7 +248,7 @@ def _cmd_corpus_list(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (OSError, InvalidDiagram, InapplicableMove, ValueError) as exc:

@@ -12,12 +12,16 @@ classical crossing.  Senses record which way the transversal strand runs at
 a virtual passage (+ = left to right); the two passages of one virtual
 crossing always carry opposite senses.
 
-The decomposition machinery cuts the strand into arcs (at underpasses and
-virtual passages), groups arcs into long arcs (cut at underpasses only),
-assigns every arc its degree, and pairs each classical crossing with the
-long arc emanating from its underpass.  The initial and final long arcs are
-united into a single column owned by the crossing the final long arc
-emanates from.
+Cutting the strand at underpasses and virtual passages gives arcs, and
+cutting it at underpasses only gives long arcs.  An arc's degree is the
+sum of the virtual senses passed since its long arc began.  Each classical
+crossing owns the column of the long arc emanating from its underpass; the
+initial and final long arcs are united into a single column owned by the
+crossing the final long arc emanates from.  Decomposition reads what the
+matrix needs straight off the tokens in one pass: per crossing, the
+column, half and degree of its three special arcs, and each column's
+threshold.  It builds no arc objects; the arc-level model lives in
+tests/reference.py as the slow reference the cells are checked against.
 
 Planar realizability of a code is deliberately not checked: every
 combinatorially valid sequence is accepted, which is exactly the setting in
@@ -27,7 +31,6 @@ which the invariants here are defined and tested.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from dataclasses import dataclass
 
 
@@ -251,167 +254,89 @@ def generate(family: str, r: int | None = None) -> Diagram:
     raise ValueError("unknown family %r, have %s" % (family, ", ".join(_FAMILIES)))
 
 
-@dataclass(frozen=True)
-class Arc:
-    """Maximal run of the strand between consecutive cut tokens.
-
-    start/end are token indices of the bounding cuts; start -1 means the
-    free start of the knot, end len(tokens) the free end.  Tokens strictly
-    between start and end are overpasses lying on the arc.
-    """
-
-    index: int
-    start: int
-    end: int
-    long_arc: int
-    degree: int
-
-
-@dataclass(frozen=True)
-class LongArc:
-    """Run of arcs between consecutive underpass cuts."""
-
-    index: int
-    arcs: tuple[int, ...]
-    origin: int | None  # classical id whose underpass starts it
-    is_initial: bool
-    is_final: bool
-    increasing: int  # number of +1 virtual passages along it
-
-
-@dataclass(frozen=True)
-class Column:
-    """Matrix column: a crossing and the long arc(s) paired with it.
-
-    The united column carries two long arcs (initial and final); all other
-    columns exactly one.  threshold is the total number of increasing
-    virtual passages over the column's long arcs, which is also the largest
-    degree any of its arcs can reach.
-    """
-
-    crossing: int
-    long_arcs: tuple[int, ...]
-    threshold: int
-
-
 class Decomposition:
-    """Arcs, long arcs, degrees, pairing and crossing data of a valid code."""
+    """The matrix cells of a valid code, read off its tokens in one pass.
 
-    __slots__ = (
-        "diagram",
-        "arcs",
-        "arc_starts",
-        "long_arcs",
-        "columns",
-        "column_of_long_arc",
-        "early",
-        "sign",
-        "o_pos",
-        "u_pos",
-    )
+    rows[i] belongs to the i-th classical crossing in classical_ids()
+    order.  It is (t, w, cells): t is "p" when the crossing's overpass
+    comes first along the strand, else "q"; w is its writhe sign; cells
+    holds (column, in_final_half, degree) for the arc emanating from its
+    underpass, the arc passing over it and the arc coming into its
+    underpass, in that order.  thresholds[j] is column j's count of
+    increasing virtual passages, and united is the united column, None
+    when there are no classical crossings.  No arc objects are built; the
+    arc model these cells condense is tests/reference.py's ArcModel.
+    """
+
+    __slots__ = ("diagram", "rows", "thresholds", "united")
 
     def __init__(self, diagram: Diagram):
         diagram.check()
         self.diagram = diagram
         tokens = diagram.tokens
 
-        self.o_pos: dict[int, int] = {}
-        self.u_pos: dict[int, int] = {}
-        for i, t in enumerate(tokens):
-            if t.kind == "O":
-                self.o_pos[t.cid] = i
-            elif t.kind == "U":
-                self.u_pos[t.cid] = i
-
-        self.sign = {cid: tokens[pos].sign for cid, pos in self.o_pos.items()}
-        # early overcrossing iff the overpass comes first along the strand
-        self.early = {
-            cid: ("O" if self.o_pos[cid] < self.u_pos[cid] else "U")
-            for cid in self.o_pos
-        }
-
-        arcs: list[Arc] = []
-        long_arcs: list[LongArc] = []
-        cur_arcs: list[int] = []
-        la_origin: int | None = None
-        la_increasing = 0
-        start = -1
-        degree = 0
-
-        def close_long_arc(final: bool):
-            nonlocal cur_arcs, la_origin, la_increasing
-            long_arcs.append(
-                LongArc(
-                    index=len(long_arcs),
-                    arcs=tuple(cur_arcs),
-                    origin=la_origin,
-                    is_initial=not long_arcs,
-                    is_final=final,
-                    increasing=la_increasing,
-                )
-            )
-            cur_arcs = []
-            la_increasing = 0
-
-        for i, t in enumerate(tokens):
-            if t.kind == "O":
-                continue
-            arcs.append(Arc(len(arcs), start, i, len(long_arcs), degree))
-            cur_arcs.append(len(arcs) - 1)
-            start = i
-            if t.kind == "U":
-                close_long_arc(final=False)
-                la_origin = t.cid
-                degree = 0
+        la = deg = 0  # the current arc's long arc and degree
+        increasing = [0]  # per long arc, its +1 virtual passages
+        degrees = [0]  # the degrees of the current long arc's arcs
+        origin = [None]  # per long arc, the crossing whose underpass opens it
+        over = {}  # cid -> (long arc, degree) of the arc passing over it
+        under = {}  # cid -> (long arc, degree) of the arc coming in, t, w
+        for tok in tokens:
+            kind = tok.kind
+            if kind == "O":
+                over[tok.cid] = (la, deg)
+            elif kind == "U":
+                _check_top_degree(degrees, increasing[la])
+                under[tok.cid] = (la, deg, "p" if tok.cid in over else "q", tok.sign)
+                la += 1
+                deg = 0
+                increasing.append(0)
+                degrees = [0]
+                origin.append(tok.cid)
             else:
-                if t.sign > 0:
-                    la_increasing += 1
-                degree += t.sign
-        arcs.append(Arc(len(arcs), start, len(tokens), len(long_arcs), degree))
-        cur_arcs.append(len(arcs) - 1)
-        close_long_arc(final=True)
+                deg += tok.sign
+                degrees.append(deg)
+                if tok.sign > 0:
+                    increasing[la] += 1
+        _check_top_degree(degrees, increasing[la])
 
-        self.arcs = tuple(arcs)
-        # arcs run consecutively, so each one ends where the next starts.
-        # Built from a list: the generator-expression form made the fuzz
-        # benchmark's peak RSS climb by ~2.5 KB per trial (CPython 3.11).
-        self.arc_starts = tuple([a.start for a in arcs])
-        self.long_arcs = tuple(long_arcs)
-
-        n = diagram.n
-        if len(long_arcs) != n + 1:
+        if la != diagram.n:
             raise InternalError("expected one long arc per underpass plus the initial")
-        if sum(la.increasing for la in long_arcs) != sum(
+        if sum(increasing) != sum(
             1 for t in tokens if t.kind == "V" and t.sign > 0
         ):
             raise InternalError("long arcs miscount the increasing virtual passages")
 
-        columns: list[Column] = []
-        self.column_of_long_arc: dict[int, int] = {}
-        if n:
-            final = long_arcs[-1]
-            initial = long_arcs[0]
-            by_origin = {la.origin: la for la in long_arcs if la.origin is not None}
-            for j, cid in enumerate(diagram.classical_ids()):
-                la = by_origin[cid]
-                if la.is_final:
-                    pair = (initial.index, la.index)
-                    threshold = initial.increasing + la.increasing
-                else:
-                    pair = (la.index,)
-                    threshold = la.increasing
-                columns.append(Column(cid, pair, threshold))
-                for idx in pair:
-                    self.column_of_long_arc[idx] = j
-            if final.origin is None:  # n >= 1 forces a final underpass cut
-                raise InternalError("the final long arc has no underpass origin")
-        self.columns = tuple(columns)
+        ids = diagram.classical_ids()
+        self.thresholds = [0] * len(ids)
+        self.united = None
+        self.rows = []
+        if not ids:
+            return
+        if origin[la] is None:  # n >= 1 forces a final underpass cut
+            raise InternalError("the final long arc has no underpass origin")
+        column = {cid: j for j, cid in enumerate(ids)}
+        # each long arc's column; the initial long arc joins the final one's
+        col = [column[cid] for cid in origin[1:]]
+        col.insert(0, col[-1])
+        for j, inc in zip(col, increasing):
+            self.thresholds[j] += inc
+        self.united = col[la]
+        for cid in ids:
+            i, d_in, t, w = under[cid]
+            o, d_over = over[cid]
+            self.rows.append((t, w, (
+                (col[i + 1], i + 1 == la, 0),
+                (col[o], o == la, d_over),
+                (col[i], i == la, d_in),
+            )))
 
-    def arc_containing(self, token_pos: int) -> Arc:
-        i = bisect_left(self.arc_starts, token_pos)
-        if i and token_pos < self.arcs[i - 1].end:
-            return self.arcs[i - 1]
-        raise LookupError("position %d is a cut token, not arc interior" % token_pos)
+
+def _check_top_degree(degrees, increasing):
+    # degrees climb by at most one per virtual passage and never recover
+    # a loss, so at most one arc of a long arc reaches its increasing count
+    if degrees.count(increasing) > 1:
+        raise InternalError("two arcs at the top degree inside one long arc")
 
 
 def decompose(diagram: Diagram) -> Decomposition:

@@ -37,13 +37,16 @@ The leading matrix B keeps, per column, only the s^threshold coefficient,
 where threshold is the column's count of increasing virtual passages.  No
 arc degree can exceed its column threshold, which is why det B reads off
 the s^k coefficient of zeta and why the top s-degree of zeta is at most k.
-A nonzero det B therefore certifies that the diagram realizes the minimal
-virtual crossing number among all equivalent diagrams.
+Within one long arc at most one arc reaches the threshold.  The united
+column's two halves both reach it exactly when neither has an increasing
+passage; the entry then sums both contributions, still the s^threshold
+coefficient of the matrix entry.  A nonzero det B therefore certifies that
+the diagram realizes the minimal virtual crossing number among all
+equivalent diagrams.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from math import prod
 
@@ -87,23 +90,13 @@ _INCIDENCE = _incidence_rule()
 def _column_contributions(dec: Decomposition):
     """Yield (row_index, column_index, in_final_half, degree, rule value).
 
-    Walks crossings instead of all (crossing, arc) pairs: each crossing
-    touches at most three arcs, so the matrix has at most three nonzero
-    contributions per row.  The rule value is an _INCIDENCE value.
+    Each crossing touches at most three arcs, so the matrix has at most
+    three nonzero contributions per row; dec.rows lists them in role
+    order.  The rule value is an _INCIDENCE value.
     """
-    arcs = dec.arcs
-    final_idx = dec.long_arcs[-1].index
-    column = dec.column_of_long_arc
-    for i, cid in enumerate(dec.diagram.classical_ids()):
-        t = "p" if dec.early[cid] == "O" else "q"
-        w = dec.sign[cid]
-        # arcs[a] starts at the underpass, so arcs[a - 1] ends there
-        a = bisect_left(dec.arc_starts, dec.u_pos[cid])
-        for role, arc in enumerate(
-            (arcs[a], dec.arc_containing(dec.o_pos[cid]), arcs[a - 1])
-        ):
-            yield (i, column[arc.long_arc], arc.long_arc == final_idx,
-                   arc.degree, _INCIDENCE[role, t, w])
+    for i, (t, w, cells) in enumerate(dec.rows):
+        for role, (j, in_final, deg) in enumerate(cells):
+            yield i, j, in_final, deg, _INCIDENCE[role, t, w]
 
 
 def _matrix_dec(diagram_or_dec) -> Decomposition:
@@ -469,11 +462,9 @@ def _lifted(dec: Decomposition, pick) -> ZetaPolynomial:
 
 
 def zeta(diagram_or_dec) -> ZetaPolynomial:
-    """The zeta polynomial; 1 for diagrams without classical crossings."""
-    dec = _as_dec(diagram_or_dec)
-    if dec.diagram.n == 0:
-        return ZetaPolynomial.one()
-    return _lifted(dec, lambda _j, _in_final, deg: deg)
+    """The zeta polynomial; 1 for diagrams without classical crossings,
+    the determinant of the empty matrix."""
+    return _lifted(_as_dec(diagram_or_dec), lambda _j, _in_final, deg: deg)
 
 
 def zeta_split(diagram_or_dec) -> tuple[ZetaPolynomial, ZetaPolynomial]:
@@ -481,7 +472,7 @@ def zeta_split(diagram_or_dec) -> tuple[ZetaPolynomial, ZetaPolynomial]:
     restricted to its initial (resp. final) half.  Their sum is zeta.
     Rejects n = 0, where the united column does not exist."""
     dec = _matrix_dec(diagram_or_dec)
-    united = dec.column_of_long_arc[dec.long_arcs[-1].index]
+    united = dec.united
 
     def half(final):
         return lambda j, in_final, deg: (
@@ -491,32 +482,14 @@ def zeta_split(diagram_or_dec) -> tuple[ZetaPolynomial, ZetaPolynomial]:
     return _lifted(dec, half(False)), _lifted(dec, half(True))
 
 
-def _thresholds(dec: Decomposition) -> list[int]:
-    """Per-column s-degree that B keeps.
-
-    Within one long arc the threshold-achieving arc is unique when it
-    exists (degrees climb by at most one per virtual passage and can never
-    recover a loss), and that is checked.  The united column's two halves
-    can both achieve the threshold exactly when neither half has any
-    increasing passage; the entry is then the sum of both contributions,
-    i.e. still the s^threshold coefficient of the matrix entry.
-    """
-    for la in dec.long_arcs:
-        achieved = [a for a in la.arcs if dec.arcs[a].degree == la.increasing]
-        if len(achieved) > 1:
-            raise InternalError("two arcs at the top degree inside one long arc")
-    return [col.threshold for col in dec.columns]
-
-
 def leading_matrix(diagram_or_dec) -> list[list[RingT]]:
     """Matrix B of s^threshold coefficients, one threshold per column.
     Rejects n = 0."""
     dec = _matrix_dec(diagram_or_dec)
     n = dec.diagram.n
-    thresholds = _thresholds(dec)
     mat = [[RingT.zero() for _ in range(n)] for _ in range(n)]
     for i, j, _half, deg, rule in _column_contributions(dec):
-        if deg == thresholds[j]:
+        if deg == dec.thresholds[j]:
             mat[i][j] = mat[i][j] + rule[0]
     return mat
 
@@ -530,7 +503,7 @@ def leading_determinant(diagram_or_dec) -> RingT:
     dec = _as_dec(diagram_or_dec)
     if dec.diagram.n == 0:
         return ZetaPolynomial.one().coeff(dec.diagram.k)
-    thresholds = _thresholds(dec)
+    thresholds = dec.thresholds
     return _lifted(
         dec, lambda j, _in_final, deg: 0 if deg == thresholds[j] else None
     ).coeff(0)

@@ -646,12 +646,13 @@ KINDS = tuple(_KIND_TABLE)
 
 def _pattern_sites(diagram, kind, index):
     """Yield, in order, the scanned sites of `kind` that its handler accepts."""
-    toks = diagram.tokens
+    # one list for every candidate: no handler writes to its input
+    toks = list(diagram.tokens)
     # the scans find the token patterns; the handlers also check the
     # regime conditions, so filter through them for an exact answer
     for ps in kind.scan(index):
         try:
-            kind.handler(list(toks), ps, diagram)
+            kind.handler(toks, ps, diagram)
         except InapplicableMove:
             continue
         yield ps

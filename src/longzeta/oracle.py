@@ -4,7 +4,8 @@ Everything here works on raw, unreduced Laurent polynomials, kept as plain
 coefficient dicts:
 
   * two variables: {(p_exp, q_exp): coeff} over Z[p, p^-1, q, q^-1]
-  * three variables: {(p_exp, q_exp, s_exp): coeff}, adding central s
+  * three variables: {(p_exp, q_exp, s_exp): coeff}, adding central s;
+    raw_add and raw_mul take either
 
 Equality in the quotient T = Z[p^±1, q^±1]/((p-1)(p-q), (q-1)(p-q)) is
 decided through two ring maps that both kill the ideal generators:
@@ -30,7 +31,6 @@ from itertools import permutations
 from longzeta.diagram import InternalError
 
 RawPQ = dict  # {(p_exp, q_exp): int}
-RawPQS = dict  # {(p_exp, q_exp, s_exp): int}
 
 
 def _add_term(out: dict, k, c: int) -> None:
@@ -117,28 +117,6 @@ def raw_from_parts(lau: dict[int, int], eps: int) -> RawPQ:
     if eps:
         _add_term(out, (1, 0), eps)
         _add_term(out, (0, 1), -eps)
-    return out
-
-
-def raw3_from_parts(parts: dict[int, tuple[dict[int, int], int]]) -> RawPQS:
-    """Raw 3-variable polynomial from {s_exp: (lau, eps)} normal forms."""
-    out: RawPQS = {}
-    for d, (lau, eps) in parts.items():
-        for (i, j), c in raw_from_parts(lau, eps).items():
-            _add_term(out, (i, j, d), c)
-    return out
-
-
-def raw3_reduce(x: RawPQS) -> dict[int, tuple[dict[int, int], int]]:
-    """Normal forms per s-exponent: {s_exp: (lau, eps)}, zeros dropped."""
-    per_s: dict[int, RawPQ] = {}
-    for (i, j, d), c in x.items():
-        per_s.setdefault(d, {})[(i, j)] = c
-    out = {}
-    for d, raw in per_s.items():
-        lau, eps = raw_reduce(raw)
-        if lau or eps:
-            out[d] = (lau, eps)
     return out
 
 

@@ -1,12 +1,177 @@
 """Test-side views of the invariant that the library itself never needs:
-a determinant for arbitrary matrices over T[s^+-1], the incidence rule
-restated per (crossing, arc) pair, and the row sums of the matrix at s = 1.
-Also slow, direct token scans for the move patterns, which the library
-reads off one index of adjacent token pairs instead.
+the arc object model of a diagram (arcs, long arcs, columns), which the
+library condenses into matrix cells in one token pass; a determinant for
+arbitrary matrices over T[s^+-1]; the incidence rule restated per
+(crossing, arc) pair; and the row sums of the matrix at s = 1.  Also the
+three-variable raw polynomials of the oracle, and slow, direct token
+scans for the move patterns, which the library reads off one index of
+adjacent token pairs instead.
 """
 
+from bisect import bisect_left
+from dataclasses import dataclass
+
 from longzeta.invariant import _combine, _det_sparse, _lift, incidence_matrix
+from longzeta.oracle import _add_term, raw_from_parts, raw_reduce
 from longzeta.rings import RingT, ZetaPolynomial
+
+
+@dataclass(frozen=True)
+class Arc:
+    """Maximal run of the strand between consecutive cut tokens.
+
+    start/end are token indices of the bounding cuts; start -1 means the
+    free start of the knot, end len(tokens) the free end.  Tokens strictly
+    between start and end are overpasses lying on the arc.
+    """
+
+    index: int
+    start: int
+    end: int
+    long_arc: int
+    degree: int
+
+
+@dataclass(frozen=True)
+class LongArc:
+    """Run of arcs between consecutive underpass cuts."""
+
+    index: int
+    arcs: tuple[int, ...]
+    origin: int | None  # classical id whose underpass starts it
+    is_initial: bool
+    is_final: bool
+    increasing: int  # number of +1 virtual passages along it
+
+
+@dataclass(frozen=True)
+class Column:
+    """Matrix column: a crossing and the long arc(s) paired with it.
+
+    The united column carries two long arcs (initial and final); all other
+    columns exactly one.  threshold is the total number of increasing
+    virtual passages over the column's long arcs, which is also the largest
+    degree any of its arcs can reach.
+    """
+
+    crossing: int
+    long_arcs: tuple[int, ...]
+    threshold: int
+
+
+class ArcModel:
+    """Arcs, long arcs, degrees, pairing and crossing data of a valid code:
+    the slow reference for decompose(), whose cells() it reads off."""
+
+    def __init__(self, diagram):
+        diagram.check()
+        self.diagram = diagram
+        tokens = diagram.tokens
+
+        self.o_pos = {}
+        self.u_pos = {}
+        for i, t in enumerate(tokens):
+            if t.kind == "O":
+                self.o_pos[t.cid] = i
+            elif t.kind == "U":
+                self.u_pos[t.cid] = i
+
+        self.sign = {cid: tokens[pos].sign for cid, pos in self.o_pos.items()}
+        # early overcrossing iff the overpass comes first along the strand
+        self.early = {
+            cid: ("O" if self.o_pos[cid] < self.u_pos[cid] else "U")
+            for cid in self.o_pos
+        }
+
+        arcs = []
+        long_arcs = []
+        cur_arcs = []
+        la_origin = None
+        la_increasing = 0
+        start = -1
+        degree = 0
+
+        def close_long_arc(final):
+            nonlocal cur_arcs, la_origin, la_increasing
+            long_arcs.append(
+                LongArc(
+                    index=len(long_arcs),
+                    arcs=tuple(cur_arcs),
+                    origin=la_origin,
+                    is_initial=not long_arcs,
+                    is_final=final,
+                    increasing=la_increasing,
+                )
+            )
+            cur_arcs = []
+            la_increasing = 0
+
+        for i, t in enumerate(tokens):
+            if t.kind == "O":
+                continue
+            arcs.append(Arc(len(arcs), start, i, len(long_arcs), degree))
+            cur_arcs.append(len(arcs) - 1)
+            start = i
+            if t.kind == "U":
+                close_long_arc(final=False)
+                la_origin = t.cid
+                degree = 0
+            else:
+                if t.sign > 0:
+                    la_increasing += 1
+                degree += t.sign
+        arcs.append(Arc(len(arcs), start, len(tokens), len(long_arcs), degree))
+        cur_arcs.append(len(arcs) - 1)
+        close_long_arc(final=True)
+
+        self.arcs = tuple(arcs)
+        # arcs run consecutively, so each one ends where the next starts
+        self.arc_starts = tuple(a.start for a in arcs)
+        self.long_arcs = tuple(long_arcs)
+
+        columns = []
+        self.column_of_long_arc = {}
+        if diagram.n:
+            initial = long_arcs[0]
+            by_origin = {la.origin: la for la in long_arcs if la.origin is not None}
+            for j, cid in enumerate(diagram.classical_ids()):
+                la = by_origin[cid]
+                if la.is_final:
+                    pair = (initial.index, la.index)
+                    threshold = initial.increasing + la.increasing
+                else:
+                    pair = (la.index,)
+                    threshold = la.increasing
+                columns.append(Column(cid, pair, threshold))
+                for idx in pair:
+                    self.column_of_long_arc[idx] = j
+        self.columns = tuple(columns)
+
+    def arc_containing(self, token_pos: int) -> Arc:
+        i = bisect_left(self.arc_starts, token_pos)
+        if i and token_pos < self.arcs[i - 1].end:
+            return self.arcs[i - 1]
+        raise LookupError("position %d is a cut token, not arc interior" % token_pos)
+
+    def cells(self):
+        """(rows, thresholds, united) in the layout of decompose(): per
+        crossing (t, w, cells) with a (column, in_final_half, degree) cell
+        for the arc emanating from its underpass, the arc passing over it
+        and the arc coming into its underpass."""
+        final = self.long_arcs[-1].index
+        column = self.column_of_long_arc
+        rows = []
+        for cid in self.diagram.classical_ids():
+            # arcs[a] starts at the underpass, so arcs[a - 1] ends there
+            a = bisect_left(self.arc_starts, self.u_pos[cid])
+            roles = (self.arcs[a], self.arc_containing(self.o_pos[cid]), self.arcs[a - 1])
+            rows.append((
+                "p" if self.early[cid] == "O" else "q",
+                self.sign[cid],
+                tuple((column[x.long_arc], x.long_arc == final, x.degree) for x in roles),
+            ))
+        thresholds = [col.threshold for col in self.columns]
+        return rows, thresholds, column.get(final)
 
 
 def determinant(mat) -> ZetaPolynomial:
@@ -41,18 +206,18 @@ def determinant(mat) -> ZetaPolynomial:
     return _combine(_det_sparse(laurent), _det_sparse(dual))
 
 
-def incidence(dec, cid, arc) -> RingT:
-    """Incidence coefficient of classical crossing cid and one arc:
-    1 if the arc emanates from the underpass, t^w - 1 if it passes over
-    the crossing, -t^w if it comes into the underpass (summed when several
-    hold), with t = p when the overpass comes first, else q."""
-    t = "p" if dec.early[cid] == "O" else "q"
-    tw = RingT.gen_power(t, dec.sign[cid])
-    u = dec.u_pos[cid]
+def incidence(model, cid, arc) -> RingT:
+    """Incidence coefficient of classical crossing cid and one arc of an
+    ArcModel: 1 if the arc emanates from the underpass, t^w - 1 if it
+    passes over the crossing, -t^w if it comes into the underpass (summed
+    when several hold), with t = p when the overpass comes first, else q."""
+    t = "p" if model.early[cid] == "O" else "q"
+    tw = RingT.gen_power(t, model.sign[cid])
+    u = model.u_pos[cid]
     out = RingT.zero()
     if arc.start == u:
         out = out + RingT.one()
-    if arc.start < dec.o_pos[cid] < arc.end:
+    if arc.start < model.o_pos[cid] < arc.end:
         out = out + tw - RingT.one()
     if arc.end == u:
         out = out - tw
@@ -69,6 +234,29 @@ def row_sums_at_s1(diagram) -> list[RingT]:
         sum((c for x in row for c in x.coeffs.values()), RingT.zero())
         for row in incidence_matrix(diagram)
     ]
+
+
+def raw3_from_parts(parts):
+    """Raw 3-variable polynomial {(p_exp, q_exp, s_exp): c} from
+    {s_exp: (lau, eps)} normal forms."""
+    out = {}
+    for d, (lau, eps) in parts.items():
+        for (i, j), c in raw_from_parts(lau, eps).items():
+            _add_term(out, (i, j, d), c)
+    return out
+
+
+def raw3_reduce(x):
+    """Normal forms per s-exponent: {s_exp: (lau, eps)}, zeros dropped."""
+    per_s = {}
+    for (i, j, d), c in x.items():
+        per_s.setdefault(d, {})[(i, j)] = c
+    out = {}
+    for d, raw in per_s.items():
+        lau, eps = raw_reduce(raw)
+        if lau or eps:
+            out[d] = (lau, eps)
+    return out
 
 
 # ------------------------------------------------------ move pattern scans

@@ -19,7 +19,7 @@ import random
 import pytest
 
 from longzeta import oracle
-from longzeta.diagram import Diagram, connect_sum, decompose, generate
+from longzeta.diagram import Diagram, connect_sum, generate
 from longzeta.fuzz import predicted_shift, random_diagram, run_campaign
 from longzeta.invariant import (
     certify_minimality,
@@ -30,7 +30,7 @@ from longzeta.invariant import (
 )
 from longzeta.moves import apply, enumerate_sites
 from longzeta.rings import RingT, ZetaPolynomial, equal_up_to_q_power
-from reference import determinant, row_sums_at_s1
+from reference import ArcModel, determinant, row_sums_at_s1
 
 P = RingT.p_power(1)
 Q = RingT.q_power(1)
@@ -65,8 +65,8 @@ def _line(text):
 
 def delta_plus(diagram):
     """Degree of the very last arc: the drift exponent of concatenation."""
-    dec = decompose(diagram)
-    return dec.arcs[dec.long_arcs[-1].arcs[-1]].degree
+    model = ArcModel(diagram)
+    return model.arcs[model.long_arcs[-1].arcs[-1]].degree
 
 
 def to_raw(x):

@@ -1,14 +1,15 @@
 """Parsing, validation, and the arc/long-arc/column decomposition."""
 
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from longzeta.diagram import (
-    Arc,
     Diagram,
+    InternalError,
     InvalidDiagram,
     PassageToken,
     connect_sum,
@@ -17,6 +18,7 @@ from longzeta.diagram import (
     read_gauss_file,
 )
 from longzeta.fuzz import random_diagram
+from reference import Arc, ArcModel
 
 
 class TestParse:
@@ -173,105 +175,180 @@ def test_render_parse_roundtrip_property(d):
     assert back.validate() == before
 
 
+def cells(dec):
+    return dec.rows, dec.thresholds, dec.united
+
+
 class TestDecomposition:
+    """The arc model's spec on tests/reference.ArcModel, each test also
+    pinning the cells decompose() reads off the tokens in one pass."""
+
     def test_kink_arc_table(self):
-        dec = decompose(generate("virtual_kink"))
-        got = [(a.index, a.start, a.end, a.long_arc, a.degree) for a in dec.arcs]
+        model = ArcModel(generate("virtual_kink"))
+        got = [(a.index, a.start, a.end, a.long_arc, a.degree) for a in model.arcs]
         assert got == [
             (0, -1, 1, 0, 0),
             (1, 1, 2, 0, 1),
             (2, 2, 3, 1, 0),
             (3, 3, 4, 1, -1),
         ]
-        la0, la1 = dec.long_arcs
+        la0, la1 = model.long_arcs
         assert (la0.is_initial, la0.is_final, la0.increasing) == (True, False, 1)
         assert (la1.is_initial, la1.is_final, la1.increasing) == (False, True, 0)
         assert la1.origin == 1
-        col, = dec.columns
+        col, = model.columns
         assert (col.crossing, col.long_arcs, col.threshold) == (1, (0, 1), 1)
-        assert dec.early == {1: "O"}
-        assert dec.sign == {1: 1}
+        assert model.early == {1: "O"}
+        assert model.sign == {1: 1}
+        # emanating: arc 2; over: arc 0; coming in: arc 1, at degree 1
+        assert cells(decompose(generate("virtual_kink"))) == (
+            [("p", 1, ((0, True, 0), (0, False, 0), (0, False, 1)))], [1], 0
+        )
 
     def test_early_under_kink(self):
-        dec = decompose(Diagram.parse("U1+ V2+ O1+ V2-"))
-        got = [(a.index, a.start, a.end, a.long_arc, a.degree) for a in dec.arcs]
+        d = Diagram.parse("U1+ V2+ O1+ V2-")
+        model = ArcModel(d)
+        got = [(a.index, a.start, a.end, a.long_arc, a.degree) for a in model.arcs]
         assert got == [
             (0, -1, 0, 0, 0),
             (1, 0, 1, 1, 0),
             (2, 1, 3, 1, 1),
             (3, 3, 4, 1, 0),
         ]
-        assert dec.early == {1: "U"}
+        assert model.early == {1: "U"}
+        assert cells(decompose(d)) == (
+            [("q", 1, ((0, True, 0), (0, True, 1), (0, False, 0)))], [1], 0
+        )
 
     def test_trefoil_columns(self):
-        dec = decompose(generate("classical_trefoil"))
-        assert [a.degree for a in dec.arcs] == [0, 0, 0, 0]
-        assert len(dec.long_arcs) == 4
+        model = ArcModel(generate("classical_trefoil"))
+        assert [a.degree for a in model.arcs] == [0, 0, 0, 0]
+        assert len(model.long_arcs) == 4
         # the crossing whose underpass cuts last owns the united column
-        owners = {c.crossing: c.long_arcs for c in dec.columns}
+        owners = {c.crossing: c.long_arcs for c in model.columns}
         assert owners == {1: (2,), 2: (1,), 3: (0, 3)}
-        assert all(c.threshold == 0 for c in dec.columns)
+        assert all(c.threshold == 0 for c in model.columns)
+        rows, thresholds, united = cells(decompose(generate("classical_trefoil")))
+        assert (thresholds, united) == ([0, 0, 0], 2)
+        # crossing 3 emanates into the final half of the united column
+        assert [row[2][0] for row in rows] == [(0, False, 0), (1, False, 0), (2, True, 0)]
 
     def test_empty_code(self):
-        dec = decompose(Diagram.parse(""))
-        assert dec.arcs == (Arc(0, -1, 0, 0, 0),)
-        la, = dec.long_arcs
+        model = ArcModel(Diagram.parse(""))
+        assert model.arcs == (Arc(0, -1, 0, 0, 0),)
+        la, = model.long_arcs
         assert la.is_initial and la.is_final and la.origin is None
-        assert dec.columns == ()
+        assert model.columns == ()
+        assert cells(decompose(Diagram.parse(""))) == ([], [], None)
 
     def test_position_lookups(self):
-        dec = decompose(generate("virtual_kink"))
+        model = ArcModel(generate("virtual_kink"))
         # the underpass at token 2 ends arc 1 and starts arc 2
-        assert [a.index for a in dec.arcs if a.start == 2] == [2]
-        assert [a.index for a in dec.arcs if a.end == 2] == [1]
-        assert dec.arc_containing(0).index == 0  # overpass token sits inside arc 0
-        assert not any(a.start == 0 for a in dec.arcs)
+        assert [a.index for a in model.arcs if a.start == 2] == [2]
+        assert [a.index for a in model.arcs if a.end == 2] == [1]
+        assert model.arc_containing(0).index == 0  # overpass token sits inside arc 0
+        assert not any(a.start == 0 for a in model.arcs)
         with pytest.raises(LookupError):
-            dec.arc_containing(2)  # cut token, not arc interior
+            model.arc_containing(2)  # cut token, not arc interior
+        # the same three arcs as (column, in final half, degree) cells
+        ((_, _, (emanating, over, incoming)),) = decompose(generate("virtual_kink")).rows
+        arcs = model.arcs
+        assert emanating == (0, True, arcs[2].degree)
+        assert over == (0, False, arcs[0].degree)
+        assert incoming == (0, False, arcs[1].degree)
 
     def test_arc_containing_matches_a_scan(self):
         rng = random.Random(37)
         for _ in range(200):
-            dec = decompose(random_diagram(rng, rng.randint(0, 8), rng.randint(0, 8)))
-            toks = dec.diagram.tokens
+            model = ArcModel(random_diagram(rng, rng.randint(0, 8), rng.randint(0, 8)))
+            toks = model.diagram.tokens
             for pos in range(-2, len(toks) + 2):
-                inside = [a for a in dec.arcs if a.start < pos < a.end]
+                inside = [a for a in model.arcs if a.start < pos < a.end]
                 # interior positions are exactly the overpass tokens
                 assert bool(inside) == (0 <= pos < len(toks) and toks[pos].kind == "O")
                 if inside:
-                    assert dec.arc_containing(pos) == inside[0]
+                    assert model.arc_containing(pos) == inside[0]
                 else:
                     with pytest.raises(LookupError, match="cut token"):
-                        dec.arc_containing(pos)
+                        model.arc_containing(pos)
+            assert cells(decompose(model.diagram)) == model.cells()
 
     def test_rejects_invalid(self):
         with pytest.raises(InvalidDiagram):
             decompose(Diagram.parse("O1+ U1-"))
 
+    def test_long_arc_count_is_checked(self):
+        d = generate("classical_trefoil")
+        d._counts = (4, 0)  # a classical count the tokens do not have
+        with pytest.raises(InternalError, match="one long arc per underpass"):
+            decompose(d)
+
     def test_random_structure(self):
         rng = random.Random(31)
         for _ in range(1000):
             n, kv = rng.randint(1, 6), rng.randint(0, 6)
-            dec = decompose(random_diagram(rng, n, kv))
-            assert len(dec.long_arcs) == n + 1
-            assert sum(la.increasing for la in dec.long_arcs) == kv
-            toks = dec.diagram.tokens
-            for la in dec.long_arcs:
+            model = ArcModel(random_diagram(rng, n, kv))
+            assert len(model.long_arcs) == n + 1
+            assert sum(la.increasing for la in model.long_arcs) == kv
+            toks = model.diagram.tokens
+            for la in model.long_arcs:
                 # degrees restart at 0 and take a +-1 step per virtual cut
-                assert dec.arcs[la.arcs[0]].degree == 0
+                assert model.arcs[la.arcs[0]].degree == 0
                 for a_idx, b_idx in zip(la.arcs, la.arcs[1:]):
-                    a, b = dec.arcs[a_idx], dec.arcs[b_idx]
+                    a, b = model.arcs[a_idx], model.arcs[b_idx]
                     assert a.end == b.start and toks[a.end].kind == "V"
                     assert b.degree == a.degree + toks[a.end].sign
                 # the ceiling of a long arc is hit at most once
-                degs = [dec.arcs[i].degree for i in la.arcs]
+                degs = [model.arcs[i].degree for i in la.arcs]
                 assert sum(1 for dg in degs if dg == la.increasing) <= 1
-            for col in dec.columns:
+            for col in model.columns:
                 for la_idx in col.long_arcs:
-                    la = dec.long_arcs[la_idx]
+                    la = model.long_arcs[la_idx]
                     assert all(
-                        dec.arcs[i].degree <= col.threshold for i in la.arcs
+                        model.arcs[i].degree <= col.threshold for i in la.arcs
                     )
+            dec = decompose(model.diagram)
+            # every emanating arc opens its long arc at degree 0, and no
+            # cell climbs past its column's threshold
+            assert all(row[2][0][2] == 0 for row in dec.rows)
+            assert all(
+                deg <= dec.thresholds[j] for row in dec.rows for j, _, deg in row[2]
+            )
+            assert sum(dec.thresholds) == kv
+
+
+DATA = Path(__file__).resolve().parent.parent / "src" / "longzeta" / "data"
+
+
+def test_one_pass_cells_match_the_arc_model():
+    codes = [read_gauss_file(str(path)) for path in sorted(DATA.glob("*.gauss"))]
+    codes += [Diagram.parse(text) for text in ("", "V1+ V1-", "V1- V2+ V1+ V2-")]
+    codes += [generate("virtual_kink_chain", r) for r in range(1, 6)]
+    assert len(codes) == 12
+    rng = random.Random(20261018)
+    codes += [random_diagram(rng, rng.randint(0, 12), rng.randint(0, 12)) for _ in range(600)]
+    for d in codes:
+        assert cells(decompose(d)) == ArcModel(d).cells(), d
+
+
+@st.composite
+def shuffled_codes(draw):
+    """Any order of the passages of a valid code is again a valid code."""
+    n, k = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    tokens = []
+    for cid in range(1, n + 1):
+        w = draw(st.sampled_from((1, -1)))
+        tokens += [PassageToken("O", cid, w), PassageToken("U", cid, w)]
+    for cid in range(n + 1, n + k + 1):
+        sense = draw(st.sampled_from((1, -1)))
+        tokens += [PassageToken("V", cid, sense), PassageToken("V", cid, -sense)]
+    return Diagram(draw(st.permutations(tokens)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(shuffled_codes())
+def test_one_pass_cells_match_on_shuffled_codes(d):
+    assert cells(decompose(d)) == ArcModel(d).cells()
 
 
 class TestConnectSum:

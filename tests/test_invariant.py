@@ -21,7 +21,7 @@ from longzeta.invariant import (
     zeta_split,
 )
 from longzeta.rings import RingT, ZetaPolynomial
-from reference import determinant, incidence, row_sums_at_s1
+from reference import ArcModel, determinant, incidence, row_sums_at_s1
 
 P = RingT.p_power(1)
 ONE = RingT.one()
@@ -31,8 +31,8 @@ ZP_ZERO = ZetaPolynomial.zero()
 
 def delta_plus(diagram):
     """Degree of the very last arc (the tail of the final long arc)."""
-    dec = decompose(diagram)
-    return dec.arcs[dec.long_arcs[-1].arcs[-1]].degree
+    model = ArcModel(diagram)
+    return model.arcs[model.long_arcs[-1].arcs[-1]].degree
 
 
 def rand_ring(rng):
@@ -81,9 +81,10 @@ class TestGoldens:
         assert cert.minimal and cert.det_b == q - ONE
 
     def test_incidence_kink(self):
-        dec = decompose(generate("virtual_kink"))
-        vals = [incidence(dec, 1, a) for a in dec.arcs]
+        model = ArcModel(generate("virtual_kink"))
+        vals = [incidence(model, 1, a) for a in model.arcs]
         assert vals == [P - ONE, -P, ONE, RingT.zero()]
+        dec = decompose(generate("virtual_kink"))
         assert incidence_matrix(dec) == [[ZetaPolynomial({0: P, 1: -P})]]
 
     def test_classical_kinks_vanish(self):
@@ -503,25 +504,25 @@ class TestCostBudget:
             zeta(d)
 
 
-def ring_views(dec):
+def ring_views(model):
     """zeta's matrix, its minus and plus halves and B over T, built from
-    incidence() on every (crossing, arc) pair."""
-    n = dec.diagram.n
-    final = dec.long_arcs[-1].index
-    united = dec.column_of_long_arc[final]
+    incidence() on every (crossing, arc) pair of an ArcModel."""
+    n = model.diagram.n
+    final = model.long_arcs[-1].index
+    united = model.column_of_long_arc[final]
     full, minus, plus = ([[ZP_ZERO] * n for _ in range(n)] for _ in range(3))
     lead = [[RingT.zero()] * n for _ in range(n)]
-    for i, cid in enumerate(dec.diagram.classical_ids()):
-        for arc in dec.arcs:
-            val = incidence(dec, cid, arc)
-            j = dec.column_of_long_arc[arc.long_arc]
+    for i, cid in enumerate(model.diagram.classical_ids()):
+        for arc in model.arcs:
+            val = incidence(model, cid, arc)
+            j = model.column_of_long_arc[arc.long_arc]
             term = ZetaPolynomial({arc.degree: val})
             full[i][j] += term
             if j != united or arc.long_arc != final:
                 minus[i][j] += term
             if j != united or arc.long_arc == final:
                 plus[i][j] += term
-            if arc.degree == dec.columns[j].threshold:
+            if arc.degree == model.columns[j].threshold:
                 lead[i][j] += val
     return full, minus, plus, lead
 
@@ -537,7 +538,7 @@ def test_direct_lifts_are_exact():
     codes += [Diagram.parse(text) for text in cancelling]
     for d in codes:
         dec = decompose(d)
-        full, minus, plus, lead = ring_views(dec)
+        full, minus, plus, lead = ring_views(ArcModel(d))
         assert incidence_matrix(dec) == full
         assert leading_matrix(dec) == lead
         assert zeta(dec) == berkowitz(full)

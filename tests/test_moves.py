@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from longzeta.diagram import Diagram, InvalidDiagram, PassageToken, decompose, generate
+from longzeta.diagram import Diagram, InvalidDiagram, PassageToken, generate
 from longzeta.fuzz import random_diagram
 from longzeta.invariant import zeta
 from longzeta.moves import (
@@ -26,7 +26,7 @@ from longzeta.moves import (
     random_equivalent,
 )
 from longzeta.rings import RingT, equal_up_to_q_power
-from reference import REFERENCE_SCANS
+from reference import REFERENCE_SCANS, ArcModel
 
 VK = generate("virtual_kink")  # O1+ V2+ U1+ V2-
 
@@ -461,12 +461,12 @@ def _random_codes(seed, count):
 
 def _cut_gap_reference(d):
     """{gap: degree of its arc if on the final long arc, else None}, read
-    off the full decomposition."""
-    dec = decompose(d)
+    off the arc model."""
+    model = ArcModel(d)
     out = {}
     for g in range(len(d) + 1):
-        (arc,) = [a for a in dec.arcs if a.start < g <= a.end]
-        out[g] = arc.degree if dec.long_arcs[arc.long_arc].is_final else None
+        (arc,) = [a for a in model.arcs if a.start < g <= a.end]
+        out[g] = arc.degree if model.long_arcs[arc.long_arc].is_final else None
     return out
 
 
@@ -488,7 +488,7 @@ def test_token_cut_gap_rule_matches_the_decomposition():
             assert "at gap %d " % g in str(err.value)
             assert "at degree %d;" % deg in str(err.value)
         if d.n >= 1:
-            assert _last_underpass(toks) == max(decompose(d).u_pos.values())
+            assert _last_underpass(toks) == max(ArcModel(d).u_pos.values())
         else:
             assert _last_underpass(toks) == -1
     assert seen_u_end > 20 and seen_v_end > 20
@@ -502,6 +502,34 @@ def test_site_existence_matches_enumeration():
         for kind in KINDS:
             has = _has_site(d, _KIND_TABLE[kind], d.n, _PairIndex(d.tokens))
             assert has == bool(enumerate_sites(d, kind)), (d, kind)
+
+
+def test_pattern_handlers_leave_their_input_unchanged():
+    # _pattern_sites hands one token list to the handler of every candidate
+    codes = list(_random_codes(91, 60))
+    rng = random.Random(91)
+    for seed in range(3):
+        d = random_diagram(rng, 6, 6)
+        _, log = random_equivalent(d, 40, seed, max_classical=12, max_virtual=12)
+        for move in log:
+            d = apply(d, move)
+            codes.append(d)
+    ran = {name: [0, 0] for name, kind in _KIND_TABLE.items() if kind.scan}
+    for d in codes:
+        index = _PairIndex(d.tokens)
+        for name, outcomes in ran.items():
+            kind = _KIND_TABLE[name]
+            for ps in kind.scan(index):
+                toks = list(d.tokens)
+                try:
+                    kind.handler(toks, ps, d)
+                    outcomes[0] += 1
+                except InapplicableMove:
+                    outcomes[1] += 1
+                assert toks == list(d.tokens), (d, name, ps)
+    # every pattern kind accepted candidates; the regime checks rejected some
+    assert all(accepted for accepted, _ in ran.values()), ran
+    assert ran["Triangle_classical"][1] and ran["Triangle_semivirtual"][1], ran
 
 
 # ------------------------------------ pair index against the direct scans

@@ -21,11 +21,10 @@ from longzeta.oracle import (
     raw_neg,
     raw_reduce,
     raw_sub,
-    raw3_from_parts,
-    raw3_reduce,
     spec_dual,
     spec_p_to_q,
 )
+from reference import raw3_from_parts, raw3_reduce
 
 P = {(1, 0): 1}
 Q = {(0, 1): 1}

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from longzeta import oracle
 from longzeta.rings import RingT, ZetaPolynomial, equal_up_to_q_power
+from reference import raw3_from_parts, raw3_reduce
 
 lau_dicts = st.dictionaries(
     st.integers(min_value=-4, max_value=4),
@@ -204,12 +205,12 @@ class TestZetaPolynomial:
 
 
 def _to_raw3(z: ZetaPolynomial) -> dict:
-    return oracle.raw3_from_parts({d: (c.lau, c.eps) for d, c in z.coeffs.items()})
+    return raw3_from_parts({d: (c.lau, c.eps) for d, c in z.coeffs.items()})
 
 
 def _from_raw3(raw: dict) -> ZetaPolynomial:
     out = ZetaPolynomial()
-    for d, (lau, eps) in oracle.raw3_reduce(raw).items():
+    for d, (lau, eps) in raw3_reduce(raw).items():
         out.coeffs[d] = RingT(lau, eps)
     return out
 

@@ -19,3 +19,39 @@ def test_no_assert_statements():
         ]
     assert len(list(SRC.glob("*.py"))) > 5
     assert found == []
+
+
+# bench/spans.py wraps these by name to time them; nothing in the library
+# calls them
+BENCH_WRAPPED = {"det_division_free", "incidence_matrix", "leading_matrix"}
+
+
+def _names_used(node, into):
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            into[sub.id] = into.get(sub.id, 0) + 1
+        elif isinstance(sub, ast.Attribute):
+            into[sub.attr] = into.get(sub.attr, 0) + 1
+
+
+def test_every_top_level_name_is_used_in_the_library():
+    # a function or class only the tests call belongs in the tests
+    used, defined, public = {}, [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        _names_used(tree, used)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                inside = {}
+                _names_used(node, inside)
+                defined.append((path.name, node.name, inside.get(node.name, 0)))
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                public.update(ast.literal_eval(node.value))
+    assert "zeta" in public and len(defined) > 50
+    unused = [
+        "%s:%s" % (file, name) for file, name, self_refs in defined
+        if used.get(name, 0) == self_refs and name not in public | BENCH_WRAPPED
+    ]
+    assert unused == []
