@@ -175,7 +175,7 @@ def test_render_parse_roundtrip_property(d):
     assert back.validate() == before
 
 
-def cells(dec):
+def one_pass_cells(dec):
     return dec.rows, dec.thresholds, dec.united
 
 
@@ -201,7 +201,7 @@ class TestDecomposition:
         assert model.early == {1: "O"}
         assert model.sign == {1: 1}
         # emanating: arc 2; over: arc 0; coming in: arc 1, at degree 1
-        assert cells(decompose(generate("virtual_kink"))) == (
+        assert one_pass_cells(decompose(generate("virtual_kink"))) == (
             [("p", 1, ((0, True, 0), (0, False, 0), (0, False, 1)))], [1], 0
         )
 
@@ -216,7 +216,7 @@ class TestDecomposition:
             (3, 3, 4, 1, 0),
         ]
         assert model.early == {1: "U"}
-        assert cells(decompose(d)) == (
+        assert one_pass_cells(decompose(d)) == (
             [("q", 1, ((0, True, 0), (0, True, 1), (0, False, 0)))], [1], 0
         )
 
@@ -228,7 +228,7 @@ class TestDecomposition:
         owners = {c.crossing: c.long_arcs for c in model.columns}
         assert owners == {1: (2,), 2: (1,), 3: (0, 3)}
         assert all(c.threshold == 0 for c in model.columns)
-        rows, thresholds, united = cells(decompose(generate("classical_trefoil")))
+        rows, thresholds, united = one_pass_cells(decompose(generate("classical_trefoil")))
         assert (thresholds, united) == ([0, 0, 0], 2)
         # crossing 3 emanates into the final half of the united column
         assert [row[2][0] for row in rows] == [(0, False, 0), (1, False, 0), (2, True, 0)]
@@ -239,7 +239,7 @@ class TestDecomposition:
         la, = model.long_arcs
         assert la.is_initial and la.is_final and la.origin is None
         assert model.columns == ()
-        assert cells(decompose(Diagram.parse(""))) == ([], [], None)
+        assert one_pass_cells(decompose(Diagram.parse(""))) == ([], [], None)
 
     def test_position_lookups(self):
         model = ArcModel(generate("virtual_kink"))
@@ -271,7 +271,7 @@ class TestDecomposition:
                 else:
                     with pytest.raises(LookupError, match="cut token"):
                         model.arc_containing(pos)
-            assert cells(decompose(model.diagram)) == model.cells()
+            assert one_pass_cells(decompose(model.diagram)) == model.cells()
 
     def test_rejects_invalid(self):
         with pytest.raises(InvalidDiagram):
@@ -328,7 +328,7 @@ def test_one_pass_cells_match_the_arc_model():
     rng = random.Random(20261018)
     codes += [random_diagram(rng, rng.randint(0, 12), rng.randint(0, 12)) for _ in range(600)]
     for d in codes:
-        assert cells(decompose(d)) == ArcModel(d).cells(), d
+        assert one_pass_cells(decompose(d)) == ArcModel(d).cells(), d
 
 
 @st.composite
@@ -348,7 +348,7 @@ def shuffled_codes(draw):
 @settings(max_examples=300, deadline=None)
 @given(shuffled_codes())
 def test_one_pass_cells_match_on_shuffled_codes(d):
-    assert cells(decompose(d)) == ArcModel(d).cells()
+    assert one_pass_cells(decompose(d)) == ArcModel(d).cells()
 
 
 class TestConnectSum:
