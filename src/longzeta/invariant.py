@@ -23,15 +23,19 @@ coefficients next to its two lifts, and the two integer-polynomial
 matrices are filled straight from the crossings.  incidence_matrix and
 leading_matrix are the T-valued views built from the same table.  The
 matrix has at most three nonzero entries per row, and most of them are
-+-monomials: units of the Laurent ring.  Each determinant therefore first
-eliminates on unit pivots in Markowitz order, which needs no division.
-What is left, a few rows at most, takes one pass over its nonzero entries
-for its monomial shifts, degree bounds and Hadamard bound, then runs
-fraction-free Bareiss elimination on entries packed into one integer each
-(Kronecker substitution), so the arithmetic is plain big-integer
-arithmetic; a remainder that would pack into more than
-PACKED_BITS_BUDGET bits is refused with DeterminantTooLarge.  The
-division-free Berkowitz recursion stays as the independent slow reference.
++-monomials: units of the Laurent ring.  A lifted matrix with an empty
+row or column is singular and yields 0 before any elimination; det B
+often has one.  Otherwise each determinant first eliminates on unit
+pivots in Markowitz order, which needs no division, with ties going to
+the lowest row and then to that row's first-entered column.  A remainder
+of one row is its single entry.  A remainder of two rows or more, a few
+rows at most, takes one pass over its nonzero entries for its monomial
+shifts, degree bounds and Hadamard bound, then runs fraction-free Bareiss
+elimination on entries packed into one integer each (Kronecker
+substitution), so the arithmetic is plain big-integer arithmetic; such a
+remainder that would pack into more than PACKED_BITS_BUDGET bits is
+refused with DeterminantTooLarge.  The division-free Berkowitz recursion
+stays as the independent slow reference.
 
 The leading matrix B keeps, per column, only the s^threshold coefficient,
 where threshold is the column's count of increasing virtual passages.  No
@@ -68,19 +72,22 @@ def _lift(x: RingT) -> tuple[dict[int, int], dict[int, int]]:
 
 
 def _incidence_rule() -> dict:
-    """The incidence rule, keyed by (role, t, w).
+    """The incidence rule, keyed by (t, w): one value per role.
 
     Role 0 is the arc emanating from the underpass, 1 the arc passing over,
     2 the arc coming into the underpass.  Each value is held as a RingT
-    followed by its two lifts, so t^w lifts to q^w and to
-    1 + [t = p]*w*eps, because p^w = q^w + w*(p - q).
+    followed by its two lifts as term tuples, ((q_exp, c), ...) and
+    ((eps_exp, c), ...), so t^w lifts to q^w and to 1 + [t = p]*w*eps,
+    because p^w = q^w + w*(p - q).
     """
     rule = {}
     for t in ("p", "q"):
         for w in (1, -1):
             tw = RingT.gen_power(t, w)
-            for role, val in enumerate((RingT.one(), tw - RingT.one(), -tw)):
-                rule[role, t, w] = (val, *_lift(val))
+            rule[t, w] = tuple(
+                (val, *(tuple(part.items()) for part in _lift(val)))
+                for val in (RingT.one(), tw - RingT.one(), -tw)
+            )
     return rule
 
 
@@ -95,8 +102,8 @@ def _column_contributions(dec: Decomposition):
     order.  The rule value is an _INCIDENCE value.
     """
     for i, (t, w, cells) in enumerate(dec.rows):
-        for role, (j, in_final, deg) in enumerate(cells):
-            yield i, j, in_final, deg, _INCIDENCE[role, t, w]
+        for (j, in_final, deg), rule in zip(cells, _INCIDENCE[t, w]):
+            yield i, j, in_final, deg, rule
 
 
 def _matrix_dec(diagram_or_dec) -> Decomposition:
@@ -169,12 +176,14 @@ def det_division_free(mat, one, zero):
     return det if n % 2 == 0 else -det
 
 
-# The largest packed size, b * digits bits, that _det_packed eliminates.
+# The largest packed size, b * digits bits, that _det_packed eliminates;
+# it bounds only remainders of two rows or more, the only ones packed.
 # Bareiss's exact big-integer divisions make its cost grow about
 # quadratically with that size.  zeta on fuzz.random_diagram(Random(nk),
-# nk, nk) packs 157k bits at n = k = 60 (0.6 s) and 902k bits at
-# n = k = 70 (31 s, Python 3.11 on a 2-vCPU Xeon), so a determinant over
-# this budget is refused up front instead of run for minutes.
+# nk, nk) packs 157k bits at n = k = 60 (zeta: 0.46 s, BENCH_7.json) and
+# 902k bits at n = k = 70 (31 s, Python 3.11 on a 2-vCPU Xeon), so a
+# determinant over this budget is refused up front instead of run for
+# minutes.
 PACKED_BITS_BUDGET = 1 << 19
 
 
@@ -185,55 +194,76 @@ class DeterminantTooLarge(ValueError):
 
 def _det_sparse(rows) -> dict[tuple[int, int], int]:
     """Determinant over Z[x^+-1, y^+-1] of a square matrix given as sparse
-    rows: row i is {column: {(x_exp, y_exp): c}}, columns 0 .. n-1.
+    rows: row i is {column: {(x_exp, y_exp): c}}, columns 0 .. n-1.  The
+    rows and their entries are left unchanged.
 
-    Every zeta, split and det B determinant comes through here.  While
+    Every zeta, split and det B determinant comes through here.  A matrix
+    with an empty row or column -- after zero terms are dropped -- is
+    structurally singular and yields {} before any elimination.  While
     some entry is a unit of the Laurent ring -- one term, coefficient +-1
     -- the unit with the least Markowitz cost (row nonzeros - 1) *
-    (column nonzeros - 1) is the pivot (Markowitz 1957).  Its inverse is
-    again a +-monomial, so clearing its column is exact and needs no
-    division; the determinant gains the pivot as a factor and the sign of
-    its position.  What is left goes to _det_packed, skipped when nothing
-    is.  Pivots may be any monomial, eps^b ones of the dual lift
+    (column nonzeros - 1) is the pivot (Markowitz 1957); ties go to the
+    lowest row index, then to the column that entered that row first
+    (fill-ins enter after the entries already there, in pivot-row
+    order).  Its inverse is again a +-monomial, so clearing its column is
+    exact and needs no division; the determinant gains the pivot as a
+    factor and the sign of its position.  Each row keeps its cheapest
+    unit, and a pivot
+    re-prices only the rows it changed and the rows with an entry in a
+    column whose count it changed.  A remainder of one row is its single
+    entry, possibly empty; a remainder of two rows or more goes to
+    _det_packed.  Pivots may be any monomial, eps^b ones of the dual lift
     included: both lifts are polynomial matrices, and their determinant is
     the same polynomial whether it is computed over the polynomial or the
     Laurent ring, so dividing by x^a y^b along the way is sound, and
     _combine reads only the eps^0 and eps^1 slices of the result.
     """
     n = len(rows)
-    live = []  # the rows with zero terms and empty entries dropped
+    live = []  # shallow row copies, zero terms and empty entries dropped
     cols = [set() for _ in range(n)]  # the rows with an entry in each column
     for i, row in enumerate(rows):
         out = {}
         for j, x in row.items():
-            x = {e: c for e, c in x.items() if c}
+            if 0 in x.values():
+                x = {e: c for e, c in x.items() if c}
             if x:
                 out[j] = x
                 cols[j].add(i)
+        if not out:
+            return {}  # a zero row
         live.append(out)
-    left = set(range(n))  # rows not eliminated yet
+    if not all(cols):
+        return {}  # a zero column
+    inf = float("inf")
+    costs = [inf] * n  # each uneliminated row's least unit cost, inf if none
+    units = [None] * n  # the unit at that cost: (column, exponents, c)
     match = [None] * n  # each eliminated row's pivot column
     unit, ux, uy = 1, 0, 0  # product of the pivots, unit * x^ux * y^uy
+    stale = range(n)  # the rows to price
     while True:
-        best = None
-        for i in left:
-            row = live[i]
+        for r in stale:
+            row = live[r]
+            m = len(row) - 1
+            cost = inf
             for j, x in row.items():
                 if len(x) == 1:
                     ((e, c),) = x.items()
-                    if c == 1 or c == -1:
-                        cost = (len(row) - 1) * (len(cols[j]) - 1)
-                        if best is None or cost < best[0]:
-                            best = (cost, i, j, e, c)
-            if best is not None and best[0] == 0:
-                break
-        if best is None:
+                    if (c == 1 or c == -1) and m * (len(cols[j]) - 1) < cost:
+                        cost = m * (len(cols[j]) - 1)
+                        units[r] = (j, e, c)
+                        if not cost:
+                            break
+            costs[r] = cost
+        best = min(costs, default=inf)
+        if best == inf:
             break
-        _, i, j, (px, py), pc = best
+        i = costs.index(best)
+        j, (px, py), pc = units[i]
         pivot_row = live[i]
-        for r in cols[j]:
-            if r == i:
-                continue
+        stale = cols[j]
+        cols[j] = set()
+        stale.discard(i)
+        for r in stale:
             row = live[r]
             # row r -= (row r's column j entry / pivot) * pivot row
             f = [(ex - px, ey - py, c * pc) for (ex, ey), c in row.pop(j).items()]
@@ -244,6 +274,8 @@ def _det_sparse(rows) -> dict[tuple[int, int], int]:
                 if z is None:
                     z = row[col] = {}
                     cols[col].add(r)
+                else:
+                    z = row[col] = dict(z)  # copy on write: z may be the input's
                 for (ax, ay), a in y.items():
                     for fx, fy, fc in f:
                         key = (ax + fx, ay + fy)
@@ -256,15 +288,16 @@ def _det_sparse(rows) -> dict[tuple[int, int], int]:
                     del row[col]
                     cols[col].discard(r)
         for col in pivot_row:
-            cols[col].discard(i)
-        cols[j] = set()
-        left.discard(i)
+            if col != j:
+                cols[col].discard(i)
+                stale |= cols[col]
+        costs[i] = inf
         match[i] = j
         unit *= pc
         ux += px
         uy += py
 
-    rest_rows = sorted(left)
+    rest_rows = [i for i in range(n) if match[i] is None]
     rest_cols = sorted(set(range(n)).difference(match))
     for i, j in zip(rest_rows, rest_cols):
         match[i] = j
@@ -280,13 +313,18 @@ def _det_sparse(rows) -> dict[tuple[int, int], int]:
         unit = -unit
     if not rest_rows:
         return {(ux, uy): unit}
-    det = _det_packed([[live[i].get(j, {}) for j in rest_cols] for i in rest_rows])
+    if len(rest_rows) == 1:
+        det = live[rest_rows[0]].get(rest_cols[0], {})
+    else:
+        det = _det_packed([[live[i].get(j, {}) for j in rest_cols] for i in rest_rows])
     return {(ex + ux, ey + uy): unit * c for (ex, ey), c in det.items()}
 
 
 def _det_packed(mat) -> dict[tuple[int, int], int]:
     """Determinant over Z[x^+-1, y^+-1] of a matrix of {(x_exp, y_exp): c}:
-    the Bareiss path, run on what _det_sparse cannot eliminate on units.
+    the Bareiss path, run on a remainder of two rows or more that
+    _det_sparse cannot eliminate on units.  Such a remainder may still
+    hold a zero row or column, which the bound pass below detects.
 
     Rows, then columns, are divided by the largest monomial dividing them,
     so every exponent is non-negative.  The determinant P then has
@@ -442,22 +480,24 @@ def _lifted(dec: Decomposition, pick) -> ZetaPolynomial:
 
     pick(column, in_final_half, degree) gives the s-exponent at which a
     contribution enters its entry, or None to leave it out.  The two lifts
-    of the matrix are filled as sparse rows straight from the rule table,
-    with no RingT arithmetic.
+    of the matrix are filled as sparse rows straight from dec.rows and the
+    rule table, with no RingT arithmetic.
     """
     n = dec.diagram.n
     laurent = [{} for _ in range(n)]
     dual = [{} for _ in range(n)]
-    for i, j, in_final, deg, (_, lau, eps) in _column_contributions(dec):
-        d = pick(j, in_final, deg)
-        if d is None:
-            continue
-        x = laurent[i].setdefault(j, {})
-        for e, c in lau.items():
-            x[e, d] = x.get((e, d), 0) + c
-        x = dual[i].setdefault(j, {})
-        for e, c in eps.items():
-            x[d, e] = x.get((d, e), 0) + c
+    for (t, w, cells), lau_row, dual_row in zip(dec.rows, laurent, dual):
+        for (j, in_final, deg), (_, lau, eps) in zip(cells, _INCIDENCE[t, w]):
+            d = pick(j, in_final, deg)
+            if d is None:
+                continue
+            x = lau_row.setdefault(j, {})
+            for e, c in lau:
+                x[e, d] = x.get((e, d), 0) + c
+            if eps:  # q^w - 1 lifts to 0 in the dual
+                x = dual_row.setdefault(j, {})
+                for e, c in eps:
+                    x[d, e] = x.get((d, e), 0) + c
     return _combine(_det_sparse(laurent), _det_sparse(dual))
 
 

@@ -86,11 +86,13 @@ class MoveSpec:
 
     def __post_init__(self):
         for code, p in zip(_schema(self.kind, len(self.params)), self.params):
+            # codec values are ints and strs; exact types keep out True and
+            # 1.0, which equal 1 but are neither a position nor a sign
             words = _CODECS[code][1]
             if words is None:
-                ok = isinstance(p, int) and not isinstance(p, bool)
+                ok = type(p) is int
             else:
-                ok = p in words.values()
+                ok = p in words.values() and type(p) in (int, str)
             if not ok:
                 raise ValueError("bad parameter %r for %s" % (p, self.kind))
 

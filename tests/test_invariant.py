@@ -1,5 +1,6 @@
 """Zeta goldens, determinant cross-checks, and the structure theorems."""
 
+import copy
 import random
 
 import pytest
@@ -407,20 +408,26 @@ def sparse_matrices(draw):
     """Sparse rows over Z[x^+-1, y^+-1] whose entries are drawn from one
     mix: every unit exponent pair, eps^b-like (0, b) and negative ones
     included.  Optionally one row is a unit multiple of another, so the
-    elimination cancels a whole row, and optionally the matrix is
-    transposed, so it cancels a whole column instead."""
+    elimination cancels a whole row, or one row is empty from the start,
+    possibly as entries of zero terms only; optionally the matrix is
+    transposed, so the cancelled or empty line is a column instead."""
     n = draw(st.integers(1, 5))
     entries = st.none() | ENTRY_MIXES[draw(st.sampled_from(sorted(ENTRY_MIXES)))]
     rows = [
         {j: x for j in range(n) if (x := draw(entries)) is not None}
         for _ in range(n)
     ]
-    if n > 1 and draw(st.booleans()):
+    zero_line = draw(st.sampled_from(("none", "unit multiple", "empty")))
+    if n > 1 and zero_line == "unit multiple":
         src, dst = draw(st.permutations(range(n)))[:2]
         (((ux, uy), uc),) = draw(unit_entries).items()
         rows[dst] = {
             j: {(ex + ux, ey + uy): uc * c for (ex, ey), c in x.items()}
             for j, x in rows[src].items()
+        }
+    elif zero_line == "empty":
+        rows[draw(st.integers(0, n - 1))] = {
+            j: {(0, 0): 0} for j in draw(st.sets(st.integers(0, n - 1)))
         }
     if draw(st.booleans()):
         rows = [{i: row[j] for i, row in enumerate(rows) if j in row} for j in range(n)]
@@ -431,11 +438,13 @@ def dense(rows):
     return [[row.get(j, {}) for j in range(len(rows))] for row in rows]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(sparse_matrices())
 def test_elimination_matches_bareiss_and_berkowitz(rows):
     mat = dense(rows)
+    before = copy.deepcopy(rows)
     got = invariant._det_sparse(rows)
+    assert rows == before
     assert got == invariant._det_packed(mat)
     assert got == berkowitz_raw(mat)
 
@@ -470,6 +479,42 @@ class TestSparseElimination:
         rows = [{0: {(0, 0): 2}, 1: {(1, 0): 3}}, {0: {(0, 1): 1, (0, 0): 1}, 1: {(0, 0): -2}}]
         assert invariant._det_sparse(rows) == raw_det(dense(rows))
         assert sizes == [2]
+
+    def test_empty_column_skips_bareiss(self, monkeypatch):
+        sizes = self.spy(monkeypatch)
+        # no unit anywhere, so only the structural check avoids Bareiss
+        x, y = {(0, 0): 2, (1, 0): 1}, {(0, 1): 3}
+        rows = [{0: x, 1: y}, {0: y, 2: {(2, 2): 0}}, {1: x}]
+        assert invariant._det_sparse(rows) == {}
+        assert invariant._det_sparse([{0: x}, {0: y}]) == {}
+        assert sizes == []
+
+    def test_one_row_remainder_skips_bareiss(self, monkeypatch):
+        sizes = self.spy(monkeypatch)
+        # both units cost 1; the tie goes to row 0, whose unit sits off the
+        # diagonal, so the pivot's position carries the sign -1 and row 1
+        # keeps the non-unit 3y + 2x^3
+        rows = [{0: {(1, 0): 2}, 1: {(0, 0): 1}}, {0: {(0, 1): 3}, 1: {(2, 0): -1}}]
+        want = raw_det(dense(rows))
+        assert want == {(3, 0): -2, (0, 1): -3}
+        assert invariant._det_sparse(rows) == want
+        # equal rows: the pivot cancels the remainder's single entry, which
+        # is one dict shared by both rows and must survive the elimination
+        x = {(1, 1): 2}
+        rows = [{0: {(0, 0): 1}, 1: x}, {0: {(0, 0): 1}, 1: x}]
+        assert invariant._det_sparse(rows) == {}
+        assert x == {(1, 1): 2}
+        assert sizes == []
+
+    def test_pivot_rule_pins_remainder_sizes(self, monkeypatch):
+        # the Laurent remainders of the growth series; the dual lift's are
+        # one row, which no longer reach _det_packed.  Any change to the
+        # pivot choice or the re-pricing shows here as other sizes.
+        sizes = self.spy(monkeypatch)
+        for nk, want in ((20, [2]), (30, [3]), (40, [6]), (50, [5]), (60, [8])):
+            sizes.clear()
+            zeta(random_diagram(random.Random(nk), nk, nk))
+            assert sizes == want, nk
 
     def test_large_code_against_bareiss_alone(self, monkeypatch):
         d = random_diagram(random.Random(25), 25, 25)

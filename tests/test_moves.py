@@ -112,6 +112,10 @@ def test_spec_validates_parameters():
         ("R1_delete", (True,), "bad parameter True for R1_delete"),
         ("V1_insert", (0, 2), "bad parameter 2 for V1_insert"),
         ("R1_insert", (0, 1, "QO"), "bad parameter 'QO' for R1_insert"),
+        # nor are booleans or floats signs and senses
+        ("V1_insert", (0, True), "bad parameter True for V1_insert"),
+        ("R1_insert", (0, 1.0, "UO"), "bad parameter 1.0 for R1_insert"),
+        ("V2_insert", (0, 1, -1.0, "parallel"), "bad parameter -1.0 for V2_insert"),
         ("V2_insert", (0, 1, 1, "crossed"), "bad parameter 'crossed' for V2_insert"),
     ]
     for kind, params, msg in cases:
