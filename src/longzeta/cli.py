@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 invalid input (unreadable file, bad code, bad
 move, bad flags), 2 internal invariant violation (an InternalError, such
-as a failed cross-check, or a failed fuzz trajectory -- these indicate a
-bug, not bad input).
+as a failed cross-check, any other unexpected exception, or a failed fuzz
+trajectory -- these indicate a bug, not bad input).
 """
 
 from __future__ import annotations
@@ -254,8 +254,9 @@ def main(argv=None) -> int:
     except (OSError, InvalidDiagram, InapplicableMove, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    except InternalError as exc:
-        print("internal invariant violation: %s" % exc, file=sys.stderr)
+    except Exception as exc:  # an InternalError or any other fault: a bug
+        kind = "" if isinstance(exc, InternalError) else type(exc).__name__ + ": "
+        print("internal invariant violation: %s%s" % (kind, exc), file=sys.stderr)
         return 2
 
 

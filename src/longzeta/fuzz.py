@@ -5,8 +5,10 @@ random move sequence, and checks every intermediate diagram three ways:
 the top s-degree of zeta never exceeds the virtual crossing count, the
 s^k coefficient equals det B, and zeta transforms exactly as the move
 laws predict (unchanged, except kinks of the second type, which each
-contribute one power of q).  Trials keep their full move logs, so any
-failure can be replayed line by line.
+contribute one power of q).  The first two laws are
+invariant.check_theorems, the check certify_minimality runs too; this
+module checks only the transport law itself.  Trials keep their full move
+logs, so any failure can be replayed line by line.
 """
 
 from __future__ import annotations
@@ -14,10 +16,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from longzeta.diagram import Decomposition, Diagram, PassageToken, decompose, generate
-from longzeta.invariant import leading_determinant, zeta
+from longzeta.diagram import Diagram, PassageToken, decompose, generate
+from longzeta.invariant import check_theorems, zeta
 from longzeta.moves import MoveSpec, apply, random_equivalent
-from longzeta.rings import RingT, ZetaPolynomial
+from longzeta.rings import RingT
 
 # growth caps for walked codes; sources stay well under these
 MAX_CLASSICAL = 10
@@ -54,26 +56,6 @@ def predicted_shift(before: Diagram, move: MoveSpec) -> int:
         if t.kind == "U":
             return -t.sign
     return 0
-
-
-def check_theorems(diagram_or_dec, z: ZetaPolynomial) -> list[str]:
-    """Degree-bound and leading-coefficient checks on one diagram."""
-    if isinstance(diagram_or_dec, Decomposition):
-        d = diagram_or_dec.diagram
-    else:
-        d = diagram_or_dec
-    problems = []
-    top = z.top_degree()
-    if top is not None and top > d.k:
-        problems.append("top degree %d exceeds k=%d" % (top, d.k))
-    sk = z.coeff(d.k)
-    det_b = leading_determinant(diagram_or_dec)
-    if det_b != sk:
-        problems.append(
-            "det B = %s but the s^%d coefficient is %s"
-            % (det_b.render(), d.k, sk.render())
-        )
-    return problems
 
 
 @dataclass

@@ -17,11 +17,12 @@ T has zero divisors, but the ring map f(q) + a*(p - q) -> (f, f(1) + a*eps)
 embeds it into Z[q^+-1] x Z[eps]/(eps^2), the pair of specializations the
 oracle uses.  The determinant is therefore taken twice over integral
 domains: over Z[q, s] for the Laurent part, and over Z[s, eps] for the
-(p - q) part, read off the eps^1 slice.  zeta, its split halves and det B
-never build a matrix over T: one table holds each of the twelve incidence
-coefficients next to its two lifts, and the two integer-polynomial
-matrices are filled straight from the crossings.  incidence_matrix and
-leading_matrix are the T-valued views built from the same table.  The
+(p - q) part, read off the eps^1 slice.  Nothing builds a matrix over T:
+one table holds the two lifts of each of the twelve incidence
+coefficients, and _fill fills the two integer-polynomial matrices
+straight from the crossings.  zeta, its split halves and det B eliminate
+those lifted rows, and incidence_matrix and leading_matrix, the T-valued
+views, read the same rows back entry by entry.  The
 matrix has at most three nonzero entries per row, and most of them are
 +-monomials: units of the Laurent ring.  A lifted matrix with an empty
 row or column is singular and yields 0 before any elimination; det B
@@ -46,7 +47,9 @@ column's two halves both reach it exactly when neither has an increasing
 passage; the entry then sums both contributions, still the s^threshold
 coefficient of the matrix entry.  A nonzero det B therefore certifies that
 the diagram realizes the minimal virtual crossing number among all
-equivalent diagrams.
+equivalent diagrams.  Both laws, the degree bound and det B = the s^k
+coefficient, are checked in one place, check_theorems, which
+certify_minimality and the move fuzzer share.
 """
 
 from __future__ import annotations
@@ -59,9 +62,9 @@ from longzeta.rings import RingT, ZetaPolynomial
 
 
 class CrossCheckError(InternalError):
-    """Two independently computed values disagreed: det B and the s^k
-    coefficient of zeta, or the two integral-domain images of one
-    determinant.  A mismatch means an implementation bug, never bad input.
+    """A law of zeta failed (its top s-degree exceeds k, or det B differs
+    from its s^k coefficient), or the two integral-domain images of one
+    determinant disagreed.  It means an implementation bug, never bad input.
     """
 
 
@@ -75,35 +78,23 @@ def _incidence_rule() -> dict:
     """The incidence rule, keyed by (t, w): one value per role.
 
     Role 0 is the arc emanating from the underpass, 1 the arc passing over,
-    2 the arc coming into the underpass.  Each value is held as a RingT
-    followed by its two lifts as term tuples, ((q_exp, c), ...) and
-    ((eps_exp, c), ...), so t^w lifts to q^w and to 1 + [t = p]*w*eps,
-    because p^w = q^w + w*(p - q).
+    2 the arc coming into the underpass.  Each value is held only as its
+    two lifts, term tuples ((q_exp, c), ...) and ((eps_exp, c), ...), so
+    t^w lifts to q^w and to 1 + [t = p]*w*eps, because p^w = q^w + w*(p - q).
+    The T-valued views are read back from lifted rows by _combine.
     """
     rule = {}
     for t in ("p", "q"):
         for w in (1, -1):
             tw = RingT.gen_power(t, w)
             rule[t, w] = tuple(
-                (val, *(tuple(part.items()) for part in _lift(val)))
+                tuple(tuple(part.items()) for part in _lift(val))
                 for val in (RingT.one(), tw - RingT.one(), -tw)
             )
     return rule
 
 
 _INCIDENCE = _incidence_rule()
-
-
-def _column_contributions(dec: Decomposition):
-    """Yield (row_index, column_index, in_final_half, degree, rule value).
-
-    Each crossing touches at most three arcs, so the matrix has at most
-    three nonzero contributions per row; dec.rows lists them in role
-    order.  The rule value is an _INCIDENCE value.
-    """
-    for i, (t, w, cells) in enumerate(dec.rows):
-        for (j, in_final, deg), rule in zip(cells, _INCIDENCE[t, w]):
-            yield i, j, in_final, deg, rule
 
 
 def _matrix_dec(diagram_or_dec) -> Decomposition:
@@ -114,14 +105,9 @@ def _matrix_dec(diagram_or_dec) -> Decomposition:
 
 
 def incidence_matrix(diagram_or_dec) -> list[list[ZetaPolynomial]]:
-    """The n x n matrix over T[s^+-1] whose determinant is zeta.  Rejects
-    n = 0.  zeta itself goes straight to the lifts of this matrix."""
-    dec = _matrix_dec(diagram_or_dec)
-    n = dec.diagram.n
-    mat = [[ZetaPolynomial.zero() for _ in range(n)] for _ in range(n)]
-    for i, j, _half, deg, rule in _column_contributions(dec):
-        mat[i][j] = mat[i][j] + ZetaPolynomial({deg: rule[0]})
-    return mat
+    """The n x n matrix over T[s^+-1] whose determinant is zeta, read entry
+    by entry off the lifted rows that zeta eliminates.  Rejects n = 0."""
+    return _view(_matrix_dec(diagram_or_dec), _zeta_pick)
 
 
 def _as_dec(diagram_or_dec) -> Decomposition:
@@ -454,7 +440,10 @@ def _combine(lau_det, dual_det) -> ZetaPolynomial:
 
     lau_det is over Z[q, s] keyed (q_exp, s_exp), dual_det over Z[s, eps]
     keyed (s_exp, eps_exp).  The eps^0 slice must equal the Laurent part
-    at q = 1, which is checked; the eps^1 slice is the (p - q) part.
+    at q = 1, which is checked; the eps^1 slice is the (p - q) part.  One
+    entry of the lifts reassembles the same way, which is how the T-valued
+    views are read; an entry whose contributions cancel may hold zero
+    coefficients, which both slices drop.
     """
     lau_parts: dict[int, dict[int, int]] = {}
     at_one: dict[int, int] = {}
@@ -462,7 +451,7 @@ def _combine(lau_det, dual_det) -> ZetaPolynomial:
         lau_parts.setdefault(d, {})[e] = c
         at_one[d] = at_one.get(d, 0) + c
     if {d: c for d, c in at_one.items() if c} != {
-        d: c for (d, e), c in dual_det.items() if e == 0
+        d: c for (d, e), c in dual_det.items() if e == 0 and c
     }:
         raise CrossCheckError(
             "the eps^0 slice of the dual determinant differs from the"
@@ -475,19 +464,22 @@ def _combine(lau_det, dual_det) -> ZetaPolynomial:
     })
 
 
-def _lifted(dec: Decomposition, pick) -> ZetaPolynomial:
-    """Determinant of the matrix built from the contributions pick keeps.
+def _fill(dec: Decomposition, pick):
+    """The two lifts of the matrix built from the contributions pick keeps,
+    as the sparse rows (laurent, dual) that _det_sparse takes.
 
     pick(column, in_final_half, degree) gives the s-exponent at which a
-    contribution enters its entry, or None to leave it out.  The two lifts
-    of the matrix are filled as sparse rows straight from dec.rows and the
-    rule table, with no RingT arithmetic.
+    contribution enters its entry, or None to leave it out.  Both lifts
+    are filled straight from dec.rows and the rule table, with no RingT
+    arithmetic: Laurent entries keyed (q_exp, s_exp), dual entries keyed
+    (s_exp, eps_exp).  Every determinant and both T-valued views read
+    these rows.
     """
     n = dec.diagram.n
     laurent = [{} for _ in range(n)]
     dual = [{} for _ in range(n)]
     for (t, w, cells), lau_row, dual_row in zip(dec.rows, laurent, dual):
-        for (j, in_final, deg), (_, lau, eps) in zip(cells, _INCIDENCE[t, w]):
+        for (j, in_final, deg), (lau, eps) in zip(cells, _INCIDENCE[t, w]):
             d = pick(j, in_final, deg)
             if d is None:
                 continue
@@ -498,13 +490,39 @@ def _lifted(dec: Decomposition, pick) -> ZetaPolynomial:
                 x = dual_row.setdefault(j, {})
                 for e, c in eps:
                     x[d, e] = x.get((d, e), 0) + c
+    return laurent, dual
+
+
+def _det(lifts) -> ZetaPolynomial:
+    laurent, dual = lifts
     return _combine(_det_sparse(laurent), _det_sparse(dual))
+
+
+def _view(dec: Decomposition, pick) -> list[list[ZetaPolynomial]]:
+    """The matrix over T[s^+-1] that _fill(dec, pick) lifts."""
+    laurent, dual = _fill(dec, pick)
+    return [
+        [_combine(lau.get(j, {}), eps.get(j, {})) for j in range(len(laurent))]
+        for lau, eps in zip(laurent, dual)
+    ]
+
+
+def _zeta_pick(_j, _in_final, deg):
+    """zeta's pick: every contribution enters at its arc degree."""
+    return deg
+
+
+def _b_pick(dec: Decomposition):
+    """B's pick: a contribution enters at s^0 when its degree is its
+    column's threshold, and is left out otherwise."""
+    thresholds = dec.thresholds
+    return lambda j, _in_final, deg: 0 if deg == thresholds[j] else None
 
 
 def zeta(diagram_or_dec) -> ZetaPolynomial:
     """The zeta polynomial; 1 for diagrams without classical crossings,
     the determinant of the empty matrix."""
-    return _lifted(_as_dec(diagram_or_dec), lambda _j, _in_final, deg: deg)
+    return _det(_fill(_as_dec(diagram_or_dec), _zeta_pick))
 
 
 def zeta_split(diagram_or_dec) -> tuple[ZetaPolynomial, ZetaPolynomial]:
@@ -519,19 +537,15 @@ def zeta_split(diagram_or_dec) -> tuple[ZetaPolynomial, ZetaPolynomial]:
             deg if j != united or in_final == final else None
         )
 
-    return _lifted(dec, half(False)), _lifted(dec, half(True))
+    return _det(_fill(dec, half(False))), _det(_fill(dec, half(True)))
 
 
 def leading_matrix(diagram_or_dec) -> list[list[RingT]]:
-    """Matrix B of s^threshold coefficients, one threshold per column.
-    Rejects n = 0."""
+    """Matrix B of s^threshold coefficients, one threshold per column, read
+    entry by entry off the lifted rows that det B eliminates.  Rejects
+    n = 0."""
     dec = _matrix_dec(diagram_or_dec)
-    n = dec.diagram.n
-    mat = [[RingT.zero() for _ in range(n)] for _ in range(n)]
-    for i, j, _half, deg, rule in _column_contributions(dec):
-        if deg == dec.thresholds[j]:
-            mat[i][j] = mat[i][j] + rule[0]
-    return mat
+    return [[x.coeff(0) for x in row] for row in _view(dec, _b_pick(dec))]
 
 
 def leading_determinant(diagram_or_dec) -> RingT:
@@ -543,10 +557,28 @@ def leading_determinant(diagram_or_dec) -> RingT:
     dec = _as_dec(diagram_or_dec)
     if dec.diagram.n == 0:
         return ZetaPolynomial.one().coeff(dec.diagram.k)
-    thresholds = dec.thresholds
-    return _lifted(
-        dec, lambda j, _in_final, deg: 0 if deg == thresholds[j] else None
-    ).coeff(0)
+    return _det(_fill(dec, _b_pick(dec))).coeff(0)
+
+
+def check_theorems(diagram_or_dec, z: ZetaPolynomial) -> list[str]:
+    """The two laws of zeta on one diagram whose zeta is z: its top s-degree
+    is at most k, and its s^k coefficient equals det B, computed on its own
+    from the leading matrix.  Returns one text per broken law, so an empty
+    list means both hold."""
+    dec = _as_dec(diagram_or_dec)
+    k = dec.diagram.k
+    problems = []
+    top = z.top_degree()
+    if top is not None and top > k:
+        problems.append("top degree %d exceeds k=%d" % (top, k))
+    sk = z.coeff(k)
+    det_b = leading_determinant(dec)
+    if det_b != sk:
+        problems.append(
+            "det B = %s but the s^%d coefficient is %s"
+            % (det_b.render(), k, sk.render())
+        )
+    return problems
 
 
 @dataclass(frozen=True)
@@ -575,25 +607,24 @@ def certify_minimality(diagram_or_dec) -> MinimalityCertificate:
 
     minimal=True is a proof (a nonzero s^k coefficient survives every
     equivalence move); minimal=False only means this certificate is silent.
-    The s^k coefficient is computed twice, from zeta and as det B, and the
-    two must agree exactly.
+    Both laws of zeta are checked first (check_theorems): its top s-degree
+    is at most k, and its s^k coefficient equals det B, computed on its
+    own.  A broken law is an internal fault, and CrossCheckError names each
+    one that broke.
     """
     dec = _as_dec(diagram_or_dec)
-    k = dec.diagram.k
     z = zeta(dec)
-    sk = z.coeff(k)
-    det_b = leading_determinant(dec)
-    if det_b != sk:
-        raise CrossCheckError(
-            "det B = %s but the s^%d coefficient of zeta is %s"
-            % (det_b.render(), k, sk.render())
-        )
+    problems = check_theorems(dec, z)
+    if problems:
+        raise CrossCheckError("; ".join(problems))
+    k = dec.diagram.k
+    sk = z.coeff(k)  # equal to det B, as just checked
     return MinimalityCertificate(
         k=k,
-        det_b=det_b,
+        det_b=sk,
         sk_coeff=sk,
         zeta_top=z.top_degree(),
-        minimal=not det_b.is_zero(),
+        minimal=not sk.is_zero(),
         cross_check_passed=True,
     )
 

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 from dataclasses import dataclass
 
 from longzeta.diagram import Diagram, InternalError, PassageToken
@@ -53,6 +54,10 @@ class InapplicableMove(ValueError):
 
 _ORDERS = ("OU", "UO")
 _VARIANTS = ("parallel", "antiparallel")
+
+# a position is ASCII digits after an optional minus sign; int() alone
+# would also take "+3", "1_0" and non-ASCII digits
+_POSITION = re.compile(r"-?[0-9]+")
 
 # parameter codecs per schema letter: the noun parse errors name and the
 # word -> value map (None for integer positions).  i = position/gap,
@@ -117,6 +122,8 @@ class MoveSpec:
         for code, w in zip(_schema(words[0], len(words) - 1), words[1:]):
             noun, values = _CODECS[code]
             try:
+                if values is None and not _POSITION.fullmatch(w):
+                    raise ValueError(w)
                 params.append(int(w) if values is None else values[w])
             except (ValueError, KeyError):
                 raise ValueError("bad %s %r in %r" % (noun, w, line)) from None

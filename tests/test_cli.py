@@ -157,6 +157,29 @@ def test_moves_apply_internal_fault_is_exit_2(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_unexpected_exception_is_exit_2(monkeypatch, capsys):
+    import longzeta.moves as moves
+
+    def broken(toks, params, diagram):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(moves._KIND_TABLE["V1_insert"], "handler", broken)
+    code, out, err = run(capsys, "moves", "apply", VK, "V1_insert 0 +")
+    assert (code, out) == (2, "")
+    assert err == "internal invariant violation: KeyError: 'lost'\n"
+
+
+def test_certify_enforces_the_degree_bound(monkeypatch, capsys):
+    # a zeta past the degree bound is an internal fault, named as such
+    real = invariant.zeta
+    monkeypatch.setattr(invariant, "zeta", lambda dec: real(dec).shifted(5))
+    with pytest.raises(invariant.CrossCheckError, match="top degree 6 exceeds k=1; det B"):
+        invariant.certify_minimality(generate("virtual_kink"))
+    code, out, err = run(capsys, "certify", VK)
+    assert (code, out) == (2, "")
+    assert err.startswith("internal invariant violation: top degree 6 exceeds k=1")
+
+
 _WORDS = st.sampled_from(
     ["O1+", "U1+", "O1-", "U1-", "V2+", "V2-", "O3+", "U3+", "V4-", "V4+",
      "O0+", "U01-", "V2", "#", "\n", "X", "O99999999999999999999+"]
@@ -189,7 +212,7 @@ _LOGS = st.one_of(
 
 
 def _exit_status(argv):
-    """cli.main's exit status and stderr; any other exception escapes."""
+    """cli.main's exit status and stderr."""
     err = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
         try:
@@ -213,7 +236,9 @@ def test_arbitrary_input_never_escapes(code, log, kind):
         for argv in runs:
             for mode in ([], ["--json"]):
                 status, err = _exit_status(argv + mode)
-                assert status in (0, 1, 2), (argv, status)
+                # main maps every unexpected exception to 2, which on any
+                # input, however malformed, would be a bug
+                assert status in (0, 1), (argv, status, err)
                 assert "Traceback" not in err
 
 

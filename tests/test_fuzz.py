@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from longzeta import fuzz, invariant
 from longzeta.diagram import Diagram, generate
 from longzeta.fuzz import (
     MAX_CLASSICAL,
@@ -45,6 +46,10 @@ def test_check_theorems_accepts_the_corpus():
     for family in ("classical_trefoil", "classical_figure8", "virtual_kink"):
         d = generate(family)
         assert check_theorems(d, zeta(d)) == []
+
+
+def test_fuzz_and_certify_share_one_law_check():
+    assert fuzz.check_theorems is invariant.check_theorems
 
 
 def test_check_theorems_reports_violations():

@@ -87,6 +87,10 @@ def _rejected(line, msg, short):
             "R1_delete 1 2", "R1_delete takes 1 parameters, got 2", "takes 1 parameters, got 2"
         ),
         _rejected("R1_delete x", "bad position 'x' in 'R1_delete x'", "bad position"),
+        # int() would read these as 10, 3 and 3
+        _rejected("R1_delete 1_0", "bad position '1_0' in 'R1_delete 1_0'", "bad position"),
+        _rejected("R1_delete +3", "bad position '+3' in 'R1_delete +3'", "bad position"),
+        _rejected("R1_delete ٣", "bad position '٣' in 'R1_delete ٣'", "bad position"),
         _rejected("V1_insert 0 *", "bad sign '*' in 'V1_insert 0 *'", "bad sign"),
         _rejected(
             "R1_insert 0 + QO", "bad kink order 'QO' in 'R1_insert 0 + QO'", "bad kink order"
@@ -102,6 +106,13 @@ def test_parse_rejects(line, msg):
     with pytest.raises(ValueError) as err:
         MoveSpec.parse(line)
     assert str(err.value) == msg
+
+
+def test_negative_position_reaches_the_range_check():
+    move = MoveSpec.parse("R1_delete -1")
+    assert move.params == (-1,)
+    with pytest.raises(InapplicableMove, match="position -1 is not a pair start"):
+        apply(VK, move)
 
 
 def test_spec_validates_parameters():

@@ -55,3 +55,29 @@ def test_every_top_level_name_is_used_in_the_library():
         if used.get(name, 0) == self_refs and name not in public | BENCH_WRAPPED
     ]
     assert unused == []
+
+
+def test_every_module_level_import_is_used():
+    # an import nothing reads is left over from code that moved away;
+    # __future__ imports and the names a module lists in __all__ are exempt
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        public, imported = set(), []
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported += [
+                    (alias.asname or alias.name).split(".")[0] for alias in node.names
+                ]
+            elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+            ):
+                public.update(ast.literal_eval(node.value))
+        unused += [
+            "%s:%s" % (path.name, name) for name in imported
+            if name not in used and name not in public
+        ]
+    assert unused == []
