@@ -48,20 +48,26 @@ _TOKEN = re.compile(r"^([OUV])([1-9][0-9]*)([+-])$")
 _PARTNER = {"V": "V", "O": "U", "U": "O"}
 
 
-def _well_paired(tokens) -> bool:
-    """Whether every crossing has exactly two passages: V and V with
-    opposite senses, or one O and one U with equal signs.  One pass, no
-    per-crossing lists; validate() explains a code that fails it."""
+def _well_paired(tokens):
+    """The crossing counts (n, k) when every crossing has exactly two
+    passages: V and V with opposite senses, or one O and one U with equal
+    signs.  None otherwise.  One pass, no per-crossing lists; validate()
+    explains a code that fails it."""
     first = {}  # cid -> its first passage, then False once paired
+    k = 0
     for t in tokens:
         a = first.get(t.cid)
         if a is None:
             first[t.cid] = t
             continue
         if not a or t.kind != _PARTNER.get(a.kind) or (t.sign == a.sign) == (t.kind == "V"):
-            return False
+            return None
         first[t.cid] = False
-    return not any(first.values())
+        if t.kind == "V":
+            k += 1
+    if any(first.values()):
+        return None
+    return len(first) - k, k
 
 
 @dataclass(frozen=True)
@@ -164,13 +170,17 @@ class Diagram:
 
         Never raises: parseable-but-wrong codes come back with the full
         list so a caller can report everything at once.  A valid code
-        passes one pairing pass; only a code that fails it is sorted by
-        crossing to name every violation.
+        passes one pairing pass, which also counts its crossings for n
+        and k; only a code that fails it is sorted by crossing to name
+        every violation.
         """
         if self._problems is not None:
             return list(self._problems)
-        if _well_paired(self.tokens):
+        counts = _well_paired(self.tokens)
+        if counts is not None:
             self._problems = ()
+            if self._counts is None:
+                self._counts = counts
             return []
         seen: dict[int, list[PassageToken]] = {}
         for t in self.tokens:

@@ -586,17 +586,16 @@ class MinimalityCertificate:
     """Outcome of the leading-coefficient minimality test."""
 
     k: int
-    det_b: RingT
-    sk_coeff: RingT
+    det_b: RingT  # also the s^k coefficient of zeta, as check_theorems checked
     zeta_top: int | None
     minimal: bool
-    cross_check_passed: bool
 
     def to_json(self) -> dict:
+        det_b = self.det_b.render()
         return {
             "k": self.k,
-            "detB": self.det_b.render(),
-            "sk_coeff": self.sk_coeff.render(),
+            "detB": det_b,
+            "sk_coeff": det_b,
             "top_deg": self.zeta_top,
             "minimal": self.minimal,
         }
@@ -620,12 +619,7 @@ def certify_minimality(diagram_or_dec) -> MinimalityCertificate:
     k = dec.diagram.k
     sk = z.coeff(k)  # equal to det B, as just checked
     return MinimalityCertificate(
-        k=k,
-        det_b=sk,
-        sk_coeff=sk,
-        zeta_top=z.top_degree(),
-        minimal=not sk.is_zero(),
-        cross_check_passed=True,
+        k=k, det_b=sk, zeta_top=z.top_degree(), minimal=not sk.is_zero()
     )
 
 

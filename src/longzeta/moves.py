@@ -31,11 +31,19 @@ decomposition: the final long arc is the stretch after the last
 underpass token, and its degree at a gap is the sum of the virtual
 senses between that underpass and the gap.
 
+Each kind splits into a check, which raises InapplicableMove at a site
+that does not match and builds nothing, and a rewrite, which builds the
+new code; apply runs both and validates the result.
+
 Deletion and triangle sites are patterns of adjacent token pairs.  One
 pass over the pairs groups them by kind and crossing ids (_PairIndex);
-every pattern kind lists its candidates from that index, and its handler
-keeps the candidates that pass.  A walk step or an enumerate_sites call
-builds one index and drops it when it returns.
+every pattern kind scans its candidates lazily from that index, in no
+particular order, and its check keeps the candidates that pass.  Whether
+a kind has a site stops at the first accepted candidate; only a listing
+sorts them.  Insert sites are indexed rather than listed: a sized
+sequence computes site i from the capped gap lists, so a walk step draws
+its one site without building the rest.  A walk step or an
+enumerate_sites call builds one index and drops it when it returns.
 """
 
 from __future__ import annotations
@@ -43,6 +51,8 @@ from __future__ import annotations
 import math
 import random
 import re
+from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from longzeta.diagram import Diagram, InternalError, PassageToken
@@ -140,28 +150,34 @@ def _fresh(diagram, count):
     return [base + 1 + i for i in range(count)]
 
 
-def _last_underpass(toks):
-    """Position of the last underpass token, -1 when there is none."""
-    for i in range(len(toks) - 1, -1, -1):
+def _last_underpass(toks, end=None):
+    """Position of the last underpass token before `end` (default: the
+    whole code), -1 when there is none."""
+    for i in range(len(toks) - 1 if end is None else end - 1, -1, -1):
         if toks[i].kind == "U":
             return i
     return -1
 
 
-def _require_cut_gap(toks, g):
+def _require_cut_gap(toks, g, dropped=0, shown=None):
+    """An underpass cut at gap g keeps the invariant.  A deletion checks
+    the code it leaves without building it: the `dropped` tokens from g on
+    are read as gone, and the message names gap `shown` of that code."""
     # an undercut on the final long arc at nonzero degree re-anchors the
     # degrees feeding the united first/last column and changes zeta.  The
     # final long arc is the stretch after the last underpass; its degree
     # starts at 0 and moves by the sense of every virtual passage on it.
     last_u = _last_underpass(toks)
-    if g <= last_u:
+    if g + dropped <= last_u:
         return
+    if last_u >= g:  # the last underpass is one of the dropped tokens
+        last_u = _last_underpass(toks, g)
     degree = sum(t.sign for t in toks[last_u + 1 : g] if t.kind == "V")
     _require(
         degree == 0,
         "an underpass cut at gap %d would land on the final long arc at "
         "degree %d; only degree-0 sites keep the invariant there",
-        g,
+        g if shown is None else shown,
         degree,
     )
 
@@ -176,6 +192,11 @@ def _require_anchored(n, what):
     )
 
 
+# Every kind has a check and a rewrite, both called as (toks, params,
+# diagram).  A check raises InapplicableMove when the site does not match
+# and builds nothing; a rewrite returns the new token list of a site its
+# check accepted.  Neither writes to toks.
+
 # ---------------------------------------------------------------- inserts
 
 
@@ -189,20 +210,27 @@ def _require_gap_pair(toks, g1, g2):
     )
 
 
-def _ins_r1(toks, params, diagram):
-    g, w, order = params
+def _check_ins_r1(toks, params, diagram):
+    g = params[0]
     _require_gap(toks, g)
     _require_anchored(diagram.n, "a classical kink insertion")
     _require_cut_gap(toks, g)
+
+
+def _ins_r1(toks, params, diagram):
+    g, w, order = params
     (c,) = _fresh(diagram, 1)
     over, under = PassageToken("O", c, w), PassageToken("U", c, w)
     pair = [over, under] if order == "OU" else [under, over]
     return toks[:g] + pair + toks[g:]
 
 
+def _check_ins_v1(toks, params, diagram):
+    _require_gap(toks, params[0])
+
+
 def _ins_v1(toks, params, diagram):
     g, s = params
-    _require_gap(toks, g)
     (c,) = _fresh(diagram, 1)
     return toks[:g] + [PassageToken("V", c, s), PassageToken("V", c, -s)] + toks[g:]
 
@@ -218,20 +246,27 @@ def _poke(toks, g1, g2, variant, first, c2, d2):
     return out
 
 
-def _ins_r2(toks, params, diagram):
-    g1, g2, s, variant = params
+def _check_ins_r2(toks, params, diagram):
+    g1, g2 = params[:2]
     _require_gap_pair(toks, g1, g2)
     _require_anchored(diagram.n, "a strand poke")
     _require_cut_gap(toks, g2)
+
+
+def _ins_r2(toks, params, diagram):
+    g1, g2, s, variant = params
     c, d = _fresh(diagram, 2)
     over = [PassageToken("O", c, s), PassageToken("O", d, -s)]
     under_c, under_d = PassageToken("U", c, s), PassageToken("U", d, -s)
     return _poke(toks, g1, g2, variant, over, under_c, under_d)
 
 
+def _check_ins_v2(toks, params, diagram):
+    _require_gap_pair(toks, params[0], params[1])
+
+
 def _ins_v2(toks, params, diagram):
     g1, g2, s, variant = params
-    _require_gap_pair(toks, g1, g2)
     c, d = _fresh(diagram, 2)
     first = [PassageToken("V", c, s), PassageToken("V", d, -s)]
     second_c, second_d = PassageToken("V", c, -s), PassageToken("V", d, s)
@@ -241,7 +276,7 @@ def _ins_v2(toks, params, diagram):
 # ---------------------------------------------------------------- deletes
 
 
-def _del_kink(toks, i, virtual):
+def _check_kink(toks, i, virtual):
     _require(0 <= i <= len(toks) - 2, "position %d is not a pair start", i)
     a, b = toks[i], toks[i + 1]
     _require(
@@ -251,24 +286,27 @@ def _del_kink(toks, i, virtual):
         i + 1,
         "virtual" if virtual else "classical",
     )
-    return toks[:i] + toks[i + 2 :]
 
 
-def _del_r1(toks, params, diagram):
+def _check_del_r1(toks, params, diagram):
     (i,) = params
-    out = _del_kink(toks, i, virtual=False)
+    _check_kink(toks, i, virtual=False)
     # the kink held both passages of one classical crossing
     _require_anchored(diagram.n - 1, "the code left after a kink deletion")
     # deleting is the inverse insertion at gap i of the result
-    _require_cut_gap(out, i)
-    return out
+    _require_cut_gap(toks, i, dropped=2)
 
 
-def _del_v1(toks, params, diagram):
-    return _del_kink(toks, params[0], virtual=True)
+def _check_del_v1(toks, params, diagram):
+    _check_kink(toks, params[0], virtual=True)
 
 
-def _del_pair_pair(toks, i, j, kind_first, kind_second, what):
+def _cut_kink(toks, params, diagram):
+    (i,) = params
+    return toks[:i] + toks[i + 2 :]
+
+
+def _check_pair_pair(toks, i, j, kind_first, kind_second, what):
     _require(
         0 <= i and i + 1 < j and j + 1 < len(toks),
         "positions %d, %d do not index two disjoint adjacent pairs in order",
@@ -296,25 +334,29 @@ def _del_pair_pair(toks, i, j, kind_first, kind_second, what):
         i,
     )
     _require(a.sign == -b.sign, "the leading pair must carry opposite signs")
+
+
+def _check_del_r2(toks, params, diagram):
+    i, j = params
+    _check_pair_pair(toks, i, j, "O", "U", ("overpass", "underpass"))
+    # the two pairs held both passages of two classical crossings
+    _require_anchored(diagram.n - 2, "the code left after a poke deletion")
+    # the underpass pair re-inserts at gap j - 2 of the result; the
+    # overpass pair before it holds no underpass or virtual passage
+    _require_cut_gap(toks, j, dropped=2, shown=j - 2)
+
+
+def _check_del_v2(toks, params, diagram):
+    i, j = params
+    _check_pair_pair(toks, i, j, "V", "V", ("virtual", "virtual"))
+
+
+def _cut_pairs(toks, params, diagram):
+    i, j = params
     out = list(toks)
     del out[j : j + 2]
     del out[i : i + 2]
     return out
-
-
-def _del_r2(toks, params, diagram):
-    i, j = params
-    out = _del_pair_pair(toks, i, j, "O", "U", ("overpass", "underpass"))
-    # the two pairs held both passages of two classical crossings
-    _require_anchored(diagram.n - 2, "the code left after a poke deletion")
-    # the underpass pair re-inserts at gap j - 2 of the result
-    _require_cut_gap(out, j - 2)
-    return out
-
-
-def _del_v2(toks, params, diagram):
-    i, j = params
-    return _del_pair_pair(toks, i, j, "V", "V", ("virtual", "virtual"))
 
 
 # -------------------------------------------------------------- triangles
@@ -340,14 +382,14 @@ def _require_three_crossings_twice(pairs):
     )
 
 
-def _swap_pairs(toks, ps):
+def _swap_pairs(toks, params, diagram):
     out = list(toks)
-    for p in ps:
+    for p in params:
         out[p], out[p + 1] = out[p + 1], out[p]
     return out
 
 
-def _tri_classical(toks, params, diagram):
+def _check_tri_classical(toks, params, diagram):
     pairs = _triangle_token_pairs(toks, params)
     _require(
         all(t.kind in ("O", "U") for pr in pairs for t in pr),
@@ -378,20 +420,18 @@ def _tri_classical(toks, params, diagram):
         signs[x] == signs[y],
         "the two crossings under the over-over strand must share one sign",
     )
-    return _swap_pairs(toks, params)
 
 
-def _tri_virtual(toks, params, diagram):
+def _check_tri_virtual(toks, params, diagram):
     pairs = _triangle_token_pairs(toks, params)
     _require(
         all(t.kind == "V" for pr in pairs for t in pr),
         "all six passages must be virtual",
     )
     _require_three_crossings_twice(pairs)
-    return _swap_pairs(toks, params)
 
 
-def _tri_semivirtual(toks, params, diagram):
+def _check_tri_semivirtual(toks, params, diagram):
     pairs = _triangle_token_pairs(toks, params)
     purely_virtual = [i for i, pr in enumerate(pairs) if pr[0].kind == pr[1].kind == "V"]
     _require(
@@ -437,14 +477,15 @@ def _tri_semivirtual(toks, params, diagram):
         "the underpass at this triangle opens the final long arc; sliding "
         "a virtual passage across it rescales half of the united column",
     )
-    return _swap_pairs(toks, params)
 
 
 def apply(diagram: Diagram, move: MoveSpec) -> Diagram:
     """The rewritten diagram; InapplicableMove if the site does not match."""
     diagram.check()
-    rewrite = _KIND_TABLE[move.kind].handler
-    out = Diagram(rewrite(list(diagram.tokens), move.params, diagram))
+    kind = _KIND_TABLE[move.kind]
+    toks = list(diagram.tokens)
+    kind.check(toks, move.params, diagram)
+    out = Diagram(kind.rewrite(toks, move.params, diagram))
     problems = out.validate()
     if problems:
         raise InternalError(
@@ -483,42 +524,82 @@ def _safe_cut_gaps(toks):
     return out
 
 
+class _GapSites(Sequence):
+    """The insert sites of one kind over its capped gap lists, in listing
+    order.  Site i is computed from i (`site`), so a walk step draws one
+    site without building the others."""
+
+    __slots__ = ("_len", "_site")
+
+    def __init__(self, length, site):
+        self._len, self._site = length, site
+
+    def __len__(self):
+        return self._len
+
+    def __getitem__(self, i):
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("site index out of range")
+        return self._site(i)
+
+
+_SIGNS = (1, -1)
+
+
 def _r1_gaps(toks):
+    # per cut gap: sign, then kink order
     cut = _take_spread(_safe_cut_gaps(toks), _KINK_GAP_CAP)
-    return [(g, w, o) for g in cut for w in (1, -1) for o in _ORDERS]
+    return _GapSites(
+        4 * len(cut), lambda i: (cut[i >> 2], _SIGNS[i >> 1 & 1], _ORDERS[i & 1])
+    )
 
 
 def _v1_gaps(toks):
     gaps = _take_spread(range(len(toks) + 1), _KINK_GAP_CAP)
-    return [(g, s) for g in gaps for s in (1, -1)]
+    return _GapSites(2 * len(gaps), lambda i: (gaps[i >> 1], _SIGNS[i & 1]))
 
 
 def _r2_gaps(toks):
     # the underpass pair needs a safe cut gap, the overpass pair may
-    # precede it anywhere
+    # precede it anywhere.  Per cut gap g2: four sites (sign, then variant)
+    # for each overpass gap before it, then the two one-gap sites
     cut = _take_spread(_safe_cut_gaps(toks), _PAIR_GAP_CAP)
     overs = _take_spread(range(len(toks) + 1), _PAIR_GAP_CAP)
-    out = []
-    for g2 in cut:
-        for g1 in overs:
-            if g1 < g2:
-                out.extend((g1, g2, s, v) for s in (1, -1) for v in _VARIANTS)
-        out.extend((g2, g2, s, "antiparallel") for s in (1, -1))
-    return out
+    before = [bisect_left(overs, g2) for g2 in cut]
+    starts = [0]
+    for m in before:
+        starts.append(starts[-1] + 4 * m + 2)
+
+    def site(i):
+        b = bisect_right(starts, i) - 1
+        g2, r = cut[b], i - starts[b]
+        if r < 4 * before[b]:
+            return (overs[r >> 2], g2, _SIGNS[r >> 1 & 1], _VARIANTS[r & 1])
+        return (g2, g2, _SIGNS[r & 1], "antiparallel")
+
+    return _GapSites(starts[-1], site)
 
 
 def _v2_gaps(toks):
+    # four sites (sign, then variant) per gap pair a < b, in a-major order;
+    # then the same-gap sites, which have one fixed shape, once per gap
     gs = _take_spread(range(len(toks) + 1), _PAIR_GAP_CAP)
-    out = [
-        (a, b, s, v)
-        for ai, a in enumerate(gs)
-        for b in gs[ai + 1 :]
-        for s in (1, -1)
-        for v in _VARIANTS
-    ]
-    # same-gap sites have one fixed shape; list them once
-    out.extend((g, g, s, "antiparallel") for g in gs for s in (1, -1))
-    return out
+    starts = [0]
+    for ai in range(len(gs) - 1):
+        starts.append(starts[-1] + 4 * (len(gs) - 1 - ai))
+    pairs = starts[-1]
+
+    def site(i):
+        if i >= pairs:
+            g = gs[(i - pairs) >> 1]
+            return (g, g, _SIGNS[(i - pairs) & 1], "antiparallel")
+        a = bisect_right(starts, i) - 1
+        r = i - starts[a]
+        return (gs[a], gs[a + 1 + (r >> 2)], _SIGNS[r >> 1 & 1], _VARIANTS[r & 1])
+
+    return _GapSites(pairs + 2 * len(gs), site)
 
 
 class _PairIndex:
@@ -572,117 +653,141 @@ class _PairIndex:
 
 def _pair_delete_sites(leading, closing):
     """(i, j): a leading pair at i closed by a pair of the same ids at j."""
-    return [(i, j) for i, key in leading for j in closing.get(key, ()) if j >= i + 2]
+    for i, key in leading:
+        for j in closing.get(key, ()):
+            if j >= i + 2:
+                yield (i, j)
 
 
 def _triangle_sites(by_ids):
-    """Sorted disjoint position triples with one pair on each edge of a
-    triangle of crossing ids.  Each triangle a < b < c is found once, from
-    its edge (a, b): c is a larger neighbour of both a and b."""
+    """Disjoint position triples, each sorted, with one pair on each edge
+    of a triangle of crossing ids.  Each triangle a < b < c is found once,
+    from its edge (a, b): c is a larger neighbour of both a and b."""
+    if len(by_ids) < 3:
+        return
     above = {}
     for a, b in by_ids:
-        above.setdefault(a, set()).add(b)
-    found = []
+        ids = above.get(a)
+        if ids is None:
+            above[a] = {b}
+        else:
+            ids.add(b)
     for (a, b), ab in by_ids.items():
-        for c in above[a].intersection(above.get(b, ())):
+        # most edges close no triangle; isdisjoint answers without a new set
+        b_above = above.get(b)
+        if b_above is None or above[a].isdisjoint(b_above):
+            continue
+        for c in above[a] & b_above:
             for p1 in ab:
                 for p2 in by_ids[a, c]:
                     for p3 in by_ids[b, c]:
                         x, y, z = sorted((p1, p2, p3))
                         if y - x >= 2 and z - y >= 2:
-                            found.append((x, y, z))
-    return sorted(found)
+                            yield (x, y, z)
 
 
 def _semivirtual_sites(index):
-    """Sorted disjoint triples: a V/V pair of virtual ids u, w and two side
-    pairs, one on u and one on w, that share their classical crossing."""
+    """Disjoint triples, each sorted: a V/V pair of virtual ids u, w and two
+    side pairs, one on u and one on w, that share their classical crossing."""
     side = index.side
-    found = []
     for (u, w), movers in index.vv.items():
-        for p2, c2 in side.get(u, ()):
-            for p3, c3 in side.get(w, ()):
+        u_side, w_side = side.get(u), side.get(w)
+        if u_side is None or w_side is None:
+            continue
+        for p2, c2 in u_side:
+            for p3, c3 in w_side:
                 if c2 != c3:
                     continue
                 for p1 in movers:
                     x, y, z = sorted((p1, p2, p3))
                     if y - x >= 2 and z - y >= 2:
-                        found.append((x, y, z))
-    return sorted(found)
+                        yield (x, y, z)
 
 
 class _Kind:
     """One move kind: its parameter schema (one _CODECS letter per
-    parameter), its rewrite, how it changes the classical and virtual
-    crossing counts (dn, dk), and where its sites come from.  Insert kinds
-    list their sites from the tokens (`gaps`); every other kind reads its
-    candidate patterns off the step's _PairIndex (`scan`), and its handler
-    then filters them."""
+    parameter), its check and rewrite, how it changes the classical and
+    virtual crossing counts (dn, dk), and where its sites come from.
+    Insert kinds have a site at every gap their check accepts and index
+    them over capped gap lists (`gaps`); every other kind scans candidate
+    patterns off the step's _PairIndex (`scan`, in any order), and its
+    check filters them."""
 
-    __slots__ = ("schema", "handler", "dn", "dk", "gaps", "scan")
+    __slots__ = ("schema", "check", "rewrite", "dn", "dk", "gaps", "scan")
 
-    def __init__(self, schema, handler, dn, dk, *, gaps=None, scan=None):
-        self.schema, self.handler, self.dn, self.dk = schema, handler, dn, dk
-        self.gaps, self.scan = gaps, scan
+    def __init__(self, schema, check, rewrite, dn, dk, *, gaps=None, scan=None):
+        self.schema, self.check, self.rewrite = schema, check, rewrite
+        self.dn, self.dk, self.gaps, self.scan = dn, dk, gaps, scan
 
 
 # in walk order: the random walk draws among the kinds in this order
 _KIND_TABLE = {
-    "R1_insert": _Kind("iso", _ins_r1, 1, 0, gaps=_r1_gaps),
+    "R1_insert": _Kind("iso", _check_ins_r1, _ins_r1, 1, 0, gaps=_r1_gaps),
     "R1_delete": _Kind(
-        "i", _del_r1, -1, 0, scan=lambda x: [(i,) for i in x.classical_kinks]
+        "i", _check_del_r1, _cut_kink, -1, 0,
+        scan=lambda x: ((i,) for i in x.classical_kinks),
     ),
-    "V1_insert": _Kind("is", _ins_v1, 0, 1, gaps=_v1_gaps),
-    "V1_delete": _Kind("i", _del_v1, 0, -1, scan=lambda x: [(i,) for i in x.virtual_kinks]),
-    "R2_insert": _Kind("iisv", _ins_r2, 2, 0, gaps=_r2_gaps),
+    "V1_insert": _Kind("is", _check_ins_v1, _ins_v1, 0, 1, gaps=_v1_gaps),
+    "V1_delete": _Kind(
+        "i", _check_del_v1, _cut_kink, 0, -1,
+        scan=lambda x: ((i,) for i in x.virtual_kinks),
+    ),
+    "R2_insert": _Kind("iisv", _check_ins_r2, _ins_r2, 2, 0, gaps=_r2_gaps),
     "R2_delete": _Kind(
-        "ii", _del_r2, -2, 0, scan=lambda x: _pair_delete_sites(x.oo_opp, x.uu)
+        "ii", _check_del_r2, _cut_pairs, -2, 0,
+        scan=lambda x: _pair_delete_sites(x.oo_opp, x.uu),
     ),
-    "V2_insert": _Kind("iisv", _ins_v2, 0, 2, gaps=_v2_gaps),
+    "V2_insert": _Kind("iisv", _check_ins_v2, _ins_v2, 0, 2, gaps=_v2_gaps),
     "V2_delete": _Kind(
-        "ii", _del_v2, 0, -2, scan=lambda x: _pair_delete_sites(x.vv_opp, x.vv)
+        "ii", _check_del_v2, _cut_pairs, 0, -2,
+        scan=lambda x: _pair_delete_sites(x.vv_opp, x.vv),
     ),
     "Triangle_classical": _Kind(
-        "iii", _tri_classical, 0, 0, scan=lambda x: _triangle_sites(x.cc)
+        "iii", _check_tri_classical, _swap_pairs, 0, 0,
+        scan=lambda x: _triangle_sites(x.cc),
     ),
     "Triangle_virtual": _Kind(
-        "iii", _tri_virtual, 0, 0, scan=lambda x: _triangle_sites(x.vv)
+        "iii", _check_tri_virtual, _swap_pairs, 0, 0,
+        scan=lambda x: _triangle_sites(x.vv),
     ),
-    "Triangle_semivirtual": _Kind("iii", _tri_semivirtual, 0, 0, scan=_semivirtual_sites),
+    "Triangle_semivirtual": _Kind(
+        "iii", _check_tri_semivirtual, _swap_pairs, 0, 0, scan=_semivirtual_sites
+    ),
 }
 KINDS = tuple(_KIND_TABLE)
 
 
 def _pattern_sites(diagram, kind, index):
-    """Yield, in order, the scanned sites of `kind` that its handler accepts."""
-    # one list for every candidate: no handler writes to its input
-    toks = list(diagram.tokens)
-    # the scans find the token patterns; the handlers also check the
-    # regime conditions, so filter through them for an exact answer
+    """Yield, in scan order, the scanned sites of `kind` its check accepts."""
+    toks, check = diagram.tokens, kind.check
     for ps in kind.scan(index):
         try:
-            kind.handler(toks, ps, diagram)
+            check(toks, ps, diagram)
         except InapplicableMove:
             continue
         yield ps
 
 
 def _site_params(diagram, kind, index):
+    """The sites of `kind` in listing order: a sorted list of the accepted
+    pattern candidates, or an insert kind's indexed gap sites."""
     if kind.gaps is None:
-        return list(_pattern_sites(diagram, kind, index))
+        return sorted(_pattern_sites(diagram, kind, index))
     # classical inserts need a classical crossing to anchor to
     if kind.dn and diagram.n < 1:
-        return []
+        return ()
     return kind.gaps(diagram.tokens)
 
 
 def _has_site(diagram, kind, n, index):
-    """Whether _site_params(diagram, kind, index) is nonempty, without
-    listing it."""
+    """Whether _site_params(diagram, kind, index) is nonempty, stopping at
+    the first accepted candidate."""
     if kind.gaps is not None:
         # gap 0 is always a safe cut once there is an underpass
         return not kind.dn or n >= 1
-    return next(_pattern_sites(diagram, kind, index), None) is not None
+    for _ in _pattern_sites(diagram, kind, index):
+        return True
+    return False
 
 
 def enumerate_sites(diagram: Diagram, kind: str | None = None) -> list[MoveSpec]:
@@ -736,7 +841,8 @@ def random_equivalent(
 
     Only the chosen kind's sites are listed; for the others the step
     stops at the first valid site.  The random draws are the same as
-    when every kind is listed, so each seed keeps its trajectory.
+    when every kind is listed, so each seed keeps its trajectory.  A
+    listed site that then fails to apply is an InternalError.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -759,6 +865,13 @@ def random_equivalent(
         name = rng.choice(choices)
         sites = _site_params(d, _KIND_TABLE[name], index)
         move = MoveSpec(name, sites[rng.randrange(len(sites))])
-        d = apply(d, move)
+        try:
+            d = apply(d, move)
+        except InapplicableMove as exc:
+            # the step listed this site itself: its check and its rewrite
+            # disagree, which is a fault here and never bad input
+            raise InternalError(
+                "%s was listed as a site but does not apply: %s" % (move.render(), exc)
+            ) from exc
         log.append(move)
     return d, log

@@ -3,15 +3,24 @@ the arc object model of a diagram (arcs, long arcs, columns), which the
 library condenses into matrix cells in one token pass; a determinant for
 arbitrary matrices over T[s^+-1]; the incidence rule restated per
 (crossing, arc) pair; and the row sums of the matrix at s = 1.  Also the
-three-variable raw polynomials of the oracle, and slow, direct token
-scans for the move patterns, which the library reads off one index of
-adjacent token pairs instead.
+three-variable raw polynomials of the oracle, slow, direct token scans
+for the move patterns, which the library reads off one index of adjacent
+token pairs instead, and the insert site lists written out in full, which
+the library computes one site at a time from its index.
 """
 
 from bisect import bisect_left
 from dataclasses import dataclass
 
 from longzeta.invariant import _combine, _det_sparse, _lift, incidence_matrix
+from longzeta.moves import (
+    _KINK_GAP_CAP,
+    _ORDERS,
+    _PAIR_GAP_CAP,
+    _VARIANTS,
+    _safe_cut_gaps,
+    _take_spread,
+)
 from longzeta.oracle import _add_term, raw_from_parts, raw_reduce
 from longzeta.rings import RingT, ZetaPolynomial
 
@@ -363,4 +372,51 @@ REFERENCE_SCANS = {
     "Triangle_classical": lambda toks: _triangle_sites(toks, False),
     "Triangle_virtual": lambda toks: _triangle_sites(toks, True),
     "Triangle_semivirtual": _semivirtual_sites,
+}
+
+
+# ------------------------------------------------------ insert site lists
+
+
+def _r1_gaps(toks):
+    cut = _take_spread(_safe_cut_gaps(toks), _KINK_GAP_CAP)
+    return [(g, w, o) for g in cut for w in (1, -1) for o in _ORDERS]
+
+
+def _v1_gaps(toks):
+    gaps = _take_spread(range(len(toks) + 1), _KINK_GAP_CAP)
+    return [(g, s) for g in gaps for s in (1, -1)]
+
+
+def _r2_gaps(toks):
+    cut = _take_spread(_safe_cut_gaps(toks), _PAIR_GAP_CAP)
+    overs = _take_spread(range(len(toks) + 1), _PAIR_GAP_CAP)
+    out = []
+    for g2 in cut:
+        for g1 in overs:
+            if g1 < g2:
+                out.extend((g1, g2, s, v) for s in (1, -1) for v in _VARIANTS)
+        out.extend((g2, g2, s, "antiparallel") for s in (1, -1))
+    return out
+
+
+def _v2_gaps(toks):
+    gs = _take_spread(range(len(toks) + 1), _PAIR_GAP_CAP)
+    out = [
+        (a, b, s, v)
+        for ai, a in enumerate(gs)
+        for b in gs[ai + 1 :]
+        for s in (1, -1)
+        for v in _VARIANTS
+    ]
+    out.extend((g, g, s, "antiparallel") for g in gs for s in (1, -1))
+    return out
+
+
+# the full site list of every insert kind, in the library's listing order
+REFERENCE_GAPS = {
+    "R1_insert": _r1_gaps,
+    "V1_insert": _v1_gaps,
+    "R2_insert": _r2_gaps,
+    "V2_insert": _v2_gaps,
 }

@@ -148,7 +148,7 @@ def test_moves_apply_internal_fault_is_exit_2(monkeypatch, capsys):
 
     monkeypatch.setattr(
         moves._KIND_TABLE["V1_insert"],
-        "handler",
+        "rewrite",
         lambda toks, params, diagram: toks + [toks[0]],
     )
     code, out, err = run(capsys, "moves", "apply", VK, "V1_insert 0 +")
@@ -163,7 +163,7 @@ def test_unexpected_exception_is_exit_2(monkeypatch, capsys):
     def broken(toks, params, diagram):
         raise KeyError("lost")
 
-    monkeypatch.setattr(moves._KIND_TABLE["V1_insert"], "handler", broken)
+    monkeypatch.setattr(moves._KIND_TABLE["V1_insert"], "rewrite", broken)
     code, out, err = run(capsys, "moves", "apply", VK, "V1_insert 0 +")
     assert (code, out) == (2, "")
     assert err == "internal invariant violation: KeyError: 'lost'\n"
@@ -310,6 +310,28 @@ def test_fuzz_failure_exits_2_with_log(monkeypatch, capsys):
     assert code == 2
     assert "0/1 trajectories invariant" in out
     assert "fabricated mismatch" in err and "V1_insert 0 +" in err
+
+
+def test_fuzz_walk_fault_is_exit_2(monkeypatch, capsys):
+    # every pattern check accepts all candidates while each rewrite still
+    # runs the real check: a walk that draws a site the real check rejects
+    # has listed a site that does not apply, which is a fault, not bad input
+    import longzeta.moves as moves
+
+    for kind in moves._KIND_TABLE.values():
+        if kind.scan is None:
+            continue
+
+        def checked_rewrite(toks, params, diagram, check=kind.check, rewrite=kind.rewrite):
+            check(toks, params, diagram)
+            return rewrite(toks, params, diagram)
+
+        monkeypatch.setattr(kind, "check", lambda toks, params, diagram: None)
+        monkeypatch.setattr(kind, "rewrite", checked_rewrite)
+    code, out, err = run(capsys, "fuzz", "--trials", "6", "--steps", "30")
+    assert (code, out) == (2, "")
+    assert err.startswith("internal invariant violation: ")
+    assert "was listed as a site but does not apply" in err
 
 
 def test_oracle_selftest_runs(capsys):

@@ -67,7 +67,8 @@ class TestGoldens:
             "top_deg": 1,
             "minimal": True,
         }
-        assert cert.det_b == -P and cert.cross_check_passed
+        assert cert.det_b == -P
+        assert cert.to_json()["detB"] == cert.to_json()["sk_coeff"]
         assert virtual_lower_bound(d) == 1
 
     def test_virtual_kink_early_under(self):
@@ -647,7 +648,8 @@ class TestTheorems:
             kv = rng.randint(0, 5)
             d = random_diagram(rng, rng.randint(1, 5), kv)
             cert = certify_minimality(d)  # never raises CrossCheckError
-            assert cert.k == kv and cert.cross_check_passed
+            assert cert.k == kv
+            assert cert.to_json()["detB"] == cert.to_json()["sk_coeff"]
             assert virtual_lower_bound(d) <= kv
             if cert.minimal:
                 minimal_seen += 1

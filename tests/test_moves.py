@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from longzeta.diagram import Diagram, InvalidDiagram, PassageToken, generate
+from longzeta.diagram import Diagram, InternalError, InvalidDiagram, PassageToken, generate
 from longzeta.fuzz import random_diagram
 from longzeta.invariant import zeta
 from longzeta.moves import (
@@ -19,6 +19,7 @@ from longzeta.moves import (
     _PairIndex,
     _has_site,
     _last_underpass,
+    _pattern_sites,
     _require_cut_gap,
     _safe_cut_gaps,
     apply,
@@ -26,7 +27,7 @@ from longzeta.moves import (
     random_equivalent,
 )
 from longzeta.rings import RingT, equal_up_to_q_power
-from reference import REFERENCE_SCANS, ArcModel
+from reference import REFERENCE_GAPS, REFERENCE_SCANS, ArcModel
 
 VK = generate("virtual_kink")  # O1+ V2+ U1+ V2-
 
@@ -442,11 +443,61 @@ def test_apply_validates_handler_output(monkeypatch):
 
     monkeypatch.setattr(
         moves._KIND_TABLE["V1_insert"],
-        "handler",
+        "rewrite",
         lambda toks, params, diagram: toks + [toks[0]],
     )
     with pytest.raises(RuntimeError, match="invalid code"):
         moves.apply(VK, MoveSpec("V1_insert", (0, 1)))
+
+
+def _check_without_rewrite(monkeypatch, name):
+    """Make `name`'s check accept every site while its rewrite still runs
+    the real check first: the two disagree on every site the real check
+    rejects."""
+    import longzeta.moves as moves
+
+    kind = moves._KIND_TABLE[name]
+    check, rewrite = kind.check, kind.rewrite
+
+    def checked_rewrite(toks, params, diagram):
+        check(toks, params, diagram)
+        return rewrite(toks, params, diagram)
+
+    monkeypatch.setattr(kind, "check", lambda toks, params, diagram: None)
+    monkeypatch.setattr(kind, "rewrite", checked_rewrite)
+
+
+def test_walk_reports_a_listed_site_that_fails_as_an_internal_fault(monkeypatch):
+    # O1+ U1+ has one kink site, which the real check rejects (deleting it
+    # would leave no classical crossing); the bounds leave only R1_delete
+    _check_without_rewrite(monkeypatch, "R1_delete")
+    lone = Diagram.parse("O1+ U1+")
+    with pytest.raises(InternalError, match="R1_delete 0 was listed as a site") as err:
+        random_equivalent(lone, 1, seed=1, max_classical=1, max_virtual=0)
+    assert "discontinuous at zero" in str(err.value)
+    assert isinstance(err.value.__cause__, InapplicableMove)
+    # the move on its own is still bad input
+    with pytest.raises(InapplicableMove):
+        apply(lone, MoveSpec("R1_delete", (0,)))
+
+
+def test_a_walk_step_lists_the_sites_of_one_kind(monkeypatch):
+    import longzeta.moves as moves
+
+    listed = []
+    real = moves._site_params
+
+    def spy(diagram, kind, index):
+        listed.append(kind)
+        return real(diagram, kind, index)
+
+    monkeypatch.setattr(moves, "_site_params", spy)
+    rng = random.Random(4)
+    for seed in range(20):
+        d = random_diagram(rng, rng.randint(0, 8), rng.randint(0, 8))
+        _, log = random_equivalent(d, 1, seed, max_classical=10, max_virtual=10)
+        assert listed == [moves._KIND_TABLE[m.kind] for m in log]
+        listed.clear()
 
 
 # ------------------------------------------- token-scan regime conditions
@@ -519,25 +570,33 @@ def test_site_existence_matches_enumeration():
             assert has == bool(enumerate_sites(d, kind)), (d, kind)
 
 
-def test_pattern_handlers_leave_their_input_unchanged():
-    # _pattern_sites hands one token list to the handler of every candidate
-    codes = list(_random_codes(91, 60))
-    rng = random.Random(91)
-    for seed in range(3):
+def _walked_codes(seed, count):
+    """count random codes with edge variants, then the codes three seeded
+    walks pass through."""
+    codes = list(_random_codes(seed, count))
+    rng = random.Random(seed)
+    for walk_seed in range(3):
         d = random_diagram(rng, 6, 6)
-        _, log = random_equivalent(d, 40, seed, max_classical=12, max_virtual=12)
+        _, log = random_equivalent(d, 40, walk_seed, max_classical=12, max_virtual=12)
         for move in log:
             d = apply(d, move)
             codes.append(d)
+    return codes
+
+
+def test_pattern_handlers_leave_their_input_unchanged():
+    # checks and rewrites read the token list they are handed and never
+    # write to it
     ran = {name: [0, 0] for name, kind in _KIND_TABLE.items() if kind.scan}
-    for d in codes:
+    for d in _walked_codes(91, 60):
         index = _PairIndex(d.tokens)
         for name, outcomes in ran.items():
             kind = _KIND_TABLE[name]
             for ps in kind.scan(index):
                 toks = list(d.tokens)
                 try:
-                    kind.handler(toks, ps, d)
+                    kind.check(toks, ps, d)
+                    kind.rewrite(toks, ps, d)
                     outcomes[0] += 1
                 except InapplicableMove:
                     outcomes[1] += 1
@@ -547,13 +606,50 @@ def test_pattern_handlers_leave_their_input_unchanged():
     assert ran["Triangle_classical"][1] and ran["Triangle_semivirtual"][1], ran
 
 
+def test_a_check_accepts_exactly_the_candidates_apply_takes():
+    accepted = {name: 0 for name, kind in _KIND_TABLE.items() if kind.scan}
+    for d in _walked_codes(37, 60):
+        index = _PairIndex(d.tokens)
+        for name in accepted:
+            kind = _KIND_TABLE[name]
+            took = []
+            for ps in kind.scan(index):
+                try:
+                    apply(d, MoveSpec(name, ps))
+                    took.append(ps)
+                except InapplicableMove:
+                    pass
+            assert list(_pattern_sites(d, kind, index)) == took, (d, name)
+            assert _has_site(d, kind, d.n, index) == bool(took), (d, name)
+            accepted[name] += len(took)
+    assert all(accepted.values()), accepted
+
+
+def test_insert_sites_match_the_full_lists():
+    codes = _walked_codes(53, 40)
+    codes += [Diagram.parse(c) for c in ("", "V1+ V1-", "O1+ U1+")]
+    codes.append(generate("virtual_kink_chain", 30))  # past both gap caps
+    assert any(len(d) + 1 > 32 for d in codes)
+    for d in codes:
+        for name, reference in REFERENCE_GAPS.items():
+            sites, full = _KIND_TABLE[name].gaps(d.tokens), reference(d.tokens)
+            assert len(sites) == len(full), (d, name)
+            assert [sites[i] for i in range(len(sites))] == full, (d, name)
+            assert list(sites) == full, (d, name)
+            if full:
+                assert sites[-1] == full[-1]
+            with pytest.raises(IndexError):
+                sites[len(full)]
+
+
 # ------------------------------------ pair index against the direct scans
 
 
 def _assert_scans_match(d):
     index = _PairIndex(d.tokens)
     for kind, reference in REFERENCE_SCANS.items():
-        assert _KIND_TABLE[kind].scan(index) == reference(d.tokens), (d, kind)
+        # the scans yield candidates in any order
+        assert sorted(_KIND_TABLE[kind].scan(index)) == reference(d.tokens), (d, kind)
 
 
 def test_index_scans_match_the_reference_scans():
