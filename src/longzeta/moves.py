@@ -538,8 +538,6 @@ class _GapSites(Sequence):
         return self._len
 
     def __getitem__(self, i):
-        if i < 0:
-            i += self._len
         if not 0 <= i < self._len:
             raise IndexError("site index out of range")
         return self._site(i)
