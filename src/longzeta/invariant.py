@@ -20,9 +20,15 @@ domains: over Z[q, s] for the Laurent part, and over Z[s, eps] for the
 (p - q) part, read off the eps^1 slice.  Nothing builds a matrix over T:
 one table holds the two lifts of each of the twelve incidence
 coefficients, and _fill fills the two integer-polynomial matrices
-straight from the crossings.  zeta, its split halves and det B eliminate
-those lifted rows, and incidence_matrix and leading_matrix, the T-valued
-views, read the same rows back entry by entry.  The
+straight from a key, one flat tuple that holds per crossing its t and w
+and per cell its column and s-exponent.  zeta, its split halves and det
+B eliminate those lifted rows, and incidence_matrix and leading_matrix,
+the T-valued views, read the same rows back entry by entry.  zeta,
+leading_determinant and check_theorems take an optional memo, a dict
+from key to determinant, so a caller that meets one matrix many times
+fills and eliminates it once; the move fuzzer keeps one per trial, since
+virtual moves leave zeta's matrix as it was.  The key is tagged with its
+determinant, so det B never reuses zeta's elimination.  The
 matrix has at most three nonzero entries per row, and most of them are
 +-monomials: units of the Laurent ring.  A lifted matrix with an empty
 row or column is singular and yields 0 before any elimination; det B
@@ -464,23 +470,41 @@ def _combine(lau_det, dual_det) -> ZetaPolynomial:
     })
 
 
-def _fill(dec: Decomposition, pick):
-    """The two lifts of the matrix built from the contributions pick keeps,
-    as the sparse rows (laurent, dual) that _det_sparse takes.
+def _key(dec: Decomposition, tag, pick) -> tuple:
+    """Everything _fill reads, as one flat tuple: the tag, then per row t
+    and w and per cell its column and the s-exponent at which it enters
+    its entry.
 
-    pick(column, in_final_half, degree) gives the s-exponent at which a
-    contribution enters its entry, or None to leave it out.  Both lifts
-    are filled straight from dec.rows and the rule table, with no RingT
-    arithmetic: Laurent entries keyed (q_exp, s_exp), dual entries keyed
-    (s_exp, eps_exp).  Every determinant and both T-valued views read
-    these rows.
+    pick(column, in_final_half, degree) gives that exponent, or None to
+    leave the contribution out; it runs once per cell.  Equal keys
+    describe equal matrices, so a memo can hold determinants by key; the
+    tag names the determinant (zeta or det B), which keeps two
+    determinants apart even where their matrices agree.
     """
-    n = dec.diagram.n
-    laurent = [{} for _ in range(n)]
-    dual = [{} for _ in range(n)]
-    for (t, w, cells), lau_row, dual_row in zip(dec.rows, laurent, dual):
-        for (j, in_final, deg), (lau, eps) in zip(cells, _INCIDENCE[t, w]):
-            d = pick(j, in_final, deg)
+    key = [tag]
+    for t, w, cells in dec.rows:
+        key += (t, w)
+        for j, in_final, deg in cells:
+            key += (j, pick(j, in_final, deg))
+    return tuple(key)
+
+
+def _fill(key):
+    """The two lifts of the matrix a key describes, as the sparse rows
+    (laurent, dual) that _det_sparse takes.
+
+    Both lifts are filled straight from the key and the rule table, with
+    no RingT arithmetic: Laurent entries keyed (q_exp, s_exp), dual
+    entries keyed (s_exp, eps_exp).  Every determinant and both T-valued
+    views read these rows.
+    """
+    laurent, dual = [], []
+    items = iter(key)
+    next(items)  # the tag
+    # eight items per row: t, w and three (column, exponent) cells
+    for t, w, j0, d0, j1, d1, j2, d2 in zip(*[items] * 8):
+        lau_row, dual_row = {}, {}
+        for j, d, (lau, eps) in zip((j0, j1, j2), (d0, d1, d2), _INCIDENCE[t, w]):
             if d is None:
                 continue
             x = lau_row.setdefault(j, {})
@@ -490,17 +514,27 @@ def _fill(dec: Decomposition, pick):
                 x = dual_row.setdefault(j, {})
                 for e, c in eps:
                     x[d, e] = x.get((d, e), 0) + c
+        laurent.append(lau_row)
+        dual.append(dual_row)
     return laurent, dual
 
 
-def _det(lifts) -> ZetaPolynomial:
-    laurent, dual = lifts
+def _det(key, memo=None) -> ZetaPolynomial:
+    """The determinant of the matrix a key describes.  memo, when given,
+    maps keys to the determinants already taken: a key found there costs
+    no fill and no elimination."""
+    if memo is not None:
+        z = memo.get(key)
+        if z is None:
+            z = memo[key] = _det(key)
+        return z
+    laurent, dual = _fill(key)
     return _combine(_det_sparse(laurent), _det_sparse(dual))
 
 
 def _view(dec: Decomposition, pick) -> list[list[ZetaPolynomial]]:
-    """The matrix over T[s^+-1] that _fill(dec, pick) lifts."""
-    laurent, dual = _fill(dec, pick)
+    """The matrix over T[s^+-1] that _fill lifts from dec and pick."""
+    laurent, dual = _fill(_key(dec, None, pick))
     return [
         [_combine(lau.get(j, {}), eps.get(j, {})) for j in range(len(laurent))]
         for lau, eps in zip(laurent, dual)
@@ -519,10 +553,12 @@ def _b_pick(dec: Decomposition):
     return lambda j, _in_final, deg: 0 if deg == thresholds[j] else None
 
 
-def zeta(diagram_or_dec) -> ZetaPolynomial:
+def zeta(diagram_or_dec, memo=None) -> ZetaPolynomial:
     """The zeta polynomial; 1 for diagrams without classical crossings,
-    the determinant of the empty matrix."""
-    return _det(_fill(_as_dec(diagram_or_dec), _zeta_pick))
+    the determinant of the empty matrix.  memo, a dict the caller keeps,
+    maps each matrix already eliminated to its determinant, so a repeated
+    matrix is not eliminated again."""
+    return _det(_key(_as_dec(diagram_or_dec), "zeta", _zeta_pick), memo)
 
 
 def zeta_split(diagram_or_dec) -> tuple[ZetaPolynomial, ZetaPolynomial]:
@@ -537,7 +573,7 @@ def zeta_split(diagram_or_dec) -> tuple[ZetaPolynomial, ZetaPolynomial]:
             deg if j != united or in_final == final else None
         )
 
-    return _det(_fill(dec, half(False))), _det(_fill(dec, half(True)))
+    return _det(_key(dec, None, half(False))), _det(_key(dec, None, half(True)))
 
 
 def leading_matrix(diagram_or_dec) -> list[list[RingT]]:
@@ -548,23 +584,24 @@ def leading_matrix(diagram_or_dec) -> list[list[RingT]]:
     return [[x.coeff(0) for x in row] for row in _view(dec, _b_pick(dec))]
 
 
-def leading_determinant(diagram_or_dec) -> RingT:
+def leading_determinant(diagram_or_dec, memo=None) -> RingT:
     """det B, which must equal the s^k coefficient of zeta.
 
     Without classical crossings there is no matrix B and zeta = 1, so the
-    value is that coefficient: 1 for k = 0, else 0.
+    value is that coefficient: 1 for k = 0, else 0.  That value depends on
+    k, which no key holds, so it never enters memo.
     """
     dec = _as_dec(diagram_or_dec)
     if dec.diagram.n == 0:
         return ZetaPolynomial.one().coeff(dec.diagram.k)
-    return _det(_fill(dec, _b_pick(dec))).coeff(0)
+    return _det(_key(dec, "B", _b_pick(dec)), memo).coeff(0)
 
 
-def check_theorems(diagram_or_dec, z: ZetaPolynomial) -> list[str]:
+def check_theorems(diagram_or_dec, z: ZetaPolynomial, memo=None) -> list[str]:
     """The two laws of zeta on one diagram whose zeta is z: its top s-degree
     is at most k, and its s^k coefficient equals det B, computed on its own
-    from the leading matrix.  Returns one text per broken law, so an empty
-    list means both hold."""
+    from the leading matrix (through memo when one is given).  Returns one
+    text per broken law, so an empty list means both hold."""
     dec = _as_dec(diagram_or_dec)
     k = dec.diagram.k
     problems = []
@@ -572,7 +609,12 @@ def check_theorems(diagram_or_dec, z: ZetaPolynomial) -> list[str]:
     if top is not None and top > k:
         problems.append("top degree %d exceeds k=%d" % (top, k))
     sk = z.coeff(k)
-    det_b = leading_determinant(dec)
+    # the memo is passed only when there is one, so a stand-in for
+    # leading_determinant that takes dec alone serves every call without it
+    if memo is None:
+        det_b = leading_determinant(dec)
+    else:
+        det_b = leading_determinant(dec, memo)
     if det_b != sk:
         problems.append(
             "det B = %s but the s^%d coefficient is %s"

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from longzeta import fuzz, invariant
-from longzeta.diagram import Diagram, generate
+from longzeta.diagram import Diagram, decompose, generate
 from longzeta.fuzz import (
     MAX_CLASSICAL,
     MAX_VIRTUAL,
@@ -17,9 +17,9 @@ from longzeta.fuzz import (
     run_campaign,
     run_trial,
 )
-from longzeta.invariant import zeta
+from longzeta.invariant import leading_determinant, zeta
 from longzeta.moves import MoveSpec, apply
-from longzeta.rings import equal_up_to_q_power
+from longzeta.rings import RingT, equal_up_to_q_power
 
 
 def test_random_diagram_counts_and_validity():
@@ -129,3 +129,103 @@ def test_report_flags_fabricated_failure():
     )
     assert report.failures == [bad]
     assert report.summary().startswith("0/1 trajectories invariant")
+
+
+def _recording(results, fn):
+    def wrapper(*args):
+        results.append(fn(*args))
+        return results[-1]
+
+    return wrapper
+
+
+def _count_det_sparse(monkeypatch):
+    calls = []
+    monkeypatch.setattr(invariant, "_det_sparse", _recording(calls, invariant._det_sparse))
+    return calls
+
+
+def _replay(source, log):
+    diagrams = [source]
+    for move in log:
+        diagrams.append(apply(diagrams[-1], move))
+    return diagrams
+
+
+_VIRTUAL_KINDS = {"V1_insert", "V1_delete", "V2_insert", "V2_delete", "Triangle_virtual"}
+
+
+def test_memoised_trials_agree_with_fresh_determinants(monkeypatch):
+    # every zeta and law check a trial ran, memo hits included, equals what
+    # a fresh computation gives on the replayed diagram
+    calls = _count_det_sparse(monkeypatch)
+    seen, checked = [], []
+    monkeypatch.setattr(fuzz, "zeta", _recording(seen, fuzz.zeta))
+    monkeypatch.setattr(fuzz, "check_theorems", _recording(checked, fuzz.check_theorems))
+    master = random.Random(20260819)
+    virtual_trials = 0
+    for index in range(40):
+        source = fuzz._source_for(master, index)
+        del seen[:], checked[:], calls[:]
+        trial = run_trial(source, 20, master.getrandbits(64), index)
+        diagrams = _replay(source, trial.log)
+        if any(m.kind in _VIRTUAL_KINDS for m in trial.log):
+            virtual_trials += 1
+            assert len(calls) < 4 * len(diagrams)
+        zetas = [zeta(d) for d in diagrams]
+        assert seen == zetas
+        assert checked == [check_theorems(d, z) for d, z in zip(diagrams, zetas)]
+        assert trial.ok, trial.problems
+        r = sum(predicted_shift(d, m) for d, m in zip(diagrams, trial.log))
+        assert trial.r == r and zetas[-1] == zetas[0].scaled(RingT.q_power(r))
+    assert virtual_trials > 20
+
+
+def test_zeta_and_det_b_are_keyed_apart(monkeypatch):
+    # B's lifted matrix equals zeta's on the trefoil, yet det B is still
+    # eliminated on its own, once
+    dec = decompose(generate("classical_trefoil"))
+    zeta_key = invariant._key(dec, "zeta", invariant._zeta_pick)
+    b_key = invariant._key(dec, "B", invariant._b_pick(dec))
+    assert invariant._fill(zeta_key) == invariant._fill(b_key)
+    calls = _count_det_sparse(monkeypatch)
+    memo = {}
+    z = zeta(dec, memo)
+    assert len(calls) == 2
+    det_b = leading_determinant(dec, memo)
+    assert len(calls) == 4 and len(memo) == 2
+    assert (zeta(dec, memo), leading_determinant(dec, memo)) == (z, det_b)
+    assert len(calls) == 4
+
+
+def test_codes_without_classical_crossings_stay_out_of_the_memo():
+    # det B of such a code is the s^k coefficient of 1, so it depends on k,
+    # which no key holds; this walk meets k = 0 and several k > 0
+    src = Diagram.parse("V1+ V1-")
+    trial = run_trial(src, 12, seed=0)
+    assert trial.ok, trial.problems
+    ks = {d.k for d in _replay(src, trial.log) if d.n == 0}
+    assert 0 in ks and len(ks) > 2
+
+
+def test_the_memo_lives_for_one_trial(monkeypatch):
+    calls = _count_det_sparse(monkeypatch)
+    src = generate("virtual_kink_chain", 2)
+    first = run_trial(src, 20, seed=3)
+    count = len(calls)
+    assert count < 4 * (len(first.log) + 1)
+    second = run_trial(src, 20, seed=3)
+    assert len(calls) == 2 * count
+    assert first.log_lines() == second.log_lines()
+
+
+def test_a_wrong_shift_is_flagged_on_every_step(monkeypatch):
+    # memo hits still go through the transport check
+    calls = _count_det_sparse(monkeypatch)
+    real = fuzz.predicted_shift
+    monkeypatch.setattr(fuzz, "predicted_shift", lambda d, m: real(d, m) + 1)
+    trial = run_trial(generate("virtual_kink"), 15, seed=0)
+    assert len(trial.log) == 15
+    assert len(calls) < 4 * 16  # some steps were served from the memo
+    flagged = [p for p in trial.problems if "changed zeta by something other" in p]
+    assert len(flagged) == len(trial.log)
