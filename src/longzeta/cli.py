@@ -17,7 +17,6 @@ from importlib import resources
 from longzeta.diagram import (
     Diagram,
     InternalError,
-    InvalidDiagram,
     connect_sum,
     read_gauss_file,
 )
@@ -251,7 +250,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, InvalidDiagram, InapplicableMove, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     except Exception as exc:  # an InternalError or any other fault: a bug

@@ -609,12 +609,7 @@ def check_theorems(diagram_or_dec, z: ZetaPolynomial, memo=None) -> list[str]:
     if top is not None and top > k:
         problems.append("top degree %d exceeds k=%d" % (top, k))
     sk = z.coeff(k)
-    # the memo is passed only when there is one, so a stand-in for
-    # leading_determinant that takes dec alone serves every call without it
-    if memo is None:
-        det_b = leading_determinant(dec)
-    else:
-        det_b = leading_determinant(dec, memo)
+    det_b = leading_determinant(dec, memo)
     if det_b != sk:
         problems.append(
             "det B = %s but the s^%d coefficient is %s"

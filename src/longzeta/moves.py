@@ -810,12 +810,9 @@ def enumerate_sites(diagram: Diagram, kind: str | None = None) -> list[MoveSpec]
 # ------------------------------------------------------------ random walk
 
 
-def _in_bounds(kind, n, k, max_n, max_k, min_n):
-    """Whether the move keeps the walk's bounds: a growing count stays at
-    most its cap, a shrinking classical count at least min_n."""
+def _in_bounds(kind, n, k, max_n, max_k):
+    """Whether the move keeps a growing crossing count within its cap."""
     if kind.dn > 0 and n + kind.dn > max_n:
-        return False
-    if kind.dn < 0 and n + kind.dn < min_n:
         return False
     return kind.dk <= 0 or k + kind.dk <= max_k
 
@@ -827,7 +824,6 @@ def random_equivalent(
     *,
     max_classical: int | None = None,
     max_virtual: int | None = None,
-    min_classical: int = 0,
 ):
     """Walk `steps` random moves from the diagram; deterministic per seed.
 
@@ -855,7 +851,7 @@ def random_equivalent(
         choices = [
             name
             for name, kind in _KIND_TABLE.items()
-            if _in_bounds(kind, n, k, max_n, max_k, min_classical)
+            if _in_bounds(kind, n, k, max_n, max_k)
             and _has_site(d, kind, n, index)
         ]
         if not choices:

@@ -52,6 +52,16 @@ def _lau_mul(f: dict[int, int], g: dict[int, int]) -> dict[int, int]:
     return out
 
 
+def _power(out, base, n: int):
+    """out * base**n by square-and-multiply, for n >= 0."""
+    while n:
+        if n & 1:
+            out = out * base
+        base = base * base
+        n >>= 1
+    return out
+
+
 class RingT:
     """Element of T in the normal form f(q) + a*(p - q).
 
@@ -150,14 +160,7 @@ class RingT:
             return NotImplemented
         if n < 0:
             raise ValueError("negative powers are only defined for p and q")
-        out = RingT.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(RingT.one(), self, n)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -326,14 +329,7 @@ class ZetaPolynomial:
             return NotImplemented
         if n < 0:
             raise ValueError("negative powers are not defined here")
-        out = ZetaPolynomial.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(ZetaPolynomial.one(), self, n)
 
     def __eq__(self, other):
         if not isinstance(other, ZetaPolynomial):

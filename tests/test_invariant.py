@@ -695,6 +695,6 @@ class TestDegenerateAndErrors:
     def test_cross_check_error(self, monkeypatch):
         import longzeta.invariant as inv
 
-        monkeypatch.setattr(inv, "leading_determinant", lambda dec: ONE)
+        monkeypatch.setattr(inv, "leading_determinant", lambda dec, memo=None: ONE)
         with pytest.raises(CrossCheckError, match=r"det B = 1\*q\^0 but the s\^1"):
             certify_minimality(generate("virtual_kink"))

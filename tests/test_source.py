@@ -81,3 +81,53 @@ def test_every_module_level_import_is_used():
             if name not in used and name not in public
         ]
     assert unused == []
+
+
+# cli.main is the console entry point: the tests and bench/run.py pass it
+# argv, and nothing in the library does
+DEFAULT_EXEMPT = {("main", "argv")}
+
+
+def _passes(call, index, name):
+    """Whether call may pass the parameter called name: by keyword or a
+    ** mapping, or at positional index (None when keyword-only) or
+    through a * sequence."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if index is None:
+        return False
+    return len(call.args) > index or any(
+        isinstance(arg, ast.Starred) for arg in call.args
+    )
+
+
+def test_every_defaulted_parameter_is_passed_in_the_library():
+    # a default no library call overrides serves only the tests
+    trees = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    defaulted = []
+    for tree in trees:
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            positional = node.args.posonlyargs + node.args.args
+            first = len(positional) - len(node.args.defaults)
+            defaulted += [(node.name, i, a.arg) for i, a in enumerate(positional) if i >= first]
+            defaulted += [
+                (node.name, None, a.arg)
+                for a, default in zip(node.args.kwonlyargs, node.args.kw_defaults)
+                if default is not None
+            ]
+    assert len(defaulted) > 5
+    unpassed = [
+        "%s:%s" % (func, name) for func, index, name in defaulted
+        if (func, name) not in DEFAULT_EXEMPT
+        and not any(_passes(call, index, name) for call in calls.get(func, []))
+    ]
+    assert unpassed == []
