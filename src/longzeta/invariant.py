@@ -28,21 +28,28 @@ leading_determinant and check_theorems take an optional memo, a dict
 from key to determinant, so a caller that meets one matrix many times
 fills and eliminates it once; the move fuzzer keeps one per trial, since
 virtual moves leave zeta's matrix as it was.  The key is tagged with its
-determinant, so det B never reuses zeta's elimination.  The
-matrix has at most three nonzero entries per row, and most of them are
-+-monomials: units of the Laurent ring.  A lifted matrix with an empty
-row or column is singular and yields 0 before any elimination; det B
-often has one.  Otherwise each determinant first eliminates on unit
-pivots in Markowitz order, which needs no division, with ties going to
-the lowest row and then to that row's first-entered column.  A remainder
-of one row is its single entry.  A remainder of two rows or more, a few
-rows at most, takes one pass over its nonzero entries for its monomial
-shifts, degree bounds and Hadamard bound, then runs fraction-free Bareiss
-elimination on entries packed into one integer each (Kronecker
-substitution), so the arithmetic is plain big-integer arithmetic; such a
-remainder that would pack into more than PACKED_BITS_BUDGET bits is
-refused with DeterminantTooLarge.  The division-free Berkowitz recursion
-stays as the independent slow reference.
+determinant, so det B never reuses zeta's elimination.  The matrix has
+at most three nonzero entries per row, and most of them are
++-monomials: units of the Laurent ring.  Before any fill, _singular
+reads three kinds of singular matrix off the key: a row with no cell
+entered, a column that no entered cell names, and rows that each enter
+all three cells at one s-exponent, so that every row sums to zero.
+Their determinant is 0 with no fill and no elimination; zeta of every
+classical code is of the last kind, and most det B matrices of the
+first.  A lifted matrix whose row or column empties only in one lift
+(the dual lift drops t^w - 1 for t = q) or as its entries cancel is
+still singular and yields 0 before any elimination.  Otherwise each
+determinant first eliminates on unit pivots in Markowitz order, which
+needs no division, with ties going to the lowest row and then to that
+row's first-entered column.  A remainder of one row is its single
+entry.  A remainder of two rows or more, a few rows at most, takes one
+pass over its nonzero entries for its monomial shifts, degree bounds and
+Hadamard bound, then runs fraction-free Bareiss elimination on entries
+packed into one integer each (Kronecker substitution), so the arithmetic
+is plain big-integer arithmetic; such a remainder that would pack into
+more than PACKED_BITS_BUDGET bits is refused with DeterminantTooLarge.
+The division-free Berkowitz recursion stays as the independent slow
+reference.
 
 The leading matrix B keeps, per column, only the s^threshold coefficient,
 where threshold is the column's count of increasing virtual passages.  No
@@ -519,15 +526,43 @@ def _fill(key):
     return laurent, dual
 
 
+def _singular(key) -> bool:
+    """Whether the key alone shows its matrix singular, in both lifts: a
+    row with none of its three cells entered, a column that no entered
+    cell names, or -- with at least one row -- every row's three cells
+    entered at one s-exponent.  In the last case each row sums to
+    s^d * (1 + (t^w - 1) - t^w) = 0, so the all-ones vector lies in the
+    kernel.  The empty key (n = 0) is never singular: its determinant
+    is 1."""
+    # after the tag, eight items per row: t, w and three (column, exponent)
+    # cells, emanating, over and incoming
+    exps = key[4::8], key[6::8], key[8::8]
+    rows = list(zip(*exps))
+    if (None, None, None) in rows:
+        return True  # an empty row
+    if rows and all(d0 is not None and d0 == d1 == d2 for d0, d1, d2 in rows):
+        return True  # every row sums to zero
+    named = {
+        j
+        for cols, ds in zip((key[3::8], key[5::8], key[7::8]), exps)
+        for j, d in zip(cols, ds)
+        if d is not None
+    }
+    return len(named) < len(rows)  # an empty column
+
+
 def _det(key, memo=None) -> ZetaPolynomial:
     """The determinant of the matrix a key describes.  memo, when given,
     maps keys to the determinants already taken: a key found there costs
-    no fill and no elimination."""
+    no fill and no elimination.  A key that _singular decides costs no
+    fill either; its zero enters memo like any other determinant."""
     if memo is not None:
         z = memo.get(key)
         if z is None:
             z = memo[key] = _det(key)
         return z
+    if _singular(key):
+        return ZetaPolynomial.zero()
     laurent, dual = _fill(key)
     return _combine(_det_sparse(laurent), _det_sparse(dual))
 

@@ -62,6 +62,16 @@ def test_certify_classical_knot_has_no_certificate(capsys):
     assert out.strip() == "zeta = 0; k = 0; no certificate"
 
 
+def test_certify_large_classical_code(tmp_path, capsys):
+    # zeta and det B of a classical code are decided from their keys, so
+    # n = 200 certifies without an elimination
+    big = tmp_path / "classical.gauss"
+    big.write_text(random_diagram(random.Random(200), 200, 0).render() + "\n")
+    code, out, _ = run(capsys, "certify", str(big))
+    assert code == 0
+    assert out.strip() == "zeta = 0; k = 0; no certificate"
+
+
 def test_certify_json_schema(capsys):
     code, out, _ = run(capsys, "certify", VK, "--json")
     assert code == 0

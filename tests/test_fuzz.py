@@ -183,17 +183,31 @@ def test_memoised_trials_agree_with_fresh_determinants(monkeypatch):
 
 def test_zeta_and_det_b_are_keyed_apart(monkeypatch):
     # B's lifted matrix equals zeta's on the trefoil, yet det B is still
-    # eliminated on its own, once
+    # decided on its own, once: both keys are singular by structure, so
+    # neither reaches _det_sparse
     dec = decompose(generate("classical_trefoil"))
     zeta_key = invariant._key(dec, "zeta", invariant._zeta_pick)
     b_key = invariant._key(dec, "B", invariant._b_pick(dec))
     assert invariant._fill(zeta_key) == invariant._fill(b_key)
+    decided = []
+    singular = invariant._singular
+    monkeypatch.setattr(
+        invariant, "_singular", lambda key: decided.append((key[0], singular(key))) or decided[-1][1]
+    )
     calls = _count_det_sparse(monkeypatch)
+    memo = {}
+    z = zeta(dec, memo)
+    det_b = leading_determinant(dec, memo)
+    assert decided == [("zeta", True), ("B", True)] and len(memo) == 2
+    assert (zeta(dec, memo), leading_determinant(dec, memo)) == (z, det_b)
+    assert len(decided) == 2 and calls == []
+    # the virtual kink's det B is nonzero, so both are eliminated, once each
+    dec = decompose(generate("virtual_kink"))
     memo = {}
     z = zeta(dec, memo)
     assert len(calls) == 2
     det_b = leading_determinant(dec, memo)
-    assert len(calls) == 4 and len(memo) == 2
+    assert len(calls) == 4 and len(memo) == 2 and not det_b.is_zero()
     assert (zeta(dec, memo), leading_determinant(dec, memo)) == (z, det_b)
     assert len(calls) == 4
 

@@ -544,6 +544,15 @@ class TestCostBudget:
             zeta(d)
         assert isinstance(info.value, ValueError)
 
+    def test_large_classical_code_is_decided_without_a_fill(self, monkeypatch):
+        # every row of a classical code's matrix sums to zero, which its key
+        # shows, so n = 200 costs no fill and no elimination
+        d = random_diagram(random.Random(200), 200, 0)
+        filled = []
+        monkeypatch.setattr(invariant, "_fill", filled.append)
+        assert zeta(d).is_zero()
+        assert filled == []
+
     def test_n_k_70_fails_fast(self):
         d = random_diagram(random.Random(70), 70, 70)
         with pytest.raises(invariant.DeterminantTooLarge):
@@ -591,6 +600,90 @@ def test_direct_lifts_are_exact():
         assert zeta_split(dec) == (berkowitz(minus), berkowitz(plus))
         assert leading_determinant(dec) == det_division_free(lead, ONE, RingT.zero())
     assert incidence_matrix(Diagram.parse("O1+ U1+")) == [[ZP_ZERO]]
+
+
+# the cancelling codes of test_direct_lifts_are_exact
+CANCELLING = ["O1+ U1+", "U1- O1-", "V3+ O1- U1- V3-", "O1+ U2- O2- U1+"]
+
+
+def every_pick(dec):
+    """Each determinant's pick by name: zeta, B and the two split halves."""
+    united = dec.united
+
+    def half(final):
+        return lambda j, in_final, deg: deg if j != united or in_final == final else None
+
+    return {"zeta": invariant._zeta_pick, "B": invariant._b_pick(dec),
+            "minus": half(False), "plus": half(True)}
+
+
+def row_sum(row):
+    total = {}
+    for x in row.values():
+        for e, c in x.items():
+            total[e] = total.get(e, 0) + c
+    return {e: c for e, c in total.items() if c}
+
+
+def test_singular_keys_have_zero_determinants():
+    # _singular reads the key; the Laurent lift that _fill builds from it
+    # shows the same three structures (a row with no entry, a column that
+    # no entry names, every row summing to zero), and _det_packed, which
+    # shares no code with _det_sparse, finds both lifts singular
+    rng = random.Random(31)
+    codes = [random_diagram(rng, n, k)
+             for n in range(1, 9) for k in range(9) for _ in range(2)]
+    codes += [Diagram.parse(text) for text in CANCELLING]
+    reasons = set()
+    for d in codes:
+        dec = decompose(d)
+        for tag, pick in every_pick(dec).items():
+            key = invariant._key(dec, tag, pick)
+            laurent, dual = invariant._fill(key)
+            why = (
+                {} in laurent,
+                len(set().union(*laurent)) < len(laurent),
+                all(not row_sum(row) for row in laurent),
+            )
+            assert invariant._singular(key) == any(why), (d.render(), tag)
+            if any(why):
+                reasons.add(why)
+                assert invariant._det_packed(dense(laurent)) == {}
+                assert invariant._det_packed(dense(dual)) == {}
+        if d.k == 0:
+            assert invariant._singular(invariant._key(dec, "zeta", invariant._zeta_pick))
+    # each of the three structures decides some key on its own
+    assert {(True, False, False), (False, True, False), (False, False, True)} <= reasons
+    # n = 0: the empty matrix has determinant 1
+    for text in ("", "V1+ V1-"):
+        key = invariant._key(decompose(Diagram.parse(text)), "zeta", invariant._zeta_pick)
+        assert not invariant._singular(key)
+
+
+def test_certify_fills_only_undecided_keys(monkeypatch):
+    # this code's B is [[0]], one empty row, and its zeta does not vanish
+    b_empty_row = Diagram.parse("V3- O1- V3+ U1-")
+    assert leading_matrix(b_empty_row) == [[RingT.zero()]]
+    assert not zeta(b_empty_row).is_zero()
+    decided, filled = [], []
+    singular, fill = invariant._singular, invariant._fill
+    monkeypatch.setattr(
+        invariant, "_singular", lambda key: decided.append((key, singular(key))) or decided[-1][1]
+    )
+    monkeypatch.setattr(invariant, "_fill", lambda key: filled.append(key) or fill(key))
+
+    def filled_tags(d):
+        del decided[:], filled[:]
+        certify_minimality(d)
+        assert [key[0] for key, _ in decided] == ["zeta", "B"]
+        assert filled == [key for key, fired in decided if not fired]
+        return [key[0] for key in filled]
+
+    assert filled_tags(generate("classical_trefoil")) == []
+    assert filled_tags(b_empty_row) == ["zeta"]
+    rng = random.Random(33)
+    for _ in range(60):
+        filled_tags(random_diagram(rng, rng.randint(1, 6), rng.randint(0, 6)))
 
 
 ring_elements = st.builds(
