@@ -48,7 +48,6 @@ enumerate_sites call builds one index and drops it when it returns.
 
 from __future__ import annotations
 
-import math
 import random
 import re
 from bisect import bisect_left, bisect_right
@@ -822,16 +821,17 @@ def random_equivalent(
     steps: int,
     seed: int,
     *,
-    max_classical: int | None = None,
-    max_virtual: int | None = None,
+    max_classical: int,
+    max_virtual: int,
 ):
     """Walk `steps` random moves from the diagram; deterministic per seed.
 
     Returns (final diagram, list of applied MoveSpecs).  Each step picks
-    a kind uniformly among kinds with at least one site (honoring the
-    optional crossing-count bounds), then a site uniformly within the
-    kind.  Kinds with no sites are skipped; if nothing at all applies the
-    walk stops early.
+    a kind uniformly among kinds with at least one site, then a site
+    uniformly within the kind.  A kind that would take the classical
+    crossing count past max_classical, or the virtual one past
+    max_virtual, is not chosen.  Kinds with no sites are skipped; if
+    nothing at all applies the walk stops early.
 
     Only the chosen kind's sites are listed; for the others the step
     stops at the first valid site.  The random draws are the same as
@@ -840,8 +840,6 @@ def random_equivalent(
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    max_n = math.inf if max_classical is None else max_classical
-    max_k = math.inf if max_virtual is None else max_virtual
     rng = random.Random(seed)
     d = diagram.check()
     log: list[MoveSpec] = []
@@ -851,7 +849,7 @@ def random_equivalent(
         choices = [
             name
             for name, kind in _KIND_TABLE.items()
-            if _in_bounds(kind, n, k, max_n, max_k)
+            if _in_bounds(kind, n, k, max_classical, max_virtual)
             and _has_site(d, kind, n, index)
         ]
         if not choices:

@@ -25,8 +25,6 @@ RingT coefficients, again stored sparsely.
 
 from __future__ import annotations
 
-import re
-
 
 def _lau_add(f: dict[int, int], g: dict[int, int]) -> dict[int, int]:
     out = dict(f)
@@ -49,16 +47,6 @@ def _lau_mul(f: dict[int, int], g: dict[int, int]) -> dict[int, int]:
                 out[k] = v
             elif k in out:
                 del out[k]
-    return out
-
-
-def _power(out, base, n: int):
-    """out * base**n by square-and-multiply, for n >= 0."""
-    while n:
-        if n & 1:
-            out = out * base
-        base = base * base
-        n >>= 1
     return out
 
 
@@ -155,13 +143,6 @@ class RingT:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            raise ValueError("negative powers are only defined for p and q")
-        return _power(RingT.one(), self, n)
-
     def __eq__(self, other):
         if isinstance(other, int):
             other = RingT.from_int(other)
@@ -170,9 +151,10 @@ class RingT:
         return self.lau == other.lau and self.eps == other.eps
 
     def __hash__(self):
+        # a constant equals its int (see __eq__), so it hashes as that int
+        if not self.eps and self.lau.keys() <= {0}:
+            return hash(self.lau.get(0, 0))
         return hash((frozenset(self.lau.items()), self.eps))
-
-    _TERM = re.compile(r"^(-?\d+)\*(?:q\^(-?\d+)|\(p-q\))$")
 
     def render(self) -> str:
         """Canonical text form, e.g. ``1*q^0 - 2*q^3 + 1*(p-q)``.
@@ -190,25 +172,6 @@ class RingT:
             out.append(" + " if c > 0 else " - ")
             out.append("%d*%s" % (abs(c), sym))
         return "".join(out)
-
-    @classmethod
-    def parse(cls, text: str) -> "RingT":
-        s = text.strip()
-        if s == "0":
-            return cls.zero()
-        lau: dict[int, int] = {}
-        eps = 0
-        for raw in s.replace(" - ", " + -").split(" + "):
-            m = cls._TERM.match(raw.strip())
-            if not m:
-                raise ValueError("bad ring term %r" % (raw,))
-            c = int(m.group(1))
-            if m.group(2) is None:
-                eps += c
-            else:
-                k = int(m.group(2))
-                lau[k] = lau.get(k, 0) + c
-        return cls(lau, eps)
 
     def __str__(self):
         return self.render()
@@ -237,15 +200,8 @@ class ZetaPolynomial:
     def one(cls) -> "ZetaPolynomial":
         return cls({0: RingT.one()})
 
-    @classmethod
-    def monomial(cls, coeff: RingT, power: int = 0) -> "ZetaPolynomial":
-        return cls({power: coeff})
-
     def coeff(self, d: int) -> RingT:
         return self.coeffs.get(d, RingT.zero())
-
-    def support(self) -> list[int]:
-        return sorted(self.coeffs)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -253,27 +209,6 @@ class ZetaPolynomial:
     def top_degree(self) -> int | None:
         """Largest s-exponent with nonzero coefficient, None if zero."""
         return max(self.coeffs) if self.coeffs else None
-
-    def low_degree(self) -> int | None:
-        return min(self.coeffs) if self.coeffs else None
-
-    def eval_pq1(self, s_value: int = 1) -> int:
-        """Integer value at p = q = 1 and s = s_value."""
-        total = 0
-        for d, c in self.coeffs.items():
-            if d < 0:
-                if s_value not in (1, -1):
-                    raise ValueError("negative s exponent needs s_value in {1, -1}")
-                d = -d
-            total += c.eval_pq1() * s_value**d
-        return total
-
-    def shifted(self, r: int) -> "ZetaPolynomial":
-        """Product with s^r."""
-        out = ZetaPolynomial()
-        for d, c in self.coeffs.items():
-            out.coeffs[d + r] = c
-        return out
 
     def scaled(self, c: RingT) -> "ZetaPolynomial":
         out = ZetaPolynomial()
@@ -324,13 +259,6 @@ class ZetaPolynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            raise ValueError("negative powers are not defined here")
-        return _power(ZetaPolynomial.one(), self, n)
-
     def __eq__(self, other):
         if not isinstance(other, ZetaPolynomial):
             return NotImplemented
@@ -346,31 +274,6 @@ class ZetaPolynomial:
         return " + ".join(
             "(%s)*s^%d" % (self.coeffs[d].render(), d) for d in sorted(self.coeffs)
         )
-
-    _GROUP = re.compile(r"\((.+?)\)\*s\^(-?\d+)")
-
-    @classmethod
-    def parse(cls, text: str) -> "ZetaPolynomial":
-        s = text.strip()
-        if s == "0":
-            return cls.zero()
-        out = cls()
-        pos = 0
-        while pos < len(s):
-            if pos and s.startswith(" + ", pos):
-                pos += 3
-            elif pos:
-                raise ValueError("bad zeta separator at %r" % (s[pos : pos + 12],))
-            # the lazy body is safe: a coefficient never contains ")*s^"
-            m = cls._GROUP.match(s, pos)
-            if not m:
-                raise ValueError("bad zeta term at %r" % (s[pos : pos + 24],))
-            c = RingT.parse(m.group(1))
-            d = int(m.group(2))
-            if not c.is_zero():
-                out.coeffs[d] = out.coeff(d) + c
-            pos = m.end()
-        return out
 
     def __str__(self):
         return self.render()

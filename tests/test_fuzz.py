@@ -19,7 +19,7 @@ from longzeta.fuzz import (
 )
 from longzeta.invariant import leading_determinant, zeta
 from longzeta.moves import MoveSpec, apply
-from longzeta.rings import RingT, equal_up_to_q_power
+from longzeta.rings import RingT, ZetaPolynomial, equal_up_to_q_power
 
 
 def test_random_diagram_counts_and_validity():
@@ -54,7 +54,7 @@ def test_fuzz_and_certify_share_one_law_check():
 
 def test_check_theorems_reports_violations():
     d = generate("virtual_kink")
-    problems = check_theorems(d, zeta(d).shifted(5))
+    problems = check_theorems(d, zeta(d) * ZetaPolynomial({5: 1}))
     assert any("exceeds k" in p for p in problems)
     assert any("det B" in p for p in problems)
 

@@ -377,24 +377,32 @@ def test_every_enumerated_site_applies_and_obeys_the_law():
 # ----------------------------------------------------------- random walks
 
 
+def _out_of_reach(d, steps):
+    """Both walk caps at a value no walk of `steps` steps from d can
+    reach: a step adds at most two crossings."""
+    cap = d.n + d.k + 2 * steps
+    return dict(max_classical=cap, max_virtual=cap)
+
+
 def test_walk_is_deterministic_and_replayable():
     d0 = generate("virtual_kink")
-    d1, log1 = random_equivalent(d0, 12, seed=5)
-    d2, log2 = random_equivalent(d0, 12, seed=5)
+    caps = _out_of_reach(d0, 12)
+    d1, log1 = random_equivalent(d0, 12, seed=5, **caps)
+    d2, log2 = random_equivalent(d0, 12, seed=5, **caps)
     assert d1 == d2 and log1 == log2
     replay = d0
     for move in log1:
         replay = apply(replay, MoveSpec.parse(move.render()))
     assert replay == d1
-    d3, log3 = random_equivalent(d0, 12, seed=6)
+    d3, log3 = random_equivalent(d0, 12, seed=6, **caps)
     assert (d3, log3) != (d1, log1)
 
 
 def test_walk_zero_steps_is_identity():
-    d, log = random_equivalent(VK, 0, seed=1)
+    d, log = random_equivalent(VK, 0, seed=1, **_out_of_reach(VK, 0))
     assert d == VK and log == []
     with pytest.raises(ValueError, match="steps"):
-        random_equivalent(VK, -1, seed=1)
+        random_equivalent(VK, -1, seed=1, **_out_of_reach(VK, 0))
 
 
 def test_walk_transports_zeta_by_a_q_power():
@@ -402,7 +410,7 @@ def test_walk_transports_zeta_by_a_q_power():
     for trial in range(6):
         d0 = random_diagram(rng, rng.randint(1, 3), rng.randint(0, 3))
         z0 = zeta(d0)
-        d1, log = random_equivalent(d0, 10, seed=100 + trial)
+        d1, log = random_equivalent(d0, 10, seed=100 + trial, **_out_of_reach(d0, 10))
         r = 0
         cur = d0
         for move in log:
@@ -426,7 +434,8 @@ def test_walk_honors_growth_caps():
 
 def test_walk_skips_kinds_without_sites():
     # nothing classical: only the virtual kinds can fire, and they do
-    d1, log = random_equivalent(Diagram.parse("V1+ V1-"), 8, seed=2)
+    d0 = Diagram.parse("V1+ V1-")
+    d1, log = random_equivalent(d0, 8, seed=2, **_out_of_reach(d0, 8))
     assert log and all(m.kind.startswith(("V1", "V2", "Triangle_virtual")) for m in log)
     assert d1.n == 0
 
@@ -674,7 +683,8 @@ def test_index_scans_match_on_shuffled_codes(seed, n, k):
 # lines joined by newlines); recorded before the walk learned to skip
 # listing the sites of kinds it does not choose, except classical_cap (a
 # walk that starts at its cap), recorded before the walk lost its
-# classical floor
+# classical floor. A cap that bounds leaves out is set out of the walk's
+# reach, so it changes no step.
 GOLDEN_WALKS = [
     (
         ("O1+ V2+ U1+ V2-", 12, 5, {}),
@@ -723,7 +733,8 @@ GOLDEN_WALKS = [
 )
 def test_walk_trajectories_are_pinned(case, final, log_hash):
     code, steps, seed, bounds = case
-    d, log = random_equivalent(Diagram.parse(code), steps, seed, **bounds)
+    d = Diagram.parse(code)
+    d, log = random_equivalent(d, steps, seed, **{**_out_of_reach(d, steps), **bounds})
     assert d.render() == final
     lines = "\n".join(m.render() for m in log)
     assert hashlib.sha256(lines.encode()).hexdigest()[:16] == log_hash

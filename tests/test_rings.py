@@ -1,7 +1,7 @@
 """Fast-path ring arithmetic, cross-validated against the raw oracle."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from longzeta import oracle
@@ -53,7 +53,8 @@ class TestRingT:
         for m in range(-5, 6):
             assert RingT.p_power(m) == RingT({m: 1}, m)
         assert RingT.p_power(1) * RingT.p_power(-1) == RingT.one()
-        assert RingT.p_power(3) == RingT.p_power(1) ** 3
+        p = RingT.p_power(1)
+        assert RingT.p_power(3) == p * p * p
 
     def test_q_times_p_inverse(self):
         # q/p = 1 - (p-q); multiplying by any q^m does not change the
@@ -116,6 +117,18 @@ class TestRingT:
         assert 1 - x == RingT({0: 1, 2: -1})
         assert RingT.from_int(5) == 5
 
+    @given(st.integers())
+    @example(0)
+    def test_hash_agrees_with_int_equality(self, n):
+        x = RingT.from_int(n)
+        assert x == n and hash(x) == hash(n)
+        assert len({n, x}) == 1
+
+    @given(ring_elems, ring_elems)
+    def test_equal_elements_hash_equal(self, x, y):
+        same = (x + y) - y
+        assert same == x and hash(same) == hash(x)
+
     def test_render_pinned(self):
         assert RingT.zero().render() == "0"
         assert RingT.p_power(1).render() == "1*q^1 + 1*(p-q)"
@@ -123,18 +136,12 @@ class TestRingT:
         assert RingT({0: 1, 2: -3}).render() == "1*q^0 - 3*q^2"
         assert RingT({}, 2).render() == "2*(p-q)"
 
-    @given(ring_elems)
-    def test_render_parse_roundtrip(self, x):
-        assert RingT.parse(x.render()) == x
-
-    def test_parse_rejects_garbage(self):
-        for bad in ("p", "q^2", "1*q^", "1*q^1 * 2*q^0", "one"):
-            with pytest.raises(ValueError):
-                RingT.parse(bad)
-
-    def test_pow_negative_raises(self):
-        with pytest.raises(ValueError):
-            RingT.q_power(1) ** -1
+    @given(ring_elems, ring_elems)
+    def test_render_is_canonical(self, x, y):
+        # equal values render the same bytes, unequal ones differ
+        assert (x.render() == y.render()) == (x == y)
+        reordered = RingT(dict(reversed(list(x.lau.items()))), x.eps)
+        assert reordered.render() == ((x + y) - y).render() == x.render()
 
 
 class TestZetaPolynomial:
@@ -146,11 +153,11 @@ class TestZetaPolynomial:
 
     def test_zero_coefficients_dropped(self):
         z = ZetaPolynomial({0: RingT.zero(), 1: RingT.one(), 2: 0})
-        assert z.support() == [1]
+        assert sorted(z.coeffs) == [1]
 
     def test_degrees(self):
         z = ZetaPolynomial({-2: RingT.one(), 3: RingT({}, 1)})
-        assert z.low_degree() == -2
+        assert min(z.coeffs) == -2
         assert z.top_degree() == 3
 
     @given(zeta_polys, zeta_polys)
@@ -165,23 +172,10 @@ class TestZetaPolynomial:
         assert x * y == y * x
         assert (x - y) + y == x
 
-    @given(zeta_polys, st.integers(min_value=-3, max_value=3))
-    def test_shift_is_monomial_product(self, z, r):
-        s_r = ZetaPolynomial({r: RingT.one()})
-        assert z.shifted(r) == z * s_r
-
     @given(zeta_polys)
     def test_scaled_matches_mul(self, z):
         c = RingT.p_power(1)
         assert z.scaled(c) == z * ZetaPolynomial({0: c})
-
-    def test_eval_pq1(self):
-        z = ZetaPolynomial({0: RingT.p_power(1), 1: -RingT.p_power(1)})
-        assert z.eval_pq1() == 0
-        assert z.eval_pq1(-1) == 2
-        assert ZetaPolynomial({-1: RingT.one()}).eval_pq1(-1) == -1
-        with pytest.raises(ValueError):
-            ZetaPolynomial({-1: RingT.one()}).eval_pq1(2)
 
     def test_render_pinned(self):
         z = ZetaPolynomial({0: RingT.p_power(1), 1: -RingT.p_power(1)})
@@ -189,19 +183,15 @@ class TestZetaPolynomial:
         assert ZetaPolynomial.zero().render() == "0"
 
     @settings(max_examples=150)
-    @given(st.one_of(zeta_polys, sparse_zeta_polys))
-    def test_render_parse_roundtrip(self, z):
-        assert ZetaPolynomial.parse(z.render()) == z
-
-    def test_parse_rejects_garbage(self):
-        for bad in ("(1*q^0)*s", "(1*q^0)s^1", "(1*q^0)*s^1 - (1*q^0)*s^2", "s^1"):
-            with pytest.raises(ValueError):
-                ZetaPolynomial.parse(bad)
-
-    def test_pow(self):
-        z = ZetaPolynomial({0: RingT.one(), 1: RingT.one()})
-        assert z**0 == ZetaPolynomial.one()
-        assert z**2 == ZetaPolynomial({0: 1, 1: 2, 2: 1})
+    @given(
+        st.one_of(zeta_polys, sparse_zeta_polys),
+        st.one_of(zeta_polys, sparse_zeta_polys),
+    )
+    def test_render_is_canonical(self, x, y):
+        # equal values render the same bytes, unequal ones differ
+        assert (x.render() == y.render()) == (x == y)
+        reordered = ZetaPolynomial(dict(reversed(list(x.coeffs.items()))))
+        assert reordered.render() == ((x + y) - y).render() == x.render()
 
 
 def _to_raw3(z: ZetaPolynomial) -> dict:

@@ -57,6 +57,40 @@ def test_every_top_level_name_is_used_in_the_library():
     assert unused == []
 
 
+# methods only a caller outside src/longzeta names: argparse calls
+# ArgumentParser.error, and README documents RingT.is_zero_divisor
+METHOD_EXEMPT = {("_Parser", "error"), ("RingT", "is_zero_divisor")}
+
+
+def test_every_method_is_used_in_the_library():
+    # a method only the tests call belongs in the tests; dunders are
+    # called by the language. The match is by name, so a same-named
+    # symbol anywhere in the library hides a method: ZetaPolynomial's
+    # shifted, parse and eval_pq1 went unflagged behind connect_sum's
+    # local `shifted`, Diagram.parse and RingT.eval_pq1, and were
+    # deleted by hand
+    used, defined = {}, []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        _names_used(tree, used)
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and not (
+                    node.name.startswith("__") and node.name.endswith("__")
+                ):
+                    inside = {}
+                    _names_used(node, inside)
+                    defined.append((cls.name, node.name, inside.get(node.name, 0)))
+    assert ("RingT", "render", 0) in defined and len(defined) > 30
+    unused = [
+        "%s.%s" % (cls, name) for cls, name, self_refs in defined
+        if used.get(name, 0) == self_refs and (cls, name) not in METHOD_EXEMPT
+    ]
+    assert unused == []
+
+
 def test_every_module_level_import_is_used():
     # an import nothing reads is left over from code that moved away;
     # __future__ imports and the names a module lists in __all__ are exempt
