@@ -89,7 +89,9 @@ class Diagram:
     """Immutable passage sequence, possibly not yet validated.
 
     The result of validate() and the crossing counts n and k are cached on
-    first use, so re-checking or re-counting a diagram costs nothing.
+    first use, so re-checking or re-counting a diagram costs nothing.  n
+    and k are counted by validate()'s pairing pass, so on an invalid code
+    they raise InvalidDiagram.
     """
 
     __slots__ = ("tokens", "_problems", "_counts")
@@ -146,10 +148,7 @@ class Diagram:
 
     def _count(self) -> tuple[int, int]:
         if self._counts is None:
-            self._counts = (
-                len({t.cid for t in self.tokens if t.kind in ("O", "U")}),
-                len({t.cid for t in self.tokens if t.kind == "V"}),
-            )
+            self.check()  # its pairing pass counts the crossings
         return self._counts
 
     @property

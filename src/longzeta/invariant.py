@@ -36,20 +36,22 @@ entered, a column that no entered cell names, and rows that each enter
 all three cells at one s-exponent, so that every row sums to zero.
 Their determinant is 0 with no fill and no elimination; zeta of every
 classical code is of the last kind, and most det B matrices of the
-first.  A lifted matrix whose row or column empties only in one lift
-(the dual lift drops t^w - 1 for t = q) or as its entries cancel is
-still singular and yields 0 before any elimination.  Otherwise each
-determinant first eliminates on unit pivots in Markowitz order, which
-needs no division, with ties going to the lowest row and then to that
-row's first-entered column.  A remainder of one row is its single
-entry.  A remainder of two rows or more, a few rows at most, takes one
-pass over its nonzero entries for its monomial shifts, degree bounds and
-Hadamard bound, then runs fraction-free Bareiss elimination on entries
-packed into one integer each (Kronecker substitution), so the arithmetic
-is plain big-integer arithmetic; such a remainder that would pack into
-more than PACKED_BITS_BUDGET bits is refused with DeterminantTooLarge.
-The division-free Berkowitz recursion stays as the independent slow
-reference.
+first.  Every other determinant first eliminates on unit pivots in
+Markowitz order, which needs no division, with ties going to the lowest
+row and then to that row's first-entered column.  A remainder of one row
+is its single entry.  A remainder of two rows or more, a few rows at
+most, takes one pass over its nonzero entries for its monomial shifts,
+degree bounds and Hadamard bound, then runs fraction-free Bareiss
+elimination on entries packed into one integer each (Kronecker
+substitution), so the arithmetic is plain big-integer arithmetic; such a
+remainder that would pack into more than PACKED_BITS_BUDGET bits is
+refused with DeterminantTooLarge.
+A lifted matrix whose row or column empties only in one lift (the dual
+lift drops t^w - 1 for t = q) or as its entries cancel is still
+singular: no pivot lies on that zero line, so it stays in the remainder,
+where the one-row remainder's missing entry or _det_packed's bound pass
+yields 0 before any packing.  The division-free Berkowitz recursion
+stays as the independent slow reference.
 
 The leading matrix B keeps, per column, only the s^threshold coefficient,
 where threshold is the column's count of increasing virtual passages.  No
@@ -58,11 +60,14 @@ the s^k coefficient of zeta and why the top s-degree of zeta is at most k.
 Within one long arc at most one arc reaches the threshold.  The united
 column's two halves both reach it exactly when neither has an increasing
 passage; the entry then sums both contributions, still the s^threshold
-coefficient of the matrix entry.  A nonzero det B therefore certifies that
-the diagram realizes the minimal virtual crossing number among all
-equivalent diagrams.  Both laws, the degree bound and det B = the s^k
-coefficient, are checked in one place, check_theorems, which
-certify_minimality and the move fuzzer share.
+coefficient of the matrix entry.  zeta changes only by a unit q^r under
+the moves that moves.apply accepts, so a nonzero det B certifies that no
+diagram those moves reach has fewer virtual crossings.  The claim stops
+at that move set: V8+ O1+ U1+ V8- certifies with k = 1, yet a plain
+Reidemeister I kink deletion that apply refuses takes zeta from 1 - s to
+0 on the way to O9+ U9+, with k = 0.  Both laws, the degree bound and
+det B = the s^k coefficient, are checked in one place, check_theorems,
+which certify_minimality and the move fuzzer share.
 """
 
 from __future__ import annotations
@@ -196,26 +201,25 @@ def _det_sparse(rows) -> dict[tuple[int, int], int]:
     rows: row i is {column: {(x_exp, y_exp): c}}, columns 0 .. n-1.  The
     rows and their entries are left unchanged.
 
-    Every zeta, split and det B determinant comes through here.  A matrix
-    with an empty row or column -- after zero terms are dropped -- is
-    structurally singular and yields {} before any elimination.  While
-    some entry is a unit of the Laurent ring -- one term, coefficient +-1
-    -- the unit with the least Markowitz cost (row nonzeros - 1) *
-    (column nonzeros - 1) is the pivot (Markowitz 1957); ties go to the
-    lowest row index, then to the column that entered that row first
-    (fill-ins enter after the entries already there, in pivot-row
-    order).  Its inverse is again a +-monomial, so clearing its column is
-    exact and needs no division; the determinant gains the pivot as a
-    factor and the sign of its position.  Each row keeps its cheapest
-    unit, and a pivot
-    re-prices only the rows it changed and the rows with an entry in a
-    column whose count it changed.  A remainder of one row is its single
-    entry, possibly empty; a remainder of two rows or more goes to
-    _det_packed.  Pivots may be any monomial, eps^b ones of the dual lift
-    included: both lifts are polynomial matrices, and their determinant is
-    the same polynomial whether it is computed over the polynomial or the
-    Laurent ring, so dividing by x^a y^b along the way is sound, and
-    _combine reads only the eps^0 and eps^1 slices of the result.
+    Every zeta, split and det B determinant that _singular leaves open
+    comes through here.  While some entry is a unit of the Laurent ring --
+    one term, coefficient +-1 -- the unit with the least Markowitz cost
+    (row nonzeros - 1) * (column nonzeros - 1) is the pivot (Markowitz
+    1957), found by one scan over the rows not yet eliminated; ties go to
+    the lowest row index, then to the column that entered that row first
+    (fill-ins enter after the entries already there, in pivot-row order).
+    Its inverse is again a +-monomial, so clearing its column is exact and
+    needs no division; the determinant gains the pivot as a factor and the
+    sign of its position.  A remainder of one row is its single entry,
+    possibly empty; a remainder of two rows or more goes to _det_packed.
+    No pivot lies on a zero row or column, so one -- given, or left as
+    entries cancel -- stays in the remainder, where the missing entry or
+    _det_packed's bound pass yields {} before any packing.  Pivots may be
+    any monomial, eps^b ones of the dual lift included: both lifts are
+    polynomial matrices, and their determinant is the same polynomial
+    whether it is computed over the polynomial or the Laurent ring, so
+    dividing by x^a y^b along the way is sound, and _combine reads only
+    the eps^0 and eps^1 slices of the result.
     """
     n = len(rows)
     live = []  # shallow row copies, zero terms and empty entries dropped
@@ -228,41 +232,33 @@ def _det_sparse(rows) -> dict[tuple[int, int], int]:
             if x:
                 out[j] = x
                 cols[j].add(i)
-        if not out:
-            return {}  # a zero row
         live.append(out)
-    if not all(cols):
-        return {}  # a zero column
     inf = float("inf")
-    costs = [inf] * n  # each uneliminated row's least unit cost, inf if none
-    units = [None] * n  # the unit at that cost: (column, exponents, c)
+    rest_rows = list(range(n))  # the rows not yet eliminated, in order
     match = [None] * n  # each eliminated row's pivot column
     unit, ux, uy = 1, 0, 0  # product of the pivots, unit * x^ux * y^uy
-    stale = range(n)  # the rows to price
     while True:
-        for r in stale:
+        best = inf
+        for r in rest_rows:
             row = live[r]
             m = len(row) - 1
-            cost = inf
             for j, x in row.items():
                 if len(x) == 1:
                     ((e, c),) = x.items()
-                    if (c == 1 or c == -1) and m * (len(cols[j]) - 1) < cost:
-                        cost = m * (len(cols[j]) - 1)
-                        units[r] = (j, e, c)
-                        if not cost:
-                            break
-            costs[r] = cost
-        best = min(costs, default=inf)
+                    if (c == 1 or c == -1) and m * (len(cols[j]) - 1) < best:
+                        best = m * (len(cols[j]) - 1)
+                        pivot = r, j, e, c
+            if not best:
+                break
         if best == inf:
             break
-        i = costs.index(best)
-        j, (px, py), pc = units[i]
+        i, j, (px, py), pc = pivot
+        rest_rows.remove(i)
         pivot_row = live[i]
-        stale = cols[j]
-        cols[j] = set()
-        stale.discard(i)
-        for r in stale:
+        for col in pivot_row:
+            cols[col].discard(i)
+        # no row left keeps an entry in column j, so cols[j] is not read again
+        for r in cols[j]:
             row = live[r]
             # row r -= (row r's column j entry / pivot) * pivot row
             f = [(ex - px, ey - py, c * pc) for (ex, ey), c in row.pop(j).items()]
@@ -286,17 +282,11 @@ def _det_sparse(rows) -> dict[tuple[int, int], int]:
                 if not z:
                     del row[col]
                     cols[col].discard(r)
-        for col in pivot_row:
-            if col != j:
-                cols[col].discard(i)
-                stale |= cols[col]
-        costs[i] = inf
         match[i] = j
         unit *= pc
         ux += px
         uy += py
 
-    rest_rows = [i for i in range(n) if match[i] is None]
     rest_cols = sorted(set(range(n)).difference(match))
     for i, j in zip(rest_rows, rest_cols):
         match[i] = j
@@ -676,8 +666,11 @@ class MinimalityCertificate:
 def certify_minimality(diagram_or_dec) -> MinimalityCertificate:
     """Certificate that the diagram's virtual crossing count is minimal.
 
-    minimal=True is a proof (a nonzero s^k coefficient survives every
-    equivalence move); minimal=False only means this certificate is silent.
+    minimal=True is a proof within the implemented move set (a nonzero s^k
+    coefficient survives every move that moves.apply accepts, so no diagram
+    they reach has fewer virtual crossings); a genuine Reidemeister move
+    that apply refuses can lose it, as V8+ O1+ U1+ V8- shows.
+    minimal=False only means this certificate is silent.
     Both laws of zeta are checked first (check_theorems): its top s-degree
     is at most k, and its s^k coefficient equals det B, computed on its
     own.  A broken law is an internal fault, and CrossCheckError names each
@@ -696,7 +689,8 @@ def certify_minimality(diagram_or_dec) -> MinimalityCertificate:
 
 
 def virtual_lower_bound(diagram_or_dec) -> int:
-    """Lower bound for the virtual crossing number over the equivalence
-    class: the top s-degree of zeta, clamped at zero."""
+    """Lower bound for the virtual crossing number over the diagrams that
+    the implemented moves reach: the top s-degree of zeta, clamped at
+    zero."""
     top = zeta(diagram_or_dec).top_degree()
     return max(top, 0) if top is not None else 0

@@ -61,6 +61,14 @@ class TestParse:
         ch = generate("virtual_kink_chain", 5)
         assert (ch.n, ch.k, len(ch)) == (1, 5, 12)
 
+    def test_counts_of_an_invalid_code_raise(self):
+        # crossing 1 has a classical and a virtual passage, so it is neither
+        # classical nor virtual: the counts come from the pairing pass
+        d = Diagram.parse("O1+ V1-")
+        for count in ("n", "k"):
+            with pytest.raises(InvalidDiagram, match="mixes virtual and classical"):
+                getattr(d, count)
+
 
 class TestValidate:
     def test_valid_families(self):

@@ -1,6 +1,7 @@
 """Zeta goldens, determinant cross-checks, and the structure theorems."""
 
 import copy
+import hashlib
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from longzeta.invariant import (
     zeta,
     zeta_split,
 )
+from longzeta.moves import InapplicableMove, MoveSpec, apply
 from longzeta.rings import RingT, ZetaPolynomial
 from reference import ArcModel, determinant, incidence, row_sums_at_s1
 
@@ -483,12 +485,32 @@ class TestSparseElimination:
 
     def test_empty_column_skips_bareiss(self, monkeypatch):
         sizes = self.spy(monkeypatch)
-        # no unit anywhere, so only the structural check avoids Bareiss
+        # no unit anywhere, so each matrix reaches _det_packed whole; its
+        # bound pass finds the zero column before any packing, which a
+        # budget of 0 bits would refuse
+        monkeypatch.setattr(invariant, "PACKED_BITS_BUDGET", 0)
         x, y = {(0, 0): 2, (1, 0): 1}, {(0, 1): 3}
         rows = [{0: x, 1: y}, {0: y, 2: {(2, 2): 0}}, {1: x}]
         assert invariant._det_sparse(rows) == {}
         assert invariant._det_sparse([{0: x}, {0: y}]) == {}
-        assert sizes == []
+        assert sizes == [3, 2]
+
+    def test_row_empty_in_the_dual_lift_only(self, monkeypatch):
+        # crossing 3 passes under before over (t = q), and B enters only
+        # its over cell, t^w - 1, which lifts to 0 in the dual: every row
+        # of the key enters a cell, so _singular passes it, and the dual
+        # row is empty only once filled
+        d = Diagram.parse("O1- U1- V4- U3- V4+ O3-")
+        lifts = []
+        sparse = invariant._det_sparse
+        monkeypatch.setattr(
+            invariant, "_det_sparse", lambda rows: lifts.append(rows) or sparse(rows)
+        )
+        det_b = leading_determinant(d)
+        laurent, dual = lifts
+        assert all(laurent) and {} in dual
+        assert det_b == det_division_free(leading_matrix(d), ONE, RingT.zero())
+        assert det_b.render() == "1*q^-1 - 1*q^0"
 
     def test_one_row_remainder_skips_bareiss(self, monkeypatch):
         sizes = self.spy(monkeypatch)
@@ -508,14 +530,41 @@ class TestSparseElimination:
         assert sizes == []
 
     def test_pivot_rule_pins_remainder_sizes(self, monkeypatch):
-        # the Laurent remainders of the growth series; the dual lift's are
-        # one row, which no longer reach _det_packed.  Any change to the
-        # pivot choice or the re-pricing shows here as other sizes.
-        sizes = self.spy(monkeypatch)
-        for nk, want in ((20, [2]), (30, [3]), (40, [6]), (50, [5]), (60, [8])):
-            sizes.clear()
+        # every matrix that reaches _det_packed, as its sizes and a sha256
+        # over its entries: the Laurent remainders of the growth series (the
+        # dual lift's are one row, which never reach _det_packed), then
+        # those of zeta and det B on 50 seeded codes with n 10-15.  Any
+        # change to the pivot choice shows here as other remainders.
+        mats = []
+        packed = invariant._det_packed
+        monkeypatch.setattr(
+            invariant, "_det_packed", lambda mat: mats.append(mat) or packed(mat)
+        )
+
+        def digest():
+            text = repr([[[sorted(x.items()) for x in row] for row in m] for m in mats])
+            mats.clear()
+            return hashlib.sha256(text.encode()).hexdigest()
+
+        sizes = []
+        for nk in (20, 30, 40, 50, 60):
+            before = len(mats)
             zeta(random_diagram(random.Random(nk), nk, nk))
-            assert sizes == want, nk
+            sizes.append([len(m) for m in mats[before:]])
+        assert sizes == [[2], [3], [6], [5], [8]]
+        assert digest() == (
+            "210a39dcb8a18e959f1f07a0f22544a575951dd815c37ec4ca9696671170ec23"
+        )
+        rng = random.Random(16)
+        for _ in range(50):
+            n = rng.randint(10, 15)
+            d = random_diagram(rng, n, rng.randint(0, n))
+            zeta(d)
+            leading_determinant(d)
+        assert len(mats) == 48
+        assert digest() == (
+            "ccf5d558420cd1af2920a8fb7fa465761520340819f328eac34c9386d511a86c"
+        )
 
     def test_large_code_against_bareiss_alone(self, monkeypatch):
         d = random_diagram(random.Random(25), 25, 25)
@@ -761,6 +810,45 @@ class TestTheorems:
             )
             assert zeta(d2) == zeta(d)
             assert zeta_split(d2) == zeta_split(d)
+
+
+def r1_counterexample():
+    """V8+ O1+ U1+ V8- certifies minimal with k = 1, yet three moves reach
+    O9+ U9+, which has no virtual crossing.  The middle move deletes a
+    classical kink, a plain Reidemeister I move that apply refuses, so it
+    is made here by cutting the two tokens.  Returns the certificate, zeta
+    before and after the cut, and the diagram reached."""
+    d = Diagram.parse("V8+ O1+ U1+ V8-")
+    kinked = apply(d, MoveSpec.parse("R1_insert 0 + OU"))
+    with pytest.raises(InapplicableMove, match="an underpass cut at gap 3 would land"
+                       " on the final long arc at degree 1"):
+        apply(kinked, MoveSpec.parse("R1_delete 3"))
+    toks = kinked.tokens
+    assert Diagram(toks[3:5]) == Diagram.parse("O1+ U1+")
+    cut = Diagram(toks[:3] + toks[5:]).check()
+    reached = apply(cut, MoveSpec.parse("V1_delete 2"))
+    return certify_minimality(d), zeta(kinked), zeta(cut), reached
+
+
+def test_r1_counterexample_steps():
+    cert, before, after, reached = r1_counterexample()
+    assert (cert.k, cert.minimal) == (1, True)
+    assert before == ZetaPolynomial({0: ONE, 1: -ONE})  # 1 - s
+    assert after == ZP_ZERO
+    assert reached == Diagram.parse("O9+ U9+") and reached.k == 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="certificate is sound under Reidemeister I: apply refuses a plain"
+    " kink deletion that takes zeta from 1 - s to 0, and V8+ O1+ U1+ V8-,"
+    " certified minimal with k = 1, reaches O9+ U9+ with k = 0 through it",
+)
+def test_certificate_is_sound_under_reidemeister_1():
+    cert, _, _, reached = r1_counterexample()
+    assert cert.minimal
+    assert reached.k >= cert.k
 
 
 class TestDegenerateAndErrors:
