@@ -17,11 +17,13 @@ cutting it at underpasses only gives long arcs.  An arc's degree is the
 sum of the virtual senses passed since its long arc began.  Each classical
 crossing owns the column of the long arc emanating from its underpass; the
 initial and final long arcs are united into a single column owned by the
-crossing the final long arc emanates from.  Decomposition reads what the
-matrix needs straight off the tokens in one pass: per crossing, the
-column, half and degree of its three special arcs, and each column's
-threshold.  It builds no arc objects; the arc-level model lives in
-tests/reference.py as the slow reference the cells are checked against.
+crossing the final long arc emanates from.  Decomposition reads the
+matrix keys straight off the tokens in one pass: flat tuples that hold,
+per crossing, its t and w and the column and s-exponent of its three
+special arcs, one key for zeta and one for its leading matrix B, and the
+key positions of the united column's two halves.  It builds no arc
+objects; the arc-level model lives in tests/reference.py as the slow
+reference the keys are checked against.
 
 Planar realizability of a code is deliberately not checked: every
 combinatorially valid sequence is accepted, which is exactly the setting in
@@ -88,17 +90,16 @@ class PassageToken:
 class Diagram:
     """Immutable passage sequence, possibly not yet validated.
 
-    The result of validate() and the crossing counts n and k are cached on
-    first use, so re-checking or re-counting a diagram costs nothing.  n
-    and k are counted by validate()'s pairing pass, so on an invalid code
-    they raise InvalidDiagram.
+    validate()'s pairing pass counts the crossings of a valid code, and
+    those counts (n, k) are the one cache: once they are set, re-checking
+    or re-counting the diagram costs nothing.  n and k go through check(),
+    so on an invalid code they raise InvalidDiagram.
     """
 
-    __slots__ = ("tokens", "_problems", "_counts")
+    __slots__ = ("tokens", "_counts")
 
     def __init__(self, tokens):
         self.tokens = tuple(tokens)
-        self._problems = None
         self._counts = None
 
     @classmethod
@@ -141,25 +142,15 @@ class Diagram:
     def __len__(self):
         return len(self.tokens)
 
-    def classical_ids(self) -> list[int]:
-        """Classical crossing ids in ascending order: the matrix row and
-        column order."""
-        return sorted({t.cid for t in self.tokens if t.kind in ("O", "U")})
-
-    def _count(self) -> tuple[int, int]:
-        if self._counts is None:
-            self.check()  # its pairing pass counts the crossings
-        return self._counts
-
     @property
     def n(self) -> int:
         """Number of classical crossings."""
-        return self._count()[0]
+        return self.check()._counts[0]
 
     @property
     def k(self) -> int:
         """Number of virtual crossings."""
-        return self._count()[1]
+        return self.check()._counts[1]
 
     def max_id(self) -> int:
         return max((t.cid for t in self.tokens), default=0)
@@ -170,16 +161,12 @@ class Diagram:
         Never raises: parseable-but-wrong codes come back with the full
         list so a caller can report everything at once.  A valid code
         passes one pairing pass, which also counts its crossings for n
-        and k; only a code that fails it is sorted by crossing to name
-        every violation.
+        and k, and is not checked again; only a code that fails it is
+        sorted by crossing to name every violation, on every call.
         """
-        if self._problems is not None:
-            return list(self._problems)
-        counts = _well_paired(self.tokens)
-        if counts is not None:
-            self._problems = ()
-            if self._counts is None:
-                self._counts = counts
+        if self._counts is None:
+            self._counts = _well_paired(self.tokens)
+        if self._counts is not None:
             return []
         seen: dict[int, list[PassageToken]] = {}
         for t in self.tokens:
@@ -211,16 +198,14 @@ class Diagram:
                     "classical crossing %d needs one overpass and one underpass,"
                     " got %s" % (cid, "+".join(kinds))
                 )
-        self._problems = tuple(out)
         return out
 
     def check(self) -> "Diagram":
         """Return self if valid, else raise InvalidDiagram with all violations."""
-        if self._problems == ():
-            return self
-        problems = self.validate()
-        if problems:
-            raise InvalidDiagram("; ".join(problems))
+        if self._counts is None:
+            problems = self.validate()
+            if problems:
+                raise InvalidDiagram("; ".join(problems))
         return self
 
 
@@ -264,20 +249,29 @@ def generate(family: str, r: int | None = None) -> Diagram:
 
 
 class Decomposition:
-    """The matrix cells of a valid code, read off its tokens in one pass.
+    """The matrix keys of a valid code, read off its tokens in one pass.
 
-    rows[i] belongs to the i-th classical crossing in classical_ids()
-    order.  It is (t, w, cells): t is "p" when the crossing's overpass
-    comes first along the strand, else "q"; w is its writhe sign; cells
-    holds (column, in_final_half, degree) for the arc emanating from its
-    underpass, the arc passing over it and the arc coming into its
-    underpass, in that order.  thresholds[j] is column j's count of
-    increasing virtual passages, and united is the united column, None
-    when there are no classical crossings.  No arc objects are built; the
-    arc model these cells condense is tests/reference.py's ArcModel.
+    A key is everything invariant._fill reads, as one flat tuple: a tag,
+    then per classical crossing, in ascending id order, t and w and three
+    cells (column, exponent).  t is "p" when the crossing's overpass comes
+    first along the strand, else "q"; w is its writhe sign.  The cells are
+    the arc emanating from its underpass, the arc passing over it and the
+    arc coming into its underpass, in that order; column j belongs to the
+    j-th crossing.  An exponent is the s-power at which the cell enters
+    its entry, None to leave it out.  Equal keys describe equal matrices,
+    and the tag names the determinant, so a memo keyed by them keeps zeta
+    and det B apart even where their matrices agree.  zeta_key, tagged
+    "zeta", enters each cell at its arc's degree.  b_key, tagged "B",
+    enters a cell at s^0 when its degree is its column's threshold, the
+    column's count of increasing virtual passages, and leaves it out
+    otherwise.  initial and final are the key positions of the exponents
+    of the united column's cells on the initial and on the final long
+    arc.  Without classical crossings the keys hold their tags alone.  No
+    arc objects are built; the arc model these keys condense is
+    tests/reference.py's ArcModel.
     """
 
-    __slots__ = ("diagram", "rows", "thresholds", "united")
+    __slots__ = ("diagram", "zeta_key", "b_key", "initial", "final")
 
     def __init__(self, diagram: Diagram):
         diagram.check()
@@ -316,29 +310,32 @@ class Decomposition:
         ):
             raise InternalError("long arcs miscount the increasing virtual passages")
 
-        ids = diagram.classical_ids()
-        self.thresholds = [0] * len(ids)
-        self.united = None
-        self.rows = []
-        if not ids:
-            return
-        if origin[la] is None:  # n >= 1 forces a final underpass cut
+        zeta_key, b_key, initial, final = ["zeta"], ["B"], [], []
+        ids = sorted(under)
+        if ids and origin[la] is None:  # n >= 1 forces a final underpass cut
             raise InternalError("the final long arc has no underpass origin")
         column = {cid: j for j, cid in enumerate(ids)}
         # each long arc's column; the initial long arc joins the final one's
         col = [column[cid] for cid in origin[1:]]
-        col.insert(0, col[-1])
+        col[:0] = col[-1:]
+        threshold = [0] * len(ids)  # per column, its increasing passages
         for j, inc in zip(col, increasing):
-            self.thresholds[j] += inc
-        self.united = col[la]
+            threshold[j] += inc
         for cid in ids:
             i, d_in, t, w = under[cid]
             o, d_over = over[cid]
-            self.rows.append((t, w, (
-                (col[i + 1], i + 1 == la, 0),
-                (col[o], o == la, d_over),
-                (col[i], i == la, d_in),
-            )))
+            zeta_key += (t, w)
+            b_key += (t, w)
+            for a, d in ((i + 1, 0), (o, d_over), (i, d_in)):
+                if a == 0:
+                    initial.append(len(zeta_key) + 1)
+                elif a == la:
+                    final.append(len(zeta_key) + 1)
+                j = col[a]
+                zeta_key += (j, d)
+                b_key += (j, 0 if d == threshold[j] else None)
+        self.zeta_key, self.b_key = tuple(zeta_key), tuple(b_key)
+        self.initial, self.final = tuple(initial), tuple(final)
 
 
 def _check_top_degree(degrees, increasing):

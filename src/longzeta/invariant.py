@@ -21,9 +21,12 @@ domains: over Z[q, s] for the Laurent part, and over Z[s, eps] for the
 one table holds the two lifts of each of the twelve incidence
 coefficients, and _fill fills the two integer-polynomial matrices
 straight from a key, one flat tuple that holds per crossing its t and w
-and per cell its column and s-exponent.  zeta, its split halves and det
-B eliminate those lifted rows, and incidence_matrix and leading_matrix,
-the T-valued views, read the same rows back entry by entry.  zeta,
+and per cell its column and s-exponent.  decompose emits the keys of
+zeta and det B in its one token pass (diagram.Decomposition documents
+the layout), and each split half is zeta's key with the other half's
+cells left out.  zeta, its split halves and det B eliminate the lifted
+rows of their keys, and incidence_matrix and leading_matrix, the
+T-valued views, read the same rows back entry by entry.  zeta,
 leading_determinant and check_theorems take an optional memo, a dict
 from key to determinant, so a caller that meets one matrix many times
 fills and eliminates it once; the move fuzzer keeps one per trial, since
@@ -125,7 +128,7 @@ def _matrix_dec(diagram_or_dec) -> Decomposition:
 def incidence_matrix(diagram_or_dec) -> list[list[ZetaPolynomial]]:
     """The n x n matrix over T[s^+-1] whose determinant is zeta, read entry
     by entry off the lifted rows that zeta eliminates.  Rejects n = 0."""
-    return _view(_matrix_dec(diagram_or_dec), _zeta_pick)
+    return _view(_matrix_dec(diagram_or_dec).zeta_key)
 
 
 def _as_dec(diagram_or_dec) -> Decomposition:
@@ -467,28 +470,10 @@ def _combine(lau_det, dual_det) -> ZetaPolynomial:
     })
 
 
-def _key(dec: Decomposition, tag, pick) -> tuple:
-    """Everything _fill reads, as one flat tuple: the tag, then per row t
-    and w and per cell its column and the s-exponent at which it enters
-    its entry.
-
-    pick(column, in_final_half, degree) gives that exponent, or None to
-    leave the contribution out; it runs once per cell.  Equal keys
-    describe equal matrices, so a memo can hold determinants by key; the
-    tag names the determinant (zeta or det B), which keeps two
-    determinants apart even where their matrices agree.
-    """
-    key = [tag]
-    for t, w, cells in dec.rows:
-        key += (t, w)
-        for j, in_final, deg in cells:
-            key += (j, pick(j, in_final, deg))
-    return tuple(key)
-
-
 def _fill(key):
-    """The two lifts of the matrix a key describes, as the sparse rows
-    (laurent, dual) that _det_sparse takes.
+    """The two lifts of the matrix a key describes (the layout of
+    diagram.Decomposition's keys), as the sparse rows (laurent, dual) that
+    _det_sparse takes.
 
     Both lifts are filled straight from the key and the rule table, with
     no RingT arithmetic: Laurent entries keyed (q_exp, s_exp), dual
@@ -517,13 +502,13 @@ def _fill(key):
 
 
 def _singular(key) -> bool:
-    """Whether the key alone shows its matrix singular, in both lifts: a
-    row with none of its three cells entered, a column that no entered
-    cell names, or -- with at least one row -- every row's three cells
-    entered at one s-exponent.  In the last case each row sums to
-    s^d * (1 + (t^w - 1) - t^w) = 0, so the all-ones vector lies in the
-    kernel.  The empty key (n = 0) is never singular: its determinant
-    is 1."""
+    """Whether the key alone (in diagram.Decomposition's layout) shows
+    its matrix singular, in both lifts: a row with none of its three
+    cells entered, a column that no entered cell names, or -- with at
+    least one row -- every row's three cells entered at one s-exponent.
+    In the last case each row sums to s^d * (1 + (t^w - 1) - t^w) = 0,
+    so the all-ones vector lies in the kernel.  The empty key (n = 0) is
+    never singular: its determinant is 1."""
     # after the tag, eight items per row: t, w and three (column, exponent)
     # cells, emanating, over and incoming
     exps = key[4::8], key[6::8], key[8::8]
@@ -542,10 +527,11 @@ def _singular(key) -> bool:
 
 
 def _det(key, memo=None) -> ZetaPolynomial:
-    """The determinant of the matrix a key describes.  memo, when given,
-    maps keys to the determinants already taken: a key found there costs
-    no fill and no elimination.  A key that _singular decides costs no
-    fill either; its zero enters memo like any other determinant."""
+    """The determinant of the matrix a key describes, a zeta, det B or
+    split key in diagram.Decomposition's layout.  memo, when given, maps
+    keys to the determinants already taken: a key found there costs no
+    fill and no elimination.  A key that _singular decides costs no fill
+    either; its zero enters memo like any other determinant."""
     if memo is not None:
         z = memo.get(key)
         if z is None:
@@ -557,25 +543,13 @@ def _det(key, memo=None) -> ZetaPolynomial:
     return _combine(_det_sparse(laurent), _det_sparse(dual))
 
 
-def _view(dec: Decomposition, pick) -> list[list[ZetaPolynomial]]:
-    """The matrix over T[s^+-1] that _fill lifts from dec and pick."""
-    laurent, dual = _fill(_key(dec, None, pick))
+def _view(key) -> list[list[ZetaPolynomial]]:
+    """The matrix over T[s^+-1] that _fill lifts from key."""
+    laurent, dual = _fill(key)
     return [
         [_combine(lau.get(j, {}), eps.get(j, {})) for j in range(len(laurent))]
         for lau, eps in zip(laurent, dual)
     ]
-
-
-def _zeta_pick(_j, _in_final, deg):
-    """zeta's pick: every contribution enters at its arc degree."""
-    return deg
-
-
-def _b_pick(dec: Decomposition):
-    """B's pick: a contribution enters at s^0 when its degree is its
-    column's threshold, and is left out otherwise."""
-    thresholds = dec.thresholds
-    return lambda j, _in_final, deg: 0 if deg == thresholds[j] else None
 
 
 def zeta(diagram_or_dec, memo=None) -> ZetaPolynomial:
@@ -583,30 +557,36 @@ def zeta(diagram_or_dec, memo=None) -> ZetaPolynomial:
     the determinant of the empty matrix.  memo, a dict the caller keeps,
     maps each matrix already eliminated to its determinant, so a repeated
     matrix is not eliminated again."""
-    return _det(_key(_as_dec(diagram_or_dec), "zeta", _zeta_pick), memo)
+    return _det(_as_dec(diagram_or_dec).zeta_key, memo)
+
+
+def _split_keys(dec: Decomposition) -> tuple[tuple, tuple]:
+    """The keys of zeta's two halves: zeta's key, untagged, with the
+    united column's cells on the final (minus) or on the initial (plus)
+    long arc left out."""
+    halves = []
+    for dropped in (dec.final, dec.initial):
+        key = [None, *dec.zeta_key[1:]]
+        for pos in dropped:
+            key[pos] = None
+        halves.append(tuple(key))
+    return tuple(halves)
 
 
 def zeta_split(diagram_or_dec) -> tuple[ZetaPolynomial, ZetaPolynomial]:
     """(zeta_minus, zeta_plus): determinants with the united column
     restricted to its initial (resp. final) half.  Their sum is zeta.
     Rejects n = 0, where the united column does not exist."""
-    dec = _matrix_dec(diagram_or_dec)
-    united = dec.united
-
-    def half(final):
-        return lambda j, in_final, deg: (
-            deg if j != united or in_final == final else None
-        )
-
-    return _det(_key(dec, None, half(False))), _det(_key(dec, None, half(True)))
+    minus, plus = _split_keys(_matrix_dec(diagram_or_dec))
+    return _det(minus), _det(plus)
 
 
 def leading_matrix(diagram_or_dec) -> list[list[RingT]]:
     """Matrix B of s^threshold coefficients, one threshold per column, read
     entry by entry off the lifted rows that det B eliminates.  Rejects
     n = 0."""
-    dec = _matrix_dec(diagram_or_dec)
-    return [[x.coeff(0) for x in row] for row in _view(dec, _b_pick(dec))]
+    key = _matrix_dec(diagram_or_dec).b_key
+    return [[x.coeff(0) for x in row] for row in _view(key)]
 
 
 def leading_determinant(diagram_or_dec, memo=None) -> RingT:
@@ -619,7 +599,7 @@ def leading_determinant(diagram_or_dec, memo=None) -> RingT:
     dec = _as_dec(diagram_or_dec)
     if dec.diagram.n == 0:
         return ZetaPolynomial.one().coeff(dec.diagram.k)
-    return _det(_key(dec, "B", _b_pick(dec)), memo).coeff(0)
+    return _det(dec.b_key, memo).coeff(0)
 
 
 def check_theorems(diagram_or_dec, z: ZetaPolynomial, memo=None) -> list[str]:

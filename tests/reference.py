@@ -1,6 +1,7 @@
 """Test-side views of the invariant that the library itself never needs:
 the arc object model of a diagram (arcs, long arcs, columns), which the
-library condenses into matrix cells in one token pass; a determinant for
+library condenses into matrix keys in one token pass; zeta under the
+closure convention, read off the arc model's key; a determinant for
 arbitrary matrices over T[s^+-1]; the incidence rule restated per
 (crossing, arc) pair; and the row sums of the matrix at s = 1.  Also the
 three-variable raw polynomials of the oracle, slow, direct token scans
@@ -12,7 +13,7 @@ the library computes one site at a time from its index.
 from bisect import bisect_left
 from dataclasses import dataclass
 
-from longzeta.invariant import _combine, _det_sparse, _lift, incidence_matrix
+from longzeta.invariant import _combine, _det, _det_sparse, _lift, incidence_matrix
 from longzeta.moves import (
     _KINK_GAP_CAP,
     _ORDERS,
@@ -70,7 +71,7 @@ class Column:
 
 class ArcModel:
     """Arcs, long arcs, degrees, pairing and crossing data of a valid code:
-    the slow reference for decompose(), whose cells() it reads off."""
+    the slow reference for decompose(), whose keys() it reads off."""
 
     def __init__(self, diagram):
         diagram.check()
@@ -84,6 +85,8 @@ class ArcModel:
                 self.o_pos[t.cid] = i
             elif t.kind == "U":
                 self.u_pos[t.cid] = i
+        # classical crossing ids in ascending order: the row and column order
+        self.ids = sorted(self.u_pos)
 
         self.sign = {cid: tokens[pos].sign for cid, pos in self.o_pos.items()}
         # early overcrossing iff the overpass comes first along the strand
@@ -143,7 +146,7 @@ class ArcModel:
         if diagram.n:
             initial = long_arcs[0]
             by_origin = {la.origin: la for la in long_arcs if la.origin is not None}
-            for j, cid in enumerate(diagram.classical_ids()):
+            for j, cid in enumerate(self.ids):
                 la = by_origin[cid]
                 if la.is_final:
                     pair = (initial.index, la.index)
@@ -162,25 +165,53 @@ class ArcModel:
             return self.arcs[i - 1]
         raise LookupError("position %d is a cut token, not arc interior" % token_pos)
 
-    def cells(self):
-        """(rows, thresholds, united) in the layout of decompose(): per
-        crossing (t, w, cells) with a (column, in_final_half, degree) cell
+    def keys(self, offset=0):
+        """(zeta_key, b_key, initial, final) in the layout of decompose():
+        after the tag, per crossing t and w and a (column, exponent) cell
         for the arc emanating from its underpass, the arc passing over it
-        and the arc coming into its underpass."""
-        final = self.long_arcs[-1].index
+        and the arc coming into its underpass.  zeta's exponent is the arc
+        degree, raised by offset on the initial long arc; B's is 0 when
+        that degree is the column's threshold, else None.  initial and
+        final are the key positions of the exponents of the cells on the
+        initial and on the final long arc, the two halves of the united
+        column."""
+        last = self.long_arcs[-1].index
         column = self.column_of_long_arc
-        rows = []
-        for cid in self.diagram.classical_ids():
+        zeta_key, b_key, initial, final = ["zeta"], ["B"], [], []
+        for cid in self.ids:
             # arcs[a] starts at the underpass, so arcs[a - 1] ends there
             a = bisect_left(self.arc_starts, self.u_pos[cid])
+            t = "p" if self.early[cid] == "O" else "q"
+            zeta_key += (t, self.sign[cid])
+            b_key += (t, self.sign[cid])
             roles = (self.arcs[a], self.arc_containing(self.o_pos[cid]), self.arcs[a - 1])
-            rows.append((
-                "p" if self.early[cid] == "O" else "q",
-                self.sign[cid],
-                tuple((column[x.long_arc], x.long_arc == final, x.degree) for x in roles),
-            ))
-        thresholds = [col.threshold for col in self.columns]
-        return rows, thresholds, column.get(final)
+            for arc in roles:
+                degree = arc.degree
+                if arc.long_arc == 0:
+                    initial.append(len(zeta_key) + 1)
+                    degree += offset
+                elif arc.long_arc == last:
+                    final.append(len(zeta_key) + 1)
+                j = column[arc.long_arc]
+                zeta_key += (j, degree)
+                b_key += (j, 0 if degree == self.columns[j].threshold else None)
+        return tuple(zeta_key), tuple(b_key), tuple(initial), tuple(final)
+
+
+def closure_keys(diagram):
+    """zeta's and B's keys under the closure convention: the cells on the
+    initial long arc enter at their degree plus D, the degree at which the
+    final long arc ends (the sum of the virtual senses after the last
+    underpass).  Those are the degrees once the long knot is closed up.
+    The thresholds stay as they are."""
+    model = ArcModel(diagram)
+    return model.keys(offset=model.arcs[-1].degree)[:2]
+
+
+def closure_zeta(diagram) -> ZetaPolynomial:
+    """zeta under the closure convention; without classical crossings it
+    is the empty determinant, 1."""
+    return _det(closure_keys(diagram)[0])
 
 
 def determinant(mat) -> ZetaPolynomial:

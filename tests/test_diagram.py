@@ -1,5 +1,7 @@
-"""Parsing, validation, and the arc/long-arc/column decomposition."""
+"""Parsing, validation, the arc/long-arc/column model and the matrix keys
+decompose() reads off the tokens."""
 
+import hashlib
 import random
 from pathlib import Path
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from longzeta import invariant
 from longzeta.diagram import (
     Diagram,
     InternalError,
@@ -184,12 +187,14 @@ def test_render_parse_roundtrip_property(d):
 
 
 def one_pass_cells(dec):
-    return dec.rows, dec.thresholds, dec.united
+    """The keys decompose() reads off the tokens in one pass, in the order
+    of ArcModel.keys()."""
+    return dec.zeta_key, dec.b_key, dec.initial, dec.final
 
 
 class TestDecomposition:
     """The arc model's spec on tests/reference.ArcModel, each test also
-    pinning the cells decompose() reads off the tokens in one pass."""
+    pinning the key cells decompose() reads off the tokens in one pass."""
 
     def test_kink_arc_table(self):
         model = ArcModel(generate("virtual_kink"))
@@ -208,9 +213,13 @@ class TestDecomposition:
         assert (col.crossing, col.long_arcs, col.threshold) == (1, (0, 1), 1)
         assert model.early == {1: "O"}
         assert model.sign == {1: 1}
-        # emanating: arc 2; over: arc 0; coming in: arc 1, at degree 1
+        # emanating: arc 2, on the final long arc; over: arc 0; coming in:
+        # arc 1, at degree 1, the threshold, so only it enters B
         assert one_pass_cells(decompose(generate("virtual_kink"))) == (
-            [("p", 1, ((0, True, 0), (0, False, 0), (0, False, 1)))], [1], 0
+            ("zeta", "p", 1, 0, 0, 0, 0, 0, 1),
+            ("B", "p", 1, 0, None, 0, None, 0, 0),
+            (6, 8),
+            (4,),
         )
 
     def test_early_under_kink(self):
@@ -224,8 +233,12 @@ class TestDecomposition:
             (3, 3, 4, 1, 0),
         ]
         assert model.early == {1: "U"}
+        assert model.columns[0].threshold == 1
         assert one_pass_cells(decompose(d)) == (
-            [("q", 1, ((0, True, 0), (0, True, 1), (0, False, 0)))], [1], 0
+            ("zeta", "q", 1, 0, 0, 0, 1, 0, 0),
+            ("B", "q", 1, 0, None, 0, 0, 0, None),
+            (8,),
+            (4, 6),
         )
 
     def test_trefoil_columns(self):
@@ -236,10 +249,17 @@ class TestDecomposition:
         owners = {c.crossing: c.long_arcs for c in model.columns}
         assert owners == {1: (2,), 2: (1,), 3: (0, 3)}
         assert all(c.threshold == 0 for c in model.columns)
-        rows, thresholds, united = one_pass_cells(decompose(generate("classical_trefoil")))
-        assert (thresholds, united) == ([0, 0, 0], 2)
+        zeta_key, b_key, initial, final = one_pass_cells(
+            decompose(generate("classical_trefoil"))
+        )
+        # every threshold is 0, so B enters every cell at s^0, like zeta
+        assert b_key[1:] == zeta_key[1:]
+        assert zeta_key[3::8] == (0, 1, 2)  # each row's emanating column
         # crossing 3 emanates into the final half of the united column
-        assert [row[2][0] for row in rows] == [(0, False, 0), (1, False, 0), (2, True, 0)]
+        # (exponent at 20); crossing 1 passes over its initial half (at 6),
+        # and crossing 2 comes in from it (at 16)
+        assert (initial, final) == ((6, 16), (20,))
+        assert zeta_key[5] == zeta_key[15] == zeta_key[19] == 2
 
     def test_empty_code(self):
         model = ArcModel(Diagram.parse(""))
@@ -247,7 +267,7 @@ class TestDecomposition:
         la, = model.long_arcs
         assert la.is_initial and la.is_final and la.origin is None
         assert model.columns == ()
-        assert one_pass_cells(decompose(Diagram.parse(""))) == ([], [], None)
+        assert one_pass_cells(decompose(Diagram.parse(""))) == (("zeta",), ("B",), (), ())
 
     def test_position_lookups(self):
         model = ArcModel(generate("virtual_kink"))
@@ -258,12 +278,16 @@ class TestDecomposition:
         assert not any(a.start == 0 for a in model.arcs)
         with pytest.raises(LookupError):
             model.arc_containing(2)  # cut token, not arc interior
-        # the same three arcs as (column, in final half, degree) cells
-        ((_, _, (emanating, over, incoming)),) = decompose(generate("virtual_kink")).rows
+        # the same three arcs as (column, exponent) cells of zeta's key
+        dec = decompose(generate("virtual_kink"))
+        _, _, _, *cells = dec.zeta_key
+        emanating, over, incoming = zip(cells[::2], cells[1::2])
         arcs = model.arcs
-        assert emanating == (0, True, arcs[2].degree)
-        assert over == (0, False, arcs[0].degree)
-        assert incoming == (0, False, arcs[1].degree)
+        assert emanating == (0, arcs[2].degree)
+        assert over == (0, arcs[0].degree)
+        assert incoming == (0, arcs[1].degree)
+        # arc 2 lies on the final long arc, arcs 0 and 1 on the initial one
+        assert (dec.final, dec.initial) == ((4,), (6, 8))
 
     def test_arc_containing_matches_a_scan(self):
         rng = random.Random(37)
@@ -279,7 +303,7 @@ class TestDecomposition:
                 else:
                     with pytest.raises(LookupError, match="cut token"):
                         model.arc_containing(pos)
-            assert one_pass_cells(decompose(model.diagram)) == model.cells()
+            assert one_pass_cells(decompose(model.diagram)) == model.keys()
 
     def test_rejects_invalid(self):
         with pytest.raises(InvalidDiagram):
@@ -315,14 +339,9 @@ class TestDecomposition:
                     assert all(
                         model.arcs[i].degree <= col.threshold for i in la.arcs
                     )
-            dec = decompose(model.diagram)
-            # every emanating arc opens its long arc at degree 0, and no
-            # cell climbs past its column's threshold
-            assert all(row[2][0][2] == 0 for row in dec.rows)
-            assert all(
-                deg <= dec.thresholds[j] for row in dec.rows for j, _, deg in row[2]
-            )
-            assert sum(dec.thresholds) == kv
+            assert sum(col.threshold for col in model.columns) == kv
+            # every emanating arc opens its long arc at degree 0
+            assert set(decompose(model.diagram).zeta_key[4::8]) == {0}
 
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "longzeta" / "data"
@@ -336,7 +355,26 @@ def test_one_pass_cells_match_the_arc_model():
     rng = random.Random(20261018)
     codes += [random_diagram(rng, rng.randint(0, 12), rng.randint(0, 12)) for _ in range(600)]
     for d in codes:
-        assert one_pass_cells(decompose(d)) == ArcModel(d).cells(), d
+        assert one_pass_cells(decompose(d)) == ArcModel(d).keys(), d
+
+
+def test_keys_match_the_recorded_digests():
+    # both digests were recorded when the invariant module still built each
+    # key itself, from decompose()'s nested per-crossing rows and a pick
+    # function per cell: zeta's and B's keys, and zeta_split's two halves
+    rng = random.Random(20261019)
+    keys, halves = hashlib.sha256(), hashlib.sha256()
+    for _ in range(400):
+        dec = decompose(random_diagram(rng, rng.randint(0, 10), rng.randint(0, 10)))
+        keys.update(repr((dec.zeta_key, dec.b_key)).encode())
+        if dec.diagram.n:
+            halves.update(repr(invariant._split_keys(dec)).encode())
+    assert keys.hexdigest() == (
+        "5d1257d9a6faf654fdc4f0f7ce53081c548fe61b0fa1ed675ab859c75230b3b5"
+    )
+    assert halves.hexdigest() == (
+        "02f5a7c3277e64539f613eb97a7b917e2feae475d6b3c7988a20d85af2fbcaad"
+    )
 
 
 @st.composite
@@ -356,7 +394,7 @@ def shuffled_codes(draw):
 @settings(max_examples=300, deadline=None)
 @given(shuffled_codes())
 def test_one_pass_cells_match_on_shuffled_codes(d):
-    assert one_pass_cells(decompose(d)) == ArcModel(d).cells()
+    assert one_pass_cells(decompose(d)) == ArcModel(d).keys()
 
 
 class TestConnectSum:

@@ -186,9 +186,7 @@ def test_zeta_and_det_b_are_keyed_apart(monkeypatch):
     # decided on its own, once: both keys are singular by structure, so
     # neither reaches _det_sparse
     dec = decompose(generate("classical_trefoil"))
-    zeta_key = invariant._key(dec, "zeta", invariant._zeta_pick)
-    b_key = invariant._key(dec, "B", invariant._b_pick(dec))
-    assert invariant._fill(zeta_key) == invariant._fill(b_key)
+    assert invariant._fill(dec.zeta_key) == invariant._fill(dec.b_key)
     decided = []
     singular = invariant._singular
     monkeypatch.setattr(

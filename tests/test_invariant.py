@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from longzeta import invariant, oracle
+from longzeta import invariant, moves, oracle
 from longzeta.diagram import Diagram, connect_sum, decompose, generate
-from longzeta.fuzz import random_diagram
+from longzeta.fuzz import predicted_shift, random_diagram
 from longzeta.invariant import (
     CrossCheckError,
     certify_minimality,
@@ -22,9 +22,17 @@ from longzeta.invariant import (
     zeta,
     zeta_split,
 )
-from longzeta.moves import InapplicableMove, MoveSpec, apply
-from longzeta.rings import RingT, ZetaPolynomial
-from reference import ArcModel, determinant, incidence, row_sums_at_s1
+from longzeta.moves import _ORDERS, _VARIANTS, InapplicableMove, MoveSpec, apply
+from longzeta.rings import RingT, ZetaPolynomial, equal_up_to_q_power
+from reference import (
+    REFERENCE_SCANS,
+    ArcModel,
+    closure_keys,
+    closure_zeta,
+    determinant,
+    incidence,
+    row_sums_at_s1,
+)
 
 P = RingT.p_power(1)
 ONE = RingT.one()
@@ -616,7 +624,7 @@ def ring_views(model):
     united = model.column_of_long_arc[final]
     full, minus, plus = ([[ZP_ZERO] * n for _ in range(n)] for _ in range(3))
     lead = [[RingT.zero()] * n for _ in range(n)]
-    for i, cid in enumerate(model.diagram.classical_ids()):
+    for i, cid in enumerate(model.ids):
         for arc in model.arcs:
             val = incidence(model, cid, arc)
             j = model.column_of_long_arc[arc.long_arc]
@@ -655,15 +663,10 @@ def test_direct_lifts_are_exact():
 CANCELLING = ["O1+ U1+", "U1- O1-", "V3+ O1- U1- V3-", "O1+ U2- O2- U1+"]
 
 
-def every_pick(dec):
-    """Each determinant's pick by name: zeta, B and the two split halves."""
-    united = dec.united
-
-    def half(final):
-        return lambda j, in_final, deg: deg if j != united or in_final == final else None
-
-    return {"zeta": invariant._zeta_pick, "B": invariant._b_pick(dec),
-            "minus": half(False), "plus": half(True)}
+def every_key(dec):
+    """Each determinant's key by name: zeta, B and the two split halves."""
+    minus, plus = invariant._split_keys(dec)
+    return {"zeta": dec.zeta_key, "B": dec.b_key, "minus": minus, "plus": plus}
 
 
 def row_sum(row):
@@ -686,8 +689,7 @@ def test_singular_keys_have_zero_determinants():
     reasons = set()
     for d in codes:
         dec = decompose(d)
-        for tag, pick in every_pick(dec).items():
-            key = invariant._key(dec, tag, pick)
+        for tag, key in every_key(dec).items():
             laurent, dual = invariant._fill(key)
             why = (
                 {} in laurent,
@@ -700,13 +702,12 @@ def test_singular_keys_have_zero_determinants():
                 assert invariant._det_packed(dense(laurent)) == {}
                 assert invariant._det_packed(dense(dual)) == {}
         if d.k == 0:
-            assert invariant._singular(invariant._key(dec, "zeta", invariant._zeta_pick))
+            assert invariant._singular(dec.zeta_key)
     # each of the three structures decides some key on its own
     assert {(True, False, False), (False, True, False), (False, False, True)} <= reasons
     # n = 0: the empty matrix has determinant 1
     for text in ("", "V1+ V1-"):
-        key = invariant._key(decompose(Diagram.parse(text)), "zeta", invariant._zeta_pick)
-        assert not invariant._singular(key)
+        assert not invariant._singular(decompose(Diagram.parse(text)).zeta_key)
 
 
 def test_certify_fills_only_undecided_keys(monkeypatch):
@@ -816,8 +817,9 @@ def r1_counterexample():
     """V8+ O1+ U1+ V8- certifies minimal with k = 1, yet three moves reach
     O9+ U9+, which has no virtual crossing.  The middle move deletes a
     classical kink, a plain Reidemeister I move that apply refuses, so it
-    is made here by cutting the two tokens.  Returns the certificate, zeta
-    before and after the cut, and the diagram reached."""
+    is made here by cutting the two tokens.  Returns the four codes of the
+    walk: the certified one, the kinked one, the one left by the cut and
+    the one reached."""
     d = Diagram.parse("V8+ O1+ U1+ V8-")
     kinked = apply(d, MoveSpec.parse("R1_insert 0 + OU"))
     with pytest.raises(InapplicableMove, match="an underpass cut at gap 3 would land"
@@ -827,15 +829,87 @@ def r1_counterexample():
     assert Diagram(toks[3:5]) == Diagram.parse("O1+ U1+")
     cut = Diagram(toks[:3] + toks[5:]).check()
     reached = apply(cut, MoveSpec.parse("V1_delete 2"))
-    return certify_minimality(d), zeta(kinked), zeta(cut), reached
+    return d, kinked, cut, reached
 
 
 def test_r1_counterexample_steps():
-    cert, before, after, reached = r1_counterexample()
+    d, kinked, cut, reached = r1_counterexample()
+    cert = certify_minimality(d)
     assert (cert.k, cert.minimal) == (1, True)
-    assert before == ZetaPolynomial({0: ONE, 1: -ONE})  # 1 - s
-    assert after == ZP_ZERO
+    assert zeta(kinked) == ZetaPolynomial({0: ONE, 1: -ONE})  # 1 - s
+    assert zeta(cut) == ZP_ZERO
     assert reached == Diagram.parse("O9+ U9+") and reached.k == 0
+
+
+def test_closure_zeta_is_zero_along_the_r1_counterexample():
+    # D = -1 brings the initial long arc's cells of V8+ O1+ U1+ V8- down
+    # to degree 0, so every row sums to zero, as in the classical code the
+    # walk reaches
+    assert [closure_zeta(d) for d in r1_counterexample()] == [ZP_ZERO] * 4
+
+
+def test_closure_zeta_keeps_both_laws():
+    # with today's thresholds, both laws hold under the closure convention
+    # too: no degree passes its threshold, so the top degree is at most k,
+    # and det B of the raised degrees is the s^k coefficient
+    rng = random.Random(41)
+    for _ in range(300):
+        d = random_diagram(rng, rng.randint(1, 6), rng.randint(0, 6))
+        zeta_key, b_key = closure_keys(d)
+        z = invariant._det(zeta_key)
+        assert (z.top_degree() or 0) <= d.k, d
+        assert invariant._det(b_key).coeff(0) == z.coeff(d.k), d
+
+
+def forced(d, move):
+    """The code that move makes of d when apply refuses it by the
+    final-arc rule alone, built by the kind's rewrite without its check;
+    None when apply accepts the move or refuses it for another reason."""
+    try:
+        apply(d, move)
+    except InapplicableMove as exc:
+        if "final long arc" in str(exc):
+            kind = moves._KIND_TABLE[move.kind]
+            return Diagram(kind.rewrite(list(d.tokens), move.params, d)).check()
+    return None
+
+
+def test_closure_zeta_keeps_the_moves_the_final_arc_rule_refuses():
+    # the final-arc rule refuses an underpass cut on the final long arc at
+    # nonzero degree, because today's convention starts both halves of the
+    # united column at degree 0.  Under the closure convention every such
+    # move keeps zeta up to the kink law's q^r, while today's zeta is no
+    # q-power multiple at all after any refused insert
+    rng = random.Random(29)
+    for _ in range(60):
+        d = random_diagram(rng, rng.randint(1, 4), rng.randint(1, 4))
+        refused_gaps = [g for g in range(len(d) + 1)
+                        if forced(d, MoveSpec("R1_insert", (g, 1, "OU"))) is not None]
+        sites = [MoveSpec("R1_insert", (g, w, o))
+                 for g in refused_gaps for w in (1, -1) for o in _ORDERS]
+        sites += [MoveSpec("R2_insert", (g1, g2, s, v))
+                  for g2 in refused_gaps for g1 in range(g2 + 1)
+                  for s in (1, -1) for v in _VARIANTS]
+        before, today = closure_zeta(d), zeta(d)
+        for move in rng.sample(sites, min(len(sites), 12)):
+            after = forced(d, move)
+            assert after is not None, (d, move)
+            r = predicted_shift(d, move)
+            assert closure_zeta(after) == before.scaled(RingT.q_power(r)), (d, move)
+            assert equal_up_to_q_power(today, zeta(after)) is None, (d, move)
+    # deletes and semivirtual slides the rule refuses keep closure zeta too
+    refused = dict.fromkeys(("R1_delete", "R2_delete", "Triangle_semivirtual"), 0)
+    for _ in range(400):
+        d = random_diagram(rng, rng.randint(1, 4), rng.randint(0, 4))
+        for kind in refused:
+            for params in REFERENCE_SCANS[kind](d.tokens):
+                move = MoveSpec(kind, params)
+                after = forced(d, move)
+                if after is not None:
+                    refused[kind] += 1
+                    r = predicted_shift(d, move)
+                    assert closure_zeta(after) == closure_zeta(d).scaled(RingT.q_power(r))
+    assert min(refused.values()) > 0, refused
 
 
 @pytest.mark.xfail(
@@ -846,7 +920,8 @@ def test_r1_counterexample_steps():
     " certified minimal with k = 1, reaches O9+ U9+ with k = 0 through it",
 )
 def test_certificate_is_sound_under_reidemeister_1():
-    cert, _, _, reached = r1_counterexample()
+    d, *_, reached = r1_counterexample()
+    cert = certify_minimality(d)
     assert cert.minimal
     assert reached.k >= cert.k
 
