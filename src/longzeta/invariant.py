@@ -41,10 +41,12 @@ Their determinant is 0 with no fill and no elimination; zeta of every
 classical code is of the last kind, and most det B matrices of the
 first.  Every other determinant first eliminates on unit pivots in
 Markowitz order, which needs no division, with ties going to the lowest
-row and then to that row's first-entered column.  A remainder of one row
-is its single entry.  A remainder of two rows or more, a few rows at
-most, takes one pass over its nonzero entries for its monomial shifts,
-degree bounds and Hadamard bound, then runs fraction-free Bareiss
+row and then to that row's first-entered column.  A pivot's sign comes
+from its place among the rows and columns left, as expanding along its
+cleared column gives.  A remainder of one row is its single entry.  A
+remainder of two rows or more, a few rows at most, takes one pass over
+its nonzero entries for its monomial shifts, degree bounds and Hadamard
+bound, then runs fraction-free Bareiss
 elimination on entries packed into one integer each (Kronecker
 substitution), so the arithmetic is plain big-integer arithmetic; such a
 remainder that would pack into more than PACKED_BITS_BUDGET bits is
@@ -212,9 +214,13 @@ def _det_sparse(rows) -> dict[tuple[int, int], int]:
     the lowest row index, then to the column that entered that row first
     (fill-ins enter after the entries already there, in pivot-row order).
     Its inverse is again a +-monomial, so clearing its column is exact and
-    needs no division; the determinant gains the pivot as a factor and the
-    sign of its position.  A remainder of one row is its single entry,
-    possibly empty; a remainder of two rows or more goes to _det_packed.
+    needs no division.  Expanding along the cleared column, the
+    determinant gains the pivot as a factor and the sign
+    (-1)^(at_row + at_col), where at_row and at_col are the pivot's
+    places among the rows and the columns left, both kept in order; the
+    remainder is those rows by those columns.  A remainder of one row is
+    its single entry, possibly empty; a remainder of two rows or more
+    goes to _det_packed.
     No pivot lies on a zero row or column, so one -- given, or left as
     entries cancel -- stays in the remainder, where the missing entry or
     _det_packed's bound pass yields {} before any packing.  Pivots may be
@@ -238,8 +244,8 @@ def _det_sparse(rows) -> dict[tuple[int, int], int]:
         live.append(out)
     inf = float("inf")
     rest_rows = list(range(n))  # the rows not yet eliminated, in order
-    match = [None] * n  # each eliminated row's pivot column
-    unit, ux, uy = 1, 0, 0  # product of the pivots, unit * x^ux * y^uy
+    rest_cols = list(range(n))  # the columns not yet cleared, in order
+    unit, ux, uy = 1, 0, 0  # product of the signed pivots, unit * x^ux * y^uy
     while True:
         best = inf
         for r in rest_rows:
@@ -256,7 +262,8 @@ def _det_sparse(rows) -> dict[tuple[int, int], int]:
         if best == inf:
             break
         i, j, (px, py), pc = pivot
-        rest_rows.remove(i)
+        at_row, at_col = rest_rows.index(i), rest_cols.index(j)
+        del rest_rows[at_row], rest_cols[at_col]
         pivot_row = live[i]
         for col in pivot_row:
             cols[col].discard(i)
@@ -285,24 +292,11 @@ def _det_sparse(rows) -> dict[tuple[int, int], int]:
                 if not z:
                     del row[col]
                     cols[col].discard(r)
-        match[i] = j
-        unit *= pc
+        # column j now holds only the pivot, so expand along it
+        unit *= -pc if (at_row + at_col) % 2 else pc
         ux += px
         uy += py
 
-    rest_cols = sorted(set(range(n)).difference(match))
-    for i, j in zip(rest_rows, rest_cols):
-        match[i] = j
-    # det = sign of the row -> column matching * pivots * det(remainder)
-    cycles = 0
-    for start in range(n):
-        if match[start] is not None:
-            cycles += 1
-            i = start
-            while match[i] is not None:
-                match[i], i = None, match[i]
-    if (n - cycles) % 2:
-        unit = -unit
     if not rest_rows:
         return {(ux, uy): unit}
     if len(rest_rows) == 1:

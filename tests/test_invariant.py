@@ -2,6 +2,7 @@
 
 import copy
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -450,14 +451,21 @@ def dense(rows):
 
 
 @settings(max_examples=300, deadline=None)
-@given(sparse_matrices())
-def test_elimination_matches_bareiss_and_berkowitz(rows):
+@given(sparse_matrices(), st.data())
+def test_elimination_matches_bareiss_and_berkowitz(rows, data):
     mat = dense(rows)
     before = copy.deepcopy(rows)
     got = invariant._det_sparse(rows)
     assert rows == before
     assert got == invariant._det_packed(mat)
     assert got == berkowitz_raw(mat)
+    # permuted rows move the pivots to other places among the rows left,
+    # and the determinant gains exactly the permutation's sign
+    perm = data.draw(st.permutations(range(len(rows))))
+    sign = oracle._sign(tuple(perm))
+    assert invariant._det_sparse([rows[r] for r in perm]) == {
+        e: sign * c for e, c in got.items()
+    }
 
 
 class TestSparseElimination:
@@ -483,6 +491,16 @@ class TestSparseElimination:
         swap = [{1: {(0, 1): 1}}, {0: {(-2, 0): 1}}, {2: {(0, 0): -1}}]
         assert invariant._det_sparse(swap) == {(-2, 1): 1}
         assert invariant._det_sparse([]) == {(0, 0): 1}
+        # every monomial permutation matrix up to 4 x 4, with seeded signs
+        # and exponents: each pivot's sign comes from its place alone
+        rng = random.Random(18)
+        for n in range(1, 5):
+            for perm in itertools.permutations(range(n)):
+                rows = [
+                    {j: {(rng.randint(-3, 3), rng.randint(-3, 3)): rng.choice((1, -1))}}
+                    for j in perm
+                ]
+                assert invariant._det_sparse(rows) == raw_det(dense(rows))
         assert sizes == []
 
     def test_no_unit_goes_whole_to_bareiss(self, monkeypatch):
