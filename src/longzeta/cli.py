@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import sys
-from importlib import resources
 
 from longzeta.diagram import (
     Diagram,
@@ -233,6 +232,10 @@ def _cmd_oracle_selftest(args) -> int:
 
 
 def _cmd_corpus_list(args) -> int:
+    # imported here: importlib.resources pulls in pathlib, tempfile and
+    # typing, which no other command needs at start-up
+    from importlib import resources
+
     root = resources.files("longzeta").joinpath("data")
     entries = {}
     for item in sorted(root.iterdir(), key=lambda item: item.name):

@@ -12,6 +12,12 @@ classical crossing.  Senses record which way the transversal strand runs at
 a virtual passage (+ = left to right); the two passages of one virtual
 crossing always carry opposite senses.
 
+Parsing drops comments (# to end of line), splits the rest into words and
+reads all of them in one scan of a whole-word pattern over the words
+joined by single spaces: a code parses exactly when every word matches.
+Only a code that does not is read word by word, to name its first bad
+word.  Each passage becomes a PassageToken, a slotted, immutable value.
+
 Cutting the strand at underpasses and virtual passages gives arcs, and
 cutting it at underpasses only gives long arcs.  An arc's degree is the
 sum of the virtual senses passed since its long arc began.  Each classical
@@ -33,7 +39,6 @@ which the invariants here are defined and tested.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 
 class InvalidDiagram(ValueError):
@@ -44,7 +49,10 @@ class InternalError(RuntimeError):
     """An internal check failed: a bug in longzeta, never bad user input."""
 
 
-_TOKEN = re.compile(r"^([OUV])([1-9][0-9]*)([+-])$")
+# one passage as a whole word: not preceded or followed by a non-space,
+# so a scan of space-joined words matches each valid word and nothing else
+_WORD = re.compile(r"(?<!\S)([OUV])([1-9][0-9]*)([+-])(?!\S)")
+_SIGN = {"+": 1, "-": -1}
 
 # the kind of the passage that pairs with a passage of each kind
 _PARTNER = {"V": "V", "O": "U", "U": "O"}
@@ -72,19 +80,54 @@ def _well_paired(tokens):
     return len(first) - k, k
 
 
-@dataclass(frozen=True)
 class PassageToken:
-    """One crossing passage: kind is 'O', 'U' or 'V'."""
+    """One crossing passage: kind is 'O', 'U' or 'V', cid the crossing id,
+    sign the writhe sign for O/U and the sense for V.
 
-    kind: str
-    cid: int
-    sign: int  # writhe sign for O/U, sense for V
+    A slotted value object: tokens are equal exactly when they are tokens
+    with equal fields, hash as the tuple (kind, cid, sign), and cannot be
+    changed once built; copy and pickle rebuild them through __reduce__.
+    """
+
+    __slots__ = ("kind", "cid", "sign")
+
+    def __init__(self, kind: str, cid: int, sign: int):
+        # __setattr__ refuses every write, so the slots are filled through
+        # their descriptors
+        _set_kind(self, kind)
+        _set_cid(self, cid)
+        _set_sign(self, sign)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.cid == other.cid and self.kind == other.kind and self.sign == other.sign
+
+    def __hash__(self):
+        return hash((self.kind, self.cid, self.sign))
+
+    def __repr__(self):
+        return "PassageToken(kind=%r, cid=%r, sign=%r)" % (self.kind, self.cid, self.sign)
+
+    def __reduce__(self):
+        return PassageToken, (self.kind, self.cid, self.sign)
 
     def render(self) -> str:
         return "%s%d%s" % (self.kind, self.cid, "+" if self.sign > 0 else "-")
 
     def __str__(self):
         return self.render()
+
+
+_set_kind = PassageToken.kind.__set__
+_set_cid = PassageToken.cid.__set__
+_set_sign = PassageToken.sign.__set__
 
 
 class Diagram:
@@ -106,20 +149,29 @@ class Diagram:
     def parse(cls, text: str) -> "Diagram":
         """Parse the token grammar; comments (# to end of line) are dropped.
 
-        Syntax errors carry the 1-based token offset.  Validation is a
-        separate step.
+        The words are joined by single spaces and read in one pass of the
+        whole-word pattern, so the code parses exactly when every word
+        matches.  Only a code that does not is scanned word by word, for
+        the first bad word: syntax errors carry its 1-based token offset.
+        Validation is a separate step.
         """
         words = []
         for line in text.splitlines():
             body = line.split("#", 1)[0]
             words.extend(body.split())
         tokens = []
-        for i, word in enumerate(words):
-            m = _TOKEN.match(word)
-            if not m:
-                raise InvalidDiagram("syntax error at token %d: %r" % (i + 1, word))
-            kind, cid, s = m.group(1), int(m.group(2)), m.group(3)
-            tokens.append(PassageToken(kind, cid, 1 if s == "+" else -1))
+        for m in _WORD.finditer(" ".join(words)):
+            # PassageToken.__init__'s three writes, without a call per token
+            tok = object.__new__(PassageToken)
+            _set_kind(tok, m[1])
+            _set_cid(tok, int(m[2]))
+            _set_sign(tok, _SIGN[m[3]])
+            tokens.append(tok)
+        if len(tokens) != len(words):
+            for i, word in enumerate(words):
+                if not _WORD.fullmatch(word):
+                    raise InvalidDiagram("syntax error at token %d: %r" % (i + 1, word))
+            raise InternalError("the word split and the whole-word pattern disagree")
         return cls(tokens)
 
     def render(self) -> str:

@@ -7,12 +7,16 @@ arbitrary matrices over T[s^+-1]; the incidence rule restated per
 three-variable raw polynomials of the oracle, slow, direct token scans
 for the move patterns, which the library reads off one index of adjacent
 token pairs instead, and the insert site lists written out in full, which
-the library computes one site at a time from its index.
+the library computes one site at a time from its index.  And the
+per-word token parser, one regex match per word, that Diagram.parse
+replaces with one whole-word scan of the code.
 """
 
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
 
+from longzeta.diagram import InvalidDiagram, PassageToken
 from longzeta.invariant import _combine, _det, _det_sparse, _lift, incidence_matrix
 from longzeta.moves import (
     _KINK_GAP_CAP,
@@ -274,6 +278,27 @@ def row_sums_at_s1(diagram) -> list[RingT]:
         sum((c for x in row for c in x.coeffs.values()), RingT.zero())
         for row in incidence_matrix(diagram)
     ]
+
+
+_TOKEN = re.compile(r"^([OUV])([1-9][0-9]*)([+-])$")
+
+
+def parse_tokens(text) -> list[PassageToken]:
+    """The tokens of a code, one regex match per word; comments (# to end
+    of line) are dropped, and the first bad word raises InvalidDiagram
+    with its 1-based offset."""
+    words = []
+    for line in text.splitlines():
+        body = line.split("#", 1)[0]
+        words.extend(body.split())
+    tokens = []
+    for i, word in enumerate(words):
+        m = _TOKEN.match(word)
+        if not m:
+            raise InvalidDiagram("syntax error at token %d: %r" % (i + 1, word))
+        kind, cid, s = m.group(1), int(m.group(2)), m.group(3)
+        tokens.append(PassageToken(kind, cid, 1 if s == "+" else -1))
+    return tokens
 
 
 def raw3_from_parts(parts):

@@ -359,6 +359,22 @@ def test_corpus_list_matches_repo_data(capsys):
         assert packaged[f.name] == Diagram.parse(f.read_text()).render()
 
 
+def test_importing_the_cli_leaves_importlib_resources_out():
+    # only `corpus list` reads the packaged data, so only it imports
+    # importlib.resources (and with it pathlib, tempfile and typing); -S
+    # keeps the host's site packages from importing them first
+    src = str(DATA.parent.parent)
+    probe = (
+        "import sys; sys.path.insert(0, %r); import longzeta.cli;"
+        " print('longzeta.cli' in sys.modules, 'importlib.resources' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", probe % src], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "False"]
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "longzeta.cli", "certify", TREFOIL],

@@ -1,15 +1,18 @@
 """Parsing, validation, the arc/long-arc/column model and the matrix keys
 decompose() reads off the tokens."""
 
+import copy
 import hashlib
+import pickle
 import random
+import re
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from longzeta import invariant
+from longzeta import diagram, invariant
 from longzeta.diagram import (
     Diagram,
     InternalError,
@@ -21,7 +24,7 @@ from longzeta.diagram import (
     read_gauss_file,
 )
 from longzeta.fuzz import random_diagram
-from reference import Arc, ArcModel
+from reference import Arc, ArcModel, parse_tokens
 
 
 class TestParse:
@@ -71,6 +74,116 @@ class TestParse:
         for count in ("n", "k"):
             with pytest.raises(InvalidDiagram, match="mixes virtual and classical"):
                 getattr(d, count)
+
+    def test_a_long_code_parses_and_its_first_bad_word_is_named(self):
+        # 200,000 tokens in one whole-word scan; a bad final word sends the
+        # code to the word-by-word scan, which names it
+        half = 50_000
+        words = []
+        for i in range(1, half + 1):
+            w = "+-"[i % 2]
+            words += ["O%d%s" % (i, w), "V%d+" % (half + i), "U%d%s" % (i, w),
+                      "V%d-" % (half + i)]
+        text = " ".join(words)
+        d = Diagram.parse(text).check()
+        assert (len(d), d.n, d.k) == (200_000, half, half)
+        assert d.tokens[-1] == PassageToken("V", 2 * half, -1)
+        with pytest.raises(InvalidDiagram) as info:
+            Diagram.parse(text + "\nO1")
+        assert str(info.value) == "syntax error at token 200001: 'O1'"
+
+    def test_a_scan_that_disagrees_with_every_word_is_internal(self, monkeypatch):
+        # anchored at both ends, the pattern matches each word alone but
+        # nothing in the joined code: no word to blame, so a bug
+        monkeypatch.setattr(diagram, "_WORD", re.compile(r"^([OUV])([1-9][0-9]*)([+-])$"))
+        with pytest.raises(InternalError, match="word split and the whole-word pattern"):
+            Diagram.parse("O1+ U1+")
+
+
+# words the token grammar refuses, each close to a valid one: a zero or
+# leading-zero id, a missing or doubled sign, a lower-case or prefixed
+# kind, two tokens glued together, and non-ASCII digits and letters
+_NEAR_MISSES = ("O0+", "O01+", "O1", "O1++", "o1+", "XO1+", "O1+U1+", "O\u0661+",
+                "O1\u0661+", "\uff2f1+", "O+1", "+", "V-1", "U1+-", "O1.0+")
+_VALID_WORDS = st.builds(
+    "{}{}{}".format,
+    st.sampled_from("OUV"),
+    st.one_of(st.integers(1, 12), st.integers(1, 10**30)),
+    st.sampled_from("+-"),
+)
+# tabs, NBSP and the other separators str.split() knows, line breaks,
+# blank lines, comments, and nothing at all, which glues two words
+_SEPARATORS = st.sampled_from(
+    (" ", "  ", "\t", "\n", "\r\n", "\n\n  \n", "\xa0", "\u2003", "\u3000",
+     "\x1c", "\x85", " # a comment O1+\n", "#\n", "")
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.one_of(_VALID_WORDS, st.sampled_from(_NEAR_MISSES)), _SEPARATORS),
+        max_size=12,
+    )
+)
+def test_parse_matches_the_per_word_parser(pairs):
+    text = "".join(word + sep for word, sep in pairs)
+    try:
+        want = parse_tokens(text)
+    except InvalidDiagram as exc:
+        with pytest.raises(InvalidDiagram) as info:
+            Diagram.parse(text)
+        assert str(info.value) == str(exc)
+    else:
+        got = Diagram.parse(text).tokens
+        assert [(t.kind, t.cid, t.sign) for t in got] == [
+            (t.kind, t.cid, t.sign) for t in want
+        ]
+
+
+class TestPassageToken:
+    def test_equality_is_between_tokens_only(self):
+        tok = PassageToken("O", 1, 1)
+        assert tok == PassageToken("O", 1, 1)
+        assert not tok != PassageToken("O", 1, 1)
+        for other in (PassageToken("U", 1, 1), PassageToken("O", 2, 1),
+                      PassageToken("O", 1, -1)):
+            assert tok != other and not tok == other
+        assert tok != ("O", 1, 1) and ("O", 1, 1) != tok
+        assert tok.__eq__(("O", 1, 1)) is NotImplemented
+        assert tok != "O1+"
+
+    def test_hash_is_the_field_tuple_hash(self):
+        for tok in (PassageToken("O", 1, 1), PassageToken("V", 10**20, -1)):
+            assert hash(tok) == hash((tok.kind, tok.cid, tok.sign))
+        assert len({PassageToken("U", 3, -1), PassageToken("U", 3, -1)}) == 1
+
+    def test_repr_and_render(self):
+        tok = PassageToken("O", 1, 1)
+        assert repr(tok) == "PassageToken(kind='O', cid=1, sign=1)"
+        assert repr(PassageToken("V", 12, -1)) == "PassageToken(kind='V', cid=12, sign=-1)"
+        assert str(tok) == tok.render() == "O1+"
+
+    def test_fields_cannot_change(self):
+        tok = PassageToken("U", 2, -1)
+        for name in ("kind", "cid", "sign", "other"):
+            with pytest.raises(AttributeError):
+                setattr(tok, name, 1)
+            with pytest.raises(AttributeError):
+                delattr(tok, name)
+        assert (tok.kind, tok.cid, tok.sign) == ("U", 2, -1)
+        assert not hasattr(tok, "__dict__")
+
+    def test_copy_and_pickle(self):
+        tok = PassageToken("V", 7, -1)
+        d = Diagram.parse("O1+ V2+ U1+ V2-").check()
+        for x in (tok, d):
+            for back in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+                assert type(back) is type(x) and back == x and hash(back) == hash(x)
+        back = pickle.loads(pickle.dumps(d))
+        assert (back.n, back.k, back.render()) == (1, 1, "O1+ V2+ U1+ V2-")
+        with pytest.raises(AttributeError):
+            copy.copy(tok).cid = 8
 
 
 class TestValidate:
