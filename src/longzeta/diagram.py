@@ -12,11 +12,13 @@ classical crossing.  Senses record which way the transversal strand runs at
 a virtual passage (+ = left to right); the two passages of one virtual
 crossing always carry opposite senses.
 
-Parsing drops comments (# to end of line), splits the rest into words and
-reads all of them in one scan of a whole-word pattern over the words
-joined by single spaces: a code parses exactly when every word matches.
-Only a code that does not is read word by word, to name its first bad
-word.  Each passage becomes a PassageToken, a slotted, immutable value.
+Parsing drops comments (# to end of line) and splits the rest into words.
+Each passage becomes a PassageToken, a slotted, immutable value, so equal
+words can share one token: a process-wide cache maps each of the last
+4096 distinct words read to its token, least recently used out first,
+and only a word it misses is checked against the grammar.  Codes read in
+bulk repeat a few hundred words many times over, so most words cost one
+lookup.
 
 Cutting the strand at underpasses and virtual passages gives arcs, and
 cutting it at underpasses only gives long arcs.  An arc's degree is the
@@ -38,7 +40,7 @@ which the invariants here are defined and tested.
 
 from __future__ import annotations
 
-import re
+import functools
 
 
 class InvalidDiagram(ValueError):
@@ -49,9 +51,6 @@ class InternalError(RuntimeError):
     """An internal check failed: a bug in longzeta, never bad user input."""
 
 
-# one passage as a whole word: not preceded or followed by a non-space,
-# so a scan of space-joined words matches each valid word and nothing else
-_WORD = re.compile(r"(?<!\S)([OUV])([1-9][0-9]*)([+-])(?!\S)")
 _SIGN = {"+": 1, "-": -1}
 
 # the kind of the passage that pairs with a passage of each kind
@@ -128,6 +127,37 @@ class PassageToken:
 _set_kind = PassageToken.kind.__set__
 _set_cid = PassageToken.cid.__set__
 _set_sign = PassageToken.sign.__set__
+_new = object.__new__
+
+
+class _Unreadable(Exception):
+    """args: the word, then an InvalidDiagram message with %d for the
+    word's offset and one more field, and that field's value."""
+
+
+# the tokens of the last 4096 distinct words read, shared by every code
+# that reads them: a few times a bulk workload's vocabulary, under 1 MB
+@functools.lru_cache(maxsize=4096)
+def _token(word):
+    """The PassageToken a word spells; _Unreadable for a bad word.
+
+    The word must read [OUV][1-9][0-9]*[+-].  String methods check that
+    in about half the time of a regex match, which a code of all-new
+    words pays per word; tests/reference.py parses with the regex.
+    """
+    kind, digits, sign = word[0], word[1:-1], _SIGN.get(word[-1])
+    if (kind not in "OUV" or sign is None or not digits.isascii()
+            or not digits.isdigit() or digits[0] == "0"):
+        raise _Unreadable(word, "syntax error at token %d: %r", word)
+    try:
+        cid = int(digits)
+    except ValueError:  # more digits than int() converts
+        raise _Unreadable(word, "crossing id too long at token %d: %d digits", len(digits))
+    tok = _new(PassageToken)  # __init__'s three writes, without the call
+    _set_kind(tok, kind)
+    _set_cid(tok, cid)
+    _set_sign(tok, sign)
+    return tok
 
 
 class Diagram:
@@ -149,30 +179,23 @@ class Diagram:
     def parse(cls, text: str) -> "Diagram":
         """Parse the token grammar; comments (# to end of line) are dropped.
 
-        The words are joined by single spaces and read in one pass of the
-        whole-word pattern, so the code parses exactly when every word
-        matches.  Only a code that does not is scanned word by word, for
-        the first bad word: syntax errors carry its 1-based token offset.
-        Validation is a separate step.
+        Each word is looked up in the word cache (see the module
+        docstring); tokens are immutable, so every code that reads a word
+        may hold the same token.  A word the cache misses is checked
+        against the grammar, and the first word that fails raises
+        InvalidDiagram naming its 1-based token offset.  Validation is a
+        separate step.
         """
         words = []
         for line in text.splitlines():
             body = line.split("#", 1)[0]
             words.extend(body.split())
-        tokens = []
-        for m in _WORD.finditer(" ".join(words)):
-            # PassageToken.__init__'s three writes, without a call per token
-            tok = object.__new__(PassageToken)
-            _set_kind(tok, m[1])
-            _set_cid(tok, int(m[2]))
-            _set_sign(tok, _SIGN[m[3]])
-            tokens.append(tok)
-        if len(tokens) != len(words):
-            for i, word in enumerate(words):
-                if not _WORD.fullmatch(word):
-                    raise InvalidDiagram("syntax error at token %d: %r" % (i + 1, word))
-            raise InternalError("the word split and the whole-word pattern disagree")
-        return cls(tokens)
+        try:
+            return cls(map(_token, words))
+        except _Unreadable as exc:
+            word, what, detail = exc.args
+            # failures are not cached, so the first equal word is this one
+            raise InvalidDiagram(what % (words.index(word) + 1, detail)) from None
 
     def render(self) -> str:
         return " ".join(t.render() for t in self.tokens)

@@ -109,6 +109,19 @@ def test_invalid_code_is_exit_1(tmp_path, capsys):
     assert code == 1 and "syntax error" in err
 
 
+@pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() <= 0,
+    reason="this Python converts integer strings of any length",
+)
+def test_an_id_longer_than_int_converts_is_exit_1(tmp_path, capsys):
+    huge = "9" * (sys.get_int_max_str_digits() + 700)
+    bad = tmp_path / "huge.gauss"
+    bad.write_text("O%s+ U%s+\n" % (huge, huge))
+    code, out, err = run(capsys, "zeta", str(bad))
+    assert (code, out) == (1, "")
+    assert "crossing id too long at token 1: %d digits" % len(huge) in err
+
+
 def test_over_budget_is_exit_1(tmp_path, capsys, monkeypatch):
     big = tmp_path / "big.gauss"
     big.write_text(random_diagram(random.Random(20), 20, 20).render() + "\n")

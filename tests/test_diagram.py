@@ -5,7 +5,7 @@ import copy
 import hashlib
 import pickle
 import random
-import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,7 +44,7 @@ class TestParse:
         assert len(Diagram.parse("  # only a comment\n")) == 0
 
     @pytest.mark.parametrize(
-        "bad", ["O1", "X1+", "O0+", "O1++", "o1+", "O+1", "U01+"]
+        "bad", ["O1", "O12", "X1+", "O0+", "O1++", "o1+", "O+1", "U01+"]
     )
     def test_bad_token(self, bad):
         with pytest.raises(InvalidDiagram, match="syntax error at token 1"):
@@ -76,35 +76,71 @@ class TestParse:
                 getattr(d, count)
 
     def test_a_long_code_parses_and_its_first_bad_word_is_named(self):
-        # 200,000 tokens in one whole-word scan; a bad final word sends the
-        # code to the word-by-word scan, which names it
-        half = 50_000
-        words = []
-        for i in range(1, half + 1):
-            w = "+-"[i % 2]
-            words += ["O%d%s" % (i, w), "V%d+" % (half + i), "U%d%s" % (i, w),
-                      "V%d-" % (half + i)]
-        text = " ".join(words)
+        # 200,000 distinct words, so every word misses the word cache
+        text = _long_code()
         d = Diagram.parse(text).check()
-        assert (len(d), d.n, d.k) == (200_000, half, half)
-        assert d.tokens[-1] == PassageToken("V", 2 * half, -1)
+        assert (len(d), d.n, d.k) == (200_000, _HALF, _HALF)
+        assert d.tokens[-1] == PassageToken("V", 2 * _HALF, -1)
         with pytest.raises(InvalidDiagram) as info:
             Diagram.parse(text + "\nO1")
         assert str(info.value) == "syntax error at token 200001: 'O1'"
 
-    def test_a_scan_that_disagrees_with_every_word_is_internal(self, monkeypatch):
-        # anchored at both ends, the pattern matches each word alone but
-        # nothing in the joined code: no word to blame, so a bug
-        monkeypatch.setattr(diagram, "_WORD", re.compile(r"^([OUV])([1-9][0-9]*)([+-])$"))
-        with pytest.raises(InternalError, match="word split and the whole-word pattern"):
-            Diagram.parse("O1+ U1+")
+    @pytest.mark.skipif(
+        getattr(sys, "get_int_max_str_digits", lambda: 0)() <= 0,
+        reason="this Python converts integer strings of any length",
+    )
+    def test_an_id_longer_than_int_converts_is_invalid(self):
+        huge = "9" * (sys.get_int_max_str_digits() + 700)
+        for _ in range(2):  # a failed word is not cached
+            with pytest.raises(InvalidDiagram) as info:
+                Diagram.parse("O1+ U1+ O%s+ U%s+" % (huge, huge))
+            assert str(info.value) == "crossing id too long at token 3: %d digits" % len(huge)
+
+
+_HALF = 50_000
+
+
+def _long_code():
+    words = []
+    for i in range(1, _HALF + 1):
+        w = "+-"[i % 2]
+        words += ["O%d%s" % (i, w), "V%d+" % (_HALF + i), "U%d%s" % (i, w),
+                  "V%d-" % (_HALF + i)]
+    return " ".join(words)
+
+
+class TestWordCache:
+    def test_equal_words_share_one_token(self):
+        assert Diagram.parse("O1+ U1+").tokens[0] is Diagram.parse("U1+ O1+").tokens[1]
+
+    def test_a_flood_of_distinct_words_stays_within_the_bound(self):
+        Diagram.parse(_long_code())
+        info = diagram._token.cache_info()
+        assert info.maxsize == 4096
+        assert info.currsize == info.maxsize
+        # the flood evicted the old words, and a code read after it is
+        # still read right
+        text = "O3+ V7- U2- O2- U3+ V7+ # after the flood\nV11+ V11-"
+        assert Diagram.parse(text).tokens == tuple(parse_tokens(text))
+
+    @pytest.mark.parametrize(
+        "text, offset", [("Q1+", 1), ("O1+ U1+ O1", 3), ("V2+ O1 O1", 2), ("O1+ %d%s%", 2)]
+    )
+    def test_a_bad_word_reads_the_same_every_time(self, text, offset):
+        messages = set()
+        for _ in range(3):
+            with pytest.raises(InvalidDiagram) as info:
+                Diagram.parse(text)
+            messages.add(str(info.value))
+        assert messages == {"syntax error at token %d: %r" % (offset, text.split()[offset - 1])}
 
 
 # words the token grammar refuses, each close to a valid one: a zero or
 # leading-zero id, a missing or doubled sign, a lower-case or prefixed
-# kind, two tokens glued together, and non-ASCII digits and letters
+# kind, two tokens glued together, non-ASCII digits and letters, and a
+# format field
 _NEAR_MISSES = ("O0+", "O01+", "O1", "O1++", "o1+", "XO1+", "O1+U1+", "O\u0661+",
-                "O1\u0661+", "\uff2f1+", "O+1", "+", "V-1", "U1+-", "O1.0+")
+                "O1\u0661+", "\uff2f1+", "O+1", "+", "V-1", "U1+-", "O1.0+", "O%d+", "U12")
 _VALID_WORDS = st.builds(
     "{}{}{}".format,
     st.sampled_from("OUV"),
