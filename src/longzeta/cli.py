@@ -26,7 +26,7 @@ from longzeta.invariant import (
     zeta,
     zeta_split,
 )
-from longzeta.moves import InapplicableMove, MoveSpec, apply, enumerate_sites
+from longzeta.moves import MoveSpec, apply, enumerate_sites
 from longzeta import oracle
 
 DEFAULT_SEED = 7
@@ -165,7 +165,7 @@ def _cmd_moves_apply(args) -> int:
     if args.log:
         lines.extend(_read_move_lines(args.log))
     if not lines:
-        raise InapplicableMove("no moves given (positional or via --log)")
+        raise ValueError("no moves given (positional or via --log)")
     for line in lines:
         d = apply(d, MoveSpec.parse(line))
     _emit(args, d.render(), {"code": d.render(), "applied": len(lines)})
@@ -184,7 +184,18 @@ def _cmd_moves_sites(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    report = run_campaign(args.trials, args.steps, args.seed)
+    # opened first, so an unwritable path fails before any trial runs
+    log = open(args.log, "w", encoding="utf-8") if args.log else None
+    try:
+        report = run_campaign(args.trials, args.steps, args.seed)
+        log_trial = report.failures[0] if report.failures else (
+            report.results[-1] if report.results else None
+        )
+        if log is not None and log_trial is not None:
+            log.write("\n".join(log_trial.log_lines()) + "\n")
+    finally:
+        if log is not None:
+            log.close()
     payload = {
         "trials": report.trials,
         "steps": report.steps,
@@ -204,12 +215,6 @@ def _cmd_fuzz(args) -> int:
         ],
     }
     _emit(args, report.summary(), payload)
-    log_trial = report.failures[0] if report.failures else (
-        report.results[-1] if report.results else None
-    )
-    if args.log and log_trial is not None:
-        with open(args.log, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(log_trial.log_lines()) + "\n")
     if report.failures:
         first = report.failures[0]
         print(

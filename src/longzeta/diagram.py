@@ -127,7 +127,6 @@ class PassageToken:
 _set_kind = PassageToken.kind.__set__
 _set_cid = PassageToken.cid.__set__
 _set_sign = PassageToken.sign.__set__
-_new = object.__new__
 
 
 class _Unreadable(Exception):
@@ -153,11 +152,7 @@ def _token(word):
         cid = int(digits)
     except ValueError:  # more digits than int() converts
         raise _Unreadable(word, "crossing id too long at token %d: %d digits", len(digits))
-    tok = _new(PassageToken)  # __init__'s three writes, without the call
-    _set_kind(tok, kind)
-    _set_cid(tok, cid)
-    _set_sign(tok, sign)
-    return tok
+    return PassageToken(kind, cid, sign)
 
 
 class Diagram:

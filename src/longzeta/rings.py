@@ -20,7 +20,8 @@ ever needs simplifying after the fact.  Products follow
 because f(q)*e = f(1)*e and the e^2 term dies.
 
 ZetaPolynomial is a Laurent polynomial in one more central variable s with
-RingT coefficients, again stored sparsely.
+RingT coefficients, again stored sparsely.  Operators take ring operands
+only; integers enter through the constructors and ==.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ class RingT:
     """Element of T in the normal form f(q) + a*(p - q).
 
     `lau` maps q-exponents to nonzero integer coefficients, `eps` is the
-    integer multiple of p - q.  Instances are treated as immutable.
+    integer multiple of p - q.  Instances are treated as immutable.  + - *
+    take RingT operands only; ints enter through from_int and compare with ==.
     """
 
     __slots__ = ("lau", "eps")
@@ -110,38 +112,25 @@ class RingT:
         return not self.is_zero() and self.eval_pq1() == 0
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = RingT.from_int(other)
         if not isinstance(other, RingT):
             return NotImplemented
         return RingT(_lau_add(self.lau, other.lau), self.eps + other.eps)
-
-    __radd__ = __add__
 
     def __neg__(self):
         return RingT({k: -c for k, c in self.lau.items()}, -self.eps)
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = RingT.from_int(other)
         if not isinstance(other, RingT):
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = RingT.from_int(other)
         if not isinstance(other, RingT):
             return NotImplemented
         return RingT(
             _lau_mul(self.lau, other.lau),
             self.eval_pq1() * other.eps + other.eval_pq1() * self.eps,
         )
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -180,7 +169,8 @@ class RingT:
 
 
 class ZetaPolynomial:
-    """Laurent polynomial in s over T, stored as {s_exponent: RingT}."""
+    """Laurent polynomial in s over T, stored as {s_exponent: RingT}; the
+    constructor takes int coefficients, * only ZetaPolynomial (see scaled)."""
 
     __slots__ = ("coeffs",)
 
@@ -244,10 +234,6 @@ class ZetaPolynomial:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = RingT.from_int(other)
-        if isinstance(other, RingT):
-            return self.scaled(other)
         if not isinstance(other, ZetaPolynomial):
             return NotImplemented
         acc: dict[int, RingT] = {}
@@ -256,8 +242,6 @@ class ZetaPolynomial:
                 d = d1 + d2
                 acc[d] = acc[d] + c1 * c2 if d in acc else c1 * c2
         return ZetaPolynomial(acc)
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, ZetaPolynomial):

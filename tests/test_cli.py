@@ -335,6 +335,46 @@ def test_fuzz_failure_exits_2_with_log(monkeypatch, capsys):
     assert "fabricated mismatch" in err and "V1_insert 0 +" in err
 
 
+def test_fuzz_unwritable_log_exits_1_before_the_campaign(tmp_path, monkeypatch, capsys):
+    bad = str(tmp_path / "missing" / "fuzz.log")
+    monkeypatch.setattr(cli, "run_campaign", lambda *a: pytest.fail("the campaign ran"))
+    code, out, err = run(capsys, "fuzz", "--trials", "3", "--log", bad)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "fuzz.log" in err
+
+
+def test_fuzz_failing_campaign_with_log_exits_2_and_writes_the_failure(
+    tmp_path, monkeypatch, capsys
+):
+    import longzeta.fuzz as fuzz
+
+    # every predicted q-shift one too high: trials that move fail
+    real = fuzz.predicted_shift
+    monkeypatch.setattr(fuzz, "predicted_shift", lambda d, m: real(d, m) + 1)
+    log = tmp_path / "fuzz.log"
+    code, out, err = run(capsys, "fuzz", "--trials", "3", "--steps", "4", "--log", str(log))
+    assert code == 2
+    assert "/3 trajectories invariant" in out and not out.startswith("3/3")
+    assert err.startswith("first failure: trial ")
+    moves_text = log.read_text()
+    assert moves_text.endswith("\n") and moves_text.strip()
+    assert err.endswith(moves_text)  # the log is the first failure's walk
+
+
+def test_moves_apply_without_moves_is_a_usage_error(tmp_path, capsys):
+    empty = tmp_path / "empty.log"
+    empty.write_text("")
+    for extra in ([], ["--log", str(empty)]):
+        args = cli.build_parser().parse_args(["moves", "apply", VK, *extra])
+        with pytest.raises(ValueError) as info:
+            args.func(args)
+        assert type(info.value) is ValueError
+        assert str(info.value) == "no moves given (positional or via --log)"
+        code, out, err = run(capsys, "moves", "apply", VK, *extra)
+        assert (code, out) == (1, "")
+        assert err == "error: no moves given (positional or via --log)\n"
+
+
 def test_fuzz_walk_fault_is_exit_2(monkeypatch, capsys):
     # every pattern check accepts all candidates while each rewrite still
     # runs the real check: a walk that draws a site the real check rejects

@@ -145,7 +145,7 @@ class TestConnectSumGoldens:
         d = connect_sum(k, k)
         z = zeta(d)
         expect = (
-            ZetaPolynomial({0: ONE + 2 * (P * P - P)})
+            ZetaPolynomial({0: ONE + RingT.from_int(2) * (P * P - P)})
             - ZetaPolynomial({-1: (P - ONE) * (P - ONE)})
             - ZetaPolynomial({1: P * P})
         )

@@ -110,12 +110,25 @@ class TestRingT:
             assert not (x * eps).is_zero()
 
     def test_int_coercion(self):
-        x = RingT.q_power(2)
-        assert x + 1 == RingT({0: 1, 2: 1})
-        assert 2 * x == RingT({2: 2})
-        assert x - 1 == RingT({0: -1, 2: 1})
-        assert 1 - x == RingT({0: 1, 2: -1})
         assert RingT.from_int(5) == 5
+
+    @pytest.mark.parametrize("op", [
+        lambda x, z: x + 1,
+        lambda x, z: 1 - x,
+        lambda x, z: 2 * x,
+        lambda x, z: x * 2,
+        lambda x, z: z * x,
+        lambda x, z: x * z,
+        lambda x, z: z * 2,
+        lambda x, z: sum([x, x]),
+    ], ids=["x+1", "1-x", "2*x", "x*2", "zeta*x", "x*zeta", "zeta*2", "sum"])
+    def test_operators_refuse_foreign_operands(self, op):
+        # ints enter through from_int and the constructors, and a zeta
+        # polynomial is multiplied by a ring element through scaled
+        x = RingT.q_power(2)
+        z = ZetaPolynomial({0: x})
+        with pytest.raises(TypeError):
+            op(x, z)
 
     @given(st.integers())
     @example(0)
