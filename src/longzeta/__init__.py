@@ -7,7 +7,7 @@ from longzeta.invariant import (
     zeta,
     zeta_split,
 )
-from longzeta.rings import RingT, ZetaPolynomial, equal_up_to_q_power
+from longzeta.rings import RingT, ZetaPolynomial
 
 __version__ = "0.1.0"
 
@@ -17,7 +17,6 @@ __all__ = [
     "ZetaPolynomial",
     "certify_minimality",
     "connect_sum",
-    "equal_up_to_q_power",
     "generate",
     "virtual_lower_bound",
     "zeta",

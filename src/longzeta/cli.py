@@ -96,7 +96,7 @@ def build_parser() -> _Parser:
 
     oracle_p = sub.add_parser("oracle", help="independent slow-path checks")
     oracle_sub = oracle_p.add_subparsers(dest="oracle_command", required=True)
-    p = oracle_sub.add_parser("selftest", help="cross-check the ring arithmetic")
+    p = oracle_sub.add_parser("selftest", help="slow-path consistency checks")
     p.set_defaults(func=_cmd_oracle_selftest)
     p.add_argument("--json", action="store_true")
     p.add_argument("--trials", type=_nonneg, default=200)

@@ -321,24 +321,21 @@ def generate(family: str, r: int | None = None) -> Diagram:
 class Decomposition:
     """The matrix keys of a valid code, read off its tokens in one pass.
 
-    A key is everything invariant._fill reads, as one flat tuple: a tag,
-    then per classical crossing, in ascending id order, t and w and three
-    cells (column, exponent).  t is "p" when the crossing's overpass comes
-    first along the strand, else "q"; w is its writhe sign.  The cells are
-    the arc emanating from its underpass, the arc passing over it and the
-    arc coming into its underpass, in that order; column j belongs to the
+    A key is everything invariant._fill reads, as one flat tuple: per
+    classical crossing, in ascending id order, t and w and three cells
+    (column, exponent).  t is "p" when the crossing's overpass comes first
+    along the strand, else "q"; w is its writhe sign.  The cells are the
+    arc emanating from its underpass, the arc passing over it and the arc
+    coming into its underpass, in that order; column j belongs to the
     j-th crossing.  An exponent is the s-power at which the cell enters
-    its entry, None to leave it out.  Equal keys describe equal matrices,
-    and the tag names the determinant, so a memo keyed by them keeps zeta
-    and det B apart even where their matrices agree.  zeta_key, tagged
-    "zeta", enters each cell at its arc's degree.  b_key, tagged "B",
-    enters a cell at s^0 when its degree is its column's threshold, the
-    column's count of increasing virtual passages, and leaves it out
-    otherwise.  initial and final are the key positions of the exponents
-    of the united column's cells on the initial and on the final long
-    arc.  Without classical crossings the keys hold their tags alone.  No
-    arc objects are built; the arc model these keys condense is
-    tests/reference.py's ArcModel.
+    its entry, None to leave it out.  Equal keys describe equal matrices.
+    zeta_key enters each cell at its arc's degree.  b_key enters a cell
+    at s^0 when its degree is its column's threshold, the column's count
+    of increasing virtual passages, and leaves it out otherwise.  initial
+    and final are the key positions of the exponents of the united
+    column's cells on the initial and on the final long arc.  Without
+    classical crossings both keys are empty.  No arc objects are built;
+    the arc model these keys condense is tests/reference.py's ArcModel.
     """
 
     __slots__ = ("diagram", "zeta_key", "b_key", "initial", "final")
@@ -380,7 +377,7 @@ class Decomposition:
         ):
             raise InternalError("long arcs miscount the increasing virtual passages")
 
-        zeta_key, b_key, initial, final = ["zeta"], ["B"], [], []
+        zeta_key, b_key, initial, final = [], [], [], []
         ids = sorted(under)
         if ids and origin[la] is None:  # n >= 1 forces a final underpass cut
             raise InternalError("the final long arc has no underpass origin")

@@ -11,11 +11,11 @@ module checks only the transport law itself.  Trials keep their full move
 logs, so any failure can be replayed line by line.
 
 Virtual moves leave zeta's matrix exactly as it was, so a trajectory
-meets the same matrices again and again.  Each trial keeps a memo from a
-matrix's exact key to its determinant and eliminates each distinct matrix
-once; zeta and det B are keyed apart, so the law check stays independent.
-Every law is still checked on every diagram, memo hits included, and no
-memo outlives its trial.
+meets the same matrices again and again.  Each trial keeps a memo from
+zeta's exact key to zeta and eliminates each distinct matrix once.  The
+memo holds zeta alone: det B is computed afresh for every diagram, so
+the law check stays independent.  Every law is still checked on every
+diagram, memo hits included, and no memo outlives its trial.
 """
 
 from __future__ import annotations
@@ -119,14 +119,14 @@ def run_trial(source: Diagram, steps: int, seed: int, index: int = 0) -> TrialRe
     )
     result = TrialResult(index=index, source=source.render(), log=log, r=0)
     # each replayed diagram is decomposed once, for zeta and det B alike,
-    # and each distinct matrix of the trajectory is eliminated once: memo
-    # maps a matrix's key to its determinant, and lives for this trial only
+    # and each distinct zeta matrix of the trajectory is eliminated once:
+    # memo maps zeta's key to zeta, and lives for this trial only
     memo = {}
     d = source
     dec = decompose(d)
     z = zeta(dec, memo)
     z0 = z
-    result.problems.extend(check_theorems(dec, z, memo))
+    result.problems.extend(check_theorems(dec, z))
     for move in log:
         shift = predicted_shift(d, move)
         d = apply(d, move)
@@ -137,7 +137,7 @@ def run_trial(source: Diagram, steps: int, seed: int, index: int = 0) -> TrialRe
             result.problems.append(
                 "%s changed zeta by something other than q^%+d" % (move, shift)
             )
-        result.problems.extend(check_theorems(dec, z_next, memo))
+        result.problems.extend(check_theorems(dec, z_next))
         result.r += shift
         z = z_next
     if z != z0.scaled(RingT.q_power(result.r)):

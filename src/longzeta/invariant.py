@@ -26,13 +26,13 @@ zeta and det B in its one token pass (diagram.Decomposition documents
 the layout), and each split half is zeta's key with the other half's
 cells left out.  zeta, its split halves and det B eliminate the lifted
 rows of their keys, and incidence_matrix and leading_matrix, the
-T-valued views, read the same rows back entry by entry.  zeta,
-leading_determinant and check_theorems take an optional memo, a dict
-from key to determinant, so a caller that meets one matrix many times
-fills and eliminates it once; the move fuzzer keeps one per trial, since
-virtual moves leave zeta's matrix as it was.  The key is tagged with its
-determinant, so det B never reuses zeta's elimination.  The matrix has
-at most three nonzero entries per row, and most of them are
+T-valued views, read the same rows back entry by entry.  zeta alone
+takes an optional memo, a dict from key to zeta, so a caller that meets
+one matrix many times fills and eliminates it once; the move fuzzer
+keeps one per trial, since virtual moves leave zeta's matrix as it was.
+det B is computed afresh for every diagram and never read from a memo,
+so the law check stays independent of zeta's elimination.  The matrix
+has at most three nonzero entries per row, and most of them are
 +-monomials: units of the Laurent ring.  Before any fill, _singular
 reads three kinds of singular matrix off the key: a row with no cell
 entered, a column that no entered cell names, and rows that each enter
@@ -476,7 +476,6 @@ def _fill(key):
     """
     laurent, dual = [], []
     items = iter(key)
-    next(items)  # the tag
     # eight items per row: t, w and three (column, exponent) cells
     for t, w, j0, d0, j1, d1, j2, d2 in zip(*[items] * 8):
         lau_row, dual_row = {}, {}
@@ -503,9 +502,9 @@ def _singular(key) -> bool:
     In the last case each row sums to s^d * (1 + (t^w - 1) - t^w) = 0,
     so the all-ones vector lies in the kernel.  The empty key (n = 0) is
     never singular: its determinant is 1."""
-    # after the tag, eight items per row: t, w and three (column, exponent)
-    # cells, emanating, over and incoming
-    exps = key[4::8], key[6::8], key[8::8]
+    # eight items per row: t, w and three (column, exponent) cells,
+    # emanating, over and incoming
+    exps = key[3::8], key[5::8], key[7::8]
     rows = list(zip(*exps))
     if (None, None, None) in rows:
         return True  # an empty row
@@ -513,24 +512,17 @@ def _singular(key) -> bool:
         return True  # every row sums to zero
     named = {
         j
-        for cols, ds in zip((key[3::8], key[5::8], key[7::8]), exps)
+        for cols, ds in zip((key[2::8], key[4::8], key[6::8]), exps)
         for j, d in zip(cols, ds)
         if d is not None
     }
     return len(named) < len(rows)  # an empty column
 
 
-def _det(key, memo=None) -> ZetaPolynomial:
+def _det(key) -> ZetaPolynomial:
     """The determinant of the matrix a key describes, a zeta, det B or
-    split key in diagram.Decomposition's layout.  memo, when given, maps
-    keys to the determinants already taken: a key found there costs no
-    fill and no elimination.  A key that _singular decides costs no fill
-    either; its zero enters memo like any other determinant."""
-    if memo is not None:
-        z = memo.get(key)
-        if z is None:
-            z = memo[key] = _det(key)
-        return z
+    split key in diagram.Decomposition's layout.  A key that _singular
+    decides costs no fill and no elimination."""
     if _singular(key):
         return ZetaPolynomial.zero()
     laurent, dual = _fill(key)
@@ -549,18 +541,25 @@ def _view(key) -> list[list[ZetaPolynomial]]:
 def zeta(diagram_or_dec, memo=None) -> ZetaPolynomial:
     """The zeta polynomial; 1 for diagrams without classical crossings,
     the determinant of the empty matrix.  memo, a dict the caller keeps,
-    maps each matrix already eliminated to its determinant, so a repeated
-    matrix is not eliminated again."""
-    return _det(_as_dec(diagram_or_dec).zeta_key, memo)
+    maps each zeta key already eliminated to its zeta, so a repeated
+    matrix is not eliminated again; a key _singular decides enters it
+    like any other."""
+    key = _as_dec(diagram_or_dec).zeta_key
+    if memo is None:
+        return _det(key)
+    z = memo.get(key)
+    if z is None:
+        z = memo[key] = _det(key)
+    return z
 
 
 def _split_keys(dec: Decomposition) -> tuple[tuple, tuple]:
-    """The keys of zeta's two halves: zeta's key, untagged, with the
-    united column's cells on the final (minus) or on the initial (plus)
-    long arc left out."""
+    """The keys of zeta's two halves: zeta's key with the united column's
+    cells on the final (minus) or on the initial (plus) long arc left
+    out."""
     halves = []
     for dropped in (dec.final, dec.initial):
-        key = [None, *dec.zeta_key[1:]]
+        key = list(dec.zeta_key)
         for pos in dropped:
             key[pos] = None
         halves.append(tuple(key))
@@ -583,24 +582,24 @@ def leading_matrix(diagram_or_dec) -> list[list[RingT]]:
     return [[x.coeff(0) for x in row] for row in _view(key)]
 
 
-def leading_determinant(diagram_or_dec, memo=None) -> RingT:
-    """det B, which must equal the s^k coefficient of zeta.
+def leading_determinant(diagram_or_dec) -> RingT:
+    """det B, which must equal the s^k coefficient of zeta.  It is decided
+    by _singular or eliminated on every call; no memo holds it.
 
     Without classical crossings there is no matrix B and zeta = 1, so the
-    value is that coefficient: 1 for k = 0, else 0.  That value depends on
-    k, which no key holds, so it never enters memo.
+    value is that coefficient: 1 for k = 0, else 0.
     """
     dec = _as_dec(diagram_or_dec)
     if dec.diagram.n == 0:
         return ZetaPolynomial.one().coeff(dec.diagram.k)
-    return _det(dec.b_key, memo).coeff(0)
+    return _det(dec.b_key).coeff(0)
 
 
-def check_theorems(diagram_or_dec, z: ZetaPolynomial, memo=None) -> list[str]:
+def check_theorems(diagram_or_dec, z: ZetaPolynomial) -> list[str]:
     """The two laws of zeta on one diagram whose zeta is z: its top s-degree
     is at most k, and its s^k coefficient equals det B, computed on its own
-    from the leading matrix (through memo when one is given).  Returns one
-    text per broken law, so an empty list means both hold."""
+    from the leading matrix.  Returns one text per broken law, so an empty
+    list means both hold."""
     dec = _as_dec(diagram_or_dec)
     k = dec.diagram.k
     problems = []
@@ -608,7 +607,7 @@ def check_theorems(diagram_or_dec, z: ZetaPolynomial, memo=None) -> list[str]:
     if top is not None and top > k:
         problems.append("top degree %d exceeds k=%d" % (top, k))
     sk = z.coeff(k)
-    det_b = leading_determinant(dec, memo)
+    det_b = leading_determinant(dec)
     if det_b != sk:
         problems.append(
             "det B = %s but the s^%d coefficient is %s"

@@ -263,31 +263,3 @@ class ZetaPolynomial:
         return self.render()
 
     __repr__ = __str__
-
-
-def equal_up_to_q_power(x: ZetaPolynomial, y: ZetaPolynomial) -> int | None:
-    """Exponent r with y = q^r * x, or None when no such r exists.
-
-    Multiplying by q^r shifts every q-exponent of every Laurent part by r
-    and fixes the p - q parts, so a candidate r is read off any coefficient
-    with a nonzero Laurent part and then checked everywhere.  When both
-    sides are zero, or differ only in their (q-power invariant) p - q
-    parts, the canonical answer is 0.
-    """
-    if x.is_zero() and y.is_zero():
-        return 0
-    if set(x.coeffs) != set(y.coeffs):
-        return None
-    r = None
-    for d, cx in x.coeffs.items():
-        cy = y.coeffs[d]
-        if cx.eps != cy.eps or bool(cx.lau) != bool(cy.lau):
-            return None
-        if cx.lau and r is None:
-            r = min(cy.lau) - min(cx.lau)
-    if r is None:
-        return 0
-    for d, cx in x.coeffs.items():
-        if y.coeffs[d].lau != {k + r: c for k, c in cx.lau.items()}:
-            return None
-    return r

@@ -9,7 +9,8 @@ for the move patterns, which the library reads off one index of adjacent
 token pairs instead, and the insert site lists written out in full, which
 the library computes one site at a time from its index.  And the
 per-word token parser, one regex match per word, that Diagram.parse
-replaces with one whole-word scan of the code.
+replaces with one whole-word scan of the code.  And the q-power
+comparison of two zeta polynomials that the transport-law tests use.
 """
 
 import re
@@ -171,9 +172,9 @@ class ArcModel:
 
     def keys(self, offset=0):
         """(zeta_key, b_key, initial, final) in the layout of decompose():
-        after the tag, per crossing t and w and a (column, exponent) cell
-        for the arc emanating from its underpass, the arc passing over it
-        and the arc coming into its underpass.  zeta's exponent is the arc
+        per crossing t and w and a (column, exponent) cell for the arc
+        emanating from its underpass, the arc passing over it and the arc
+        coming into its underpass.  zeta's exponent is the arc
         degree, raised by offset on the initial long arc; B's is 0 when
         that degree is the column's threshold, else None.  initial and
         final are the key positions of the exponents of the cells on the
@@ -181,7 +182,7 @@ class ArcModel:
         column."""
         last = self.long_arcs[-1].index
         column = self.column_of_long_arc
-        zeta_key, b_key, initial, final = ["zeta"], ["B"], [], []
+        zeta_key, b_key, initial, final = [], [], [], []
         for cid in self.ids:
             # arcs[a] starts at the underpass, so arcs[a - 1] ends there
             a = bisect_left(self.arc_starts, self.u_pos[cid])
@@ -278,6 +279,34 @@ def row_sums_at_s1(diagram) -> list[RingT]:
         sum((c for x in row for c in x.coeffs.values()), RingT.zero())
         for row in incidence_matrix(diagram)
     ]
+
+
+def equal_up_to_q_power(x: ZetaPolynomial, y: ZetaPolynomial) -> int | None:
+    """Exponent r with y = q^r * x, or None when no such r exists.
+
+    Multiplying by q^r shifts every q-exponent of every Laurent part by r
+    and fixes the p - q parts, so a candidate r is read off any coefficient
+    with a nonzero Laurent part and then checked everywhere.  When both
+    sides are zero, or differ only in their (q-power invariant) p - q
+    parts, the canonical answer is 0.
+    """
+    if x.is_zero() and y.is_zero():
+        return 0
+    if set(x.coeffs) != set(y.coeffs):
+        return None
+    r = None
+    for d, cx in x.coeffs.items():
+        cy = y.coeffs[d]
+        if cx.eps != cy.eps or bool(cx.lau) != bool(cy.lau):
+            return None
+        if cx.lau and r is None:
+            r = min(cy.lau) - min(cx.lau)
+    if r is None:
+        return 0
+    for d, cx in x.coeffs.items():
+        if y.coeffs[d].lau != {k + r: c for k, c in cx.lau.items()}:
+            return None
+    return r
 
 
 _TOKEN = re.compile(r"^([OUV])([1-9][0-9]*)([+-])$")

@@ -29,8 +29,8 @@ from longzeta.invariant import (
     zeta_split,
 )
 from longzeta.moves import apply, enumerate_sites
-from longzeta.rings import RingT, ZetaPolynomial, equal_up_to_q_power
-from reference import ArcModel, determinant, row_sums_at_s1
+from longzeta.rings import RingT, ZetaPolynomial
+from reference import ArcModel, determinant, equal_up_to_q_power, row_sums_at_s1
 
 P = RingT.p_power(1)
 Q = RingT.q_power(1)

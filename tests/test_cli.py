@@ -317,7 +317,7 @@ def test_fuzz_json_and_log_replayable(tmp_path, capsys):
     assert lines and all(MoveSpec.parse(l) for l in lines)
 
 
-def test_fuzz_failure_exits_2_with_log(monkeypatch, capsys):
+def test_fuzz_failure_exits_2_and_prints_its_move_log_on_stderr(monkeypatch, capsys):
     bad = TrialResult(
         index=0,
         source="O1+ U1+",

@@ -365,10 +365,10 @@ class TestDecomposition:
         # emanating: arc 2, on the final long arc; over: arc 0; coming in:
         # arc 1, at degree 1, the threshold, so only it enters B
         assert one_pass_cells(decompose(generate("virtual_kink"))) == (
-            ("zeta", "p", 1, 0, 0, 0, 0, 0, 1),
-            ("B", "p", 1, 0, None, 0, None, 0, 0),
-            (6, 8),
-            (4,),
+            ("p", 1, 0, 0, 0, 0, 0, 1),
+            ("p", 1, 0, None, 0, None, 0, 0),
+            (5, 7),
+            (3,),
         )
 
     def test_early_under_kink(self):
@@ -384,10 +384,10 @@ class TestDecomposition:
         assert model.early == {1: "U"}
         assert model.columns[0].threshold == 1
         assert one_pass_cells(decompose(d)) == (
-            ("zeta", "q", 1, 0, 0, 0, 1, 0, 0),
-            ("B", "q", 1, 0, None, 0, 0, 0, None),
-            (8,),
-            (4, 6),
+            ("q", 1, 0, 0, 0, 1, 0, 0),
+            ("q", 1, 0, None, 0, 0, 0, None),
+            (7,),
+            (3, 5),
         )
 
     def test_trefoil_columns(self):
@@ -402,13 +402,13 @@ class TestDecomposition:
             decompose(generate("classical_trefoil"))
         )
         # every threshold is 0, so B enters every cell at s^0, like zeta
-        assert b_key[1:] == zeta_key[1:]
-        assert zeta_key[3::8] == (0, 1, 2)  # each row's emanating column
+        assert b_key == zeta_key
+        assert zeta_key[2::8] == (0, 1, 2)  # each row's emanating column
         # crossing 3 emanates into the final half of the united column
-        # (exponent at 20); crossing 1 passes over its initial half (at 6),
-        # and crossing 2 comes in from it (at 16)
-        assert (initial, final) == ((6, 16), (20,))
-        assert zeta_key[5] == zeta_key[15] == zeta_key[19] == 2
+        # (exponent at 19); crossing 1 passes over its initial half (at 5),
+        # and crossing 2 comes in from it (at 15)
+        assert (initial, final) == ((5, 15), (19,))
+        assert zeta_key[4] == zeta_key[14] == zeta_key[18] == 2
 
     def test_empty_code(self):
         model = ArcModel(Diagram.parse(""))
@@ -416,7 +416,7 @@ class TestDecomposition:
         la, = model.long_arcs
         assert la.is_initial and la.is_final and la.origin is None
         assert model.columns == ()
-        assert one_pass_cells(decompose(Diagram.parse(""))) == (("zeta",), ("B",), (), ())
+        assert one_pass_cells(decompose(Diagram.parse(""))) == ((), (), (), ())
 
     def test_position_lookups(self):
         model = ArcModel(generate("virtual_kink"))
@@ -429,14 +429,14 @@ class TestDecomposition:
             model.arc_containing(2)  # cut token, not arc interior
         # the same three arcs as (column, exponent) cells of zeta's key
         dec = decompose(generate("virtual_kink"))
-        _, _, _, *cells = dec.zeta_key
+        _, _, *cells = dec.zeta_key
         emanating, over, incoming = zip(cells[::2], cells[1::2])
         arcs = model.arcs
         assert emanating == (0, arcs[2].degree)
         assert over == (0, arcs[0].degree)
         assert incoming == (0, arcs[1].degree)
         # arc 2 lies on the final long arc, arcs 0 and 1 on the initial one
-        assert (dec.final, dec.initial) == ((4,), (6, 8))
+        assert (dec.final, dec.initial) == ((3,), (5, 7))
 
     def test_arc_containing_matches_a_scan(self):
         rng = random.Random(37)
@@ -490,7 +490,7 @@ class TestDecomposition:
                     )
             assert sum(col.threshold for col in model.columns) == kv
             # every emanating arc opens its long arc at degree 0
-            assert set(decompose(model.diagram).zeta_key[4::8]) == {0}
+            assert set(decompose(model.diagram).zeta_key[3::8]) == {0}
 
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "longzeta" / "data"
@@ -510,14 +510,18 @@ def test_one_pass_cells_match_the_arc_model():
 def test_keys_match_the_recorded_digests():
     # both digests were recorded when the invariant module still built each
     # key itself, from decompose()'s nested per-crossing rows and a pick
-    # function per cell: zeta's and B's keys, and zeta_split's two halves
+    # function per cell: zeta's and B's keys, and zeta_split's two halves.
+    # The keys then led with a tag ("zeta", "B", None for a half), which
+    # is put back here, so the digests show that the untagged keys carry
+    # exactly the cells they carried before
     rng = random.Random(20261019)
     keys, halves = hashlib.sha256(), hashlib.sha256()
     for _ in range(400):
         dec = decompose(random_diagram(rng, rng.randint(0, 10), rng.randint(0, 10)))
-        keys.update(repr((dec.zeta_key, dec.b_key)).encode())
+        keys.update(repr((("zeta",) + dec.zeta_key, ("B",) + dec.b_key)).encode())
         if dec.diagram.n:
-            halves.update(repr(invariant._split_keys(dec)).encode())
+            tagged = tuple((None,) + half for half in invariant._split_keys(dec))
+            halves.update(repr(tagged).encode())
     assert keys.hexdigest() == (
         "5d1257d9a6faf654fdc4f0f7ce53081c548fe61b0fa1ed675ab859c75230b3b5"
     )

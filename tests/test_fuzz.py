@@ -19,7 +19,8 @@ from longzeta.fuzz import (
 )
 from longzeta.invariant import leading_determinant, zeta
 from longzeta.moves import MoveSpec, apply
-from longzeta.rings import RingT, ZetaPolynomial, equal_up_to_q_power
+from longzeta.rings import RingT, ZetaPolynomial
+from reference import equal_up_to_q_power
 
 
 def test_random_diagram_counts_and_validity():
@@ -181,33 +182,22 @@ def test_memoised_trials_agree_with_fresh_determinants(monkeypatch):
     assert virtual_trials > 20
 
 
-def test_zeta_and_det_b_are_keyed_apart(monkeypatch):
-    # B's lifted matrix equals zeta's on the trefoil, yet det B is still
-    # decided on its own, once: both keys are singular by structure, so
-    # neither reaches _det_sparse
-    dec = decompose(generate("classical_trefoil"))
-    assert invariant._fill(dec.zeta_key) == invariant._fill(dec.b_key)
-    decided = []
-    singular = invariant._singular
-    monkeypatch.setattr(
-        invariant, "_singular", lambda key: decided.append((key[0], singular(key))) or decided[-1][1]
-    )
+def test_the_memo_holds_zeta_alone(monkeypatch):
+    # the virtual kink's det B is nonzero, so zeta and det B each reach
+    # _det_sparse, once per lift; the law check reads no memo, so every
+    # call eliminates det B again
     calls = _count_det_sparse(monkeypatch)
-    memo = {}
-    z = zeta(dec, memo)
-    det_b = leading_determinant(dec, memo)
-    assert decided == [("zeta", True), ("B", True)] and len(memo) == 2
-    assert (zeta(dec, memo), leading_determinant(dec, memo)) == (z, det_b)
-    assert len(decided) == 2 and calls == []
-    # the virtual kink's det B is nonzero, so both are eliminated, once each
     dec = decompose(generate("virtual_kink"))
     memo = {}
     z = zeta(dec, memo)
-    assert len(calls) == 2
-    det_b = leading_determinant(dec, memo)
-    assert len(calls) == 4 and len(memo) == 2 and not det_b.is_zero()
-    assert (zeta(dec, memo), leading_determinant(dec, memo)) == (z, det_b)
-    assert len(calls) == 4
+    assert len(calls) == 2 and list(memo) == [dec.zeta_key]
+    assert check_theorems(dec, z) == []
+    assert len(calls) == 4 and list(memo) == [dec.zeta_key]
+    assert check_theorems(dec, z) == []
+    assert len(calls) == 6
+    # a repeated zeta is served from the memo
+    assert zeta(dec, memo) == z and len(calls) == 6
+    assert not leading_determinant(dec).is_zero()
 
 
 def test_codes_without_classical_crossings_stay_out_of_the_memo():
@@ -241,3 +231,17 @@ def test_a_wrong_shift_is_flagged_on_every_step(monkeypatch):
     assert len(calls) < 4 * 16  # some steps were served from the memo
     flagged = [p for p in trial.problems if "changed zeta by something other" in p]
     assert len(flagged) == len(trial.log)
+
+
+def test_a_replay_that_misses_the_walk_result_is_flagged(monkeypatch):
+    # the walk reports its real log but the source as its final diagram,
+    # which that log does not reach
+    real = fuzz.random_equivalent
+    monkeypatch.setattr(
+        fuzz, "random_equivalent", lambda source, *a, **k: (source, real(source, *a, **k)[1])
+    )
+    src = generate("virtual_kink")
+    trial = run_trial(src, 10, seed=0)
+    assert _replay(src, trial.log)[-1] != src
+    assert not trial.ok
+    assert trial.problems == ["replay disagrees with the walk result"]

@@ -26,8 +26,8 @@ from longzeta.moves import (
     enumerate_sites,
     random_equivalent,
 )
-from longzeta.rings import RingT, equal_up_to_q_power
-from reference import REFERENCE_GAPS, REFERENCE_SCANS, ArcModel
+from longzeta.rings import RingT
+from reference import REFERENCE_GAPS, REFERENCE_SCANS, ArcModel, equal_up_to_q_power
 
 VK = generate("virtual_kink")  # O1+ V2+ U1+ V2-
 
