@@ -77,7 +77,6 @@ which certify_minimality and the move fuzzer share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 
 from longzeta.diagram import Decomposition, InternalError, decompose
@@ -616,26 +615,6 @@ def check_theorems(diagram_or_dec, z: ZetaPolynomial) -> list[str]:
     return problems
 
 
-@dataclass(frozen=True)
-class MinimalityCertificate:
-    """Outcome of the leading-coefficient minimality test."""
-
-    k: int
-    det_b: RingT  # also the s^k coefficient of zeta, as check_theorems checked
-    zeta_top: int | None
-    minimal: bool
-
-    def to_json(self) -> dict:
-        det_b = self.det_b.render()
-        return {
-            "k": self.k,
-            "detB": det_b,
-            "sk_coeff": det_b,
-            "top_deg": self.zeta_top,
-            "minimal": self.minimal,
-        }
-
-
 def certify_minimality(diagram_or_dec) -> MinimalityCertificate:
     """Certificate that the diagram's virtual crossing count is minimal.
 
@@ -656,6 +635,9 @@ def certify_minimality(diagram_or_dec) -> MinimalityCertificate:
         raise CrossCheckError("; ".join(problems))
     k = dec.diagram.k
     sk = z.coeff(k)  # equal to det B, as just checked
+    # imported here so that `import longzeta` does not load dataclasses
+    from longzeta.certificate import MinimalityCertificate
+
     return MinimalityCertificate(
         k=k, det_b=sk, zeta_top=z.top_degree(), minimal=not sk.is_zero()
     )

@@ -244,11 +244,17 @@ class ZetaPolynomial:
         return ZetaPolynomial(acc)
 
     def __eq__(self, other):
-        if not isinstance(other, ZetaPolynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
+        if isinstance(other, ZetaPolynomial):
+            return self.coeffs == other.coeffs
+        if isinstance(other, int):
+            return self.coeffs == ZetaPolynomial({0: other}).coeffs
+        return NotImplemented
 
     def __hash__(self):
+        # an s^0-only polynomial hashes as its coefficient, so one equal to
+        # an int (see __eq__) hashes as that int, as RingT does
+        if self.coeffs.keys() <= {0}:
+            return hash(self.coeff(0))
         return hash(frozenset(self.coeffs.items()))
 
     def render(self) -> str:

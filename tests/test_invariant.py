@@ -1,6 +1,7 @@
 """Zeta goldens, determinant cross-checks, and the structure theorems."""
 
 import copy
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -968,6 +969,18 @@ class TestDegenerateAndErrors:
         cert = certify_minimality(Diagram.parse("V1+ V1-"))
         assert (cert.k, cert.minimal) == (1, False)
         assert cert.det_b.is_zero() and cert.zeta_top == 0
+
+    def test_certificate_is_a_frozen_dataclass(self):
+        # the benchmark's smoke test forges a wrong certificate with
+        # dataclasses.replace, which only a dataclass instance accepts
+        cert = certify_minimality(generate("virtual_kink"))
+        assert dataclasses.is_dataclass(cert) and not isinstance(cert, type)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cert.k = 2
+        want = cert.to_json()
+        got = dataclasses.replace(cert, k=cert.k + 1).to_json()
+        assert got.pop("k") == want.pop("k") + 1
+        assert got == want
 
     def test_cross_check_error(self, monkeypatch):
         import longzeta.invariant as inv

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from longzeta import oracle
+from longzeta import generate, oracle, zeta
 from longzeta.rings import RingT, ZetaPolynomial
 from reference import equal_up_to_q_power, raw3_from_parts, raw3_reduce
 
@@ -163,6 +163,16 @@ class TestZetaPolynomial:
         assert ZetaPolynomial.one().coeff(0) == RingT.one()
         assert ZetaPolynomial.one().top_degree() == 0
         assert ZetaPolynomial.zero().top_degree() is None
+
+    def test_int_equality_and_hash(self):
+        # an int reads as the constant polynomial, as it does for RingT
+        assert zeta(generate("classical_trefoil")) == 0
+        assert ZetaPolynomial.one() == 1
+        assert ZetaPolynomial.one() != 2
+        assert ZetaPolynomial({1: 1}) != 1
+        assert hash(ZetaPolynomial.one()) == hash(1)
+        assert ZetaPolynomial({0: -3}) == -3 and hash(ZetaPolynomial({0: -3})) == hash(-3)
+        assert len({ZetaPolynomial.zero(), 0}) == 1
 
     def test_zero_coefficients_dropped(self):
         z = ZetaPolynomial({0: RingT.zero(), 1: RingT.one(), 2: 0})

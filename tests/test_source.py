@@ -1,6 +1,9 @@
-"""Static checks over the library's source files."""
+"""Static checks over the library's source files, and its import cost."""
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "longzeta"
@@ -162,3 +165,30 @@ def test_every_defaulted_parameter_is_passed_in_the_library():
         and not any(_passes(call, index, name) for call in calls.get(func, []))
     ]
     assert unpassed == []
+
+
+# run in a fresh interpreter that sees neither the site packages nor the
+# environment; json is imported only after the modules loaded are listed
+STARTUP = """
+import sys
+sys.path.insert(0, %r)
+import longzeta
+print(sorted({"dataclasses", "longzeta.certificate"} & sys.modules.keys()))
+import json
+cert = longzeta.certify_minimality(longzeta.generate("virtual_kink"))
+print(json.dumps(cert.to_json(), sort_keys=True))
+"""
+
+
+def test_import_loads_no_dataclasses():
+    # dataclasses, with inspect, ast and dis behind it, would be most of
+    # the import time, so only certify_minimality loads the certificate
+    out = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", STARTUP % str(SRC.parent)],
+        check=True, capture_output=True, text=True, timeout=60,
+    ).stdout.splitlines()
+    assert out[0] == "[]"
+    assert json.loads(out[1]) == {
+        "detB": "-1*q^1 - 1*(p-q)", "k": 1, "minimal": True,
+        "sk_coeff": "-1*q^1 - 1*(p-q)", "top_deg": 1,
+    }
