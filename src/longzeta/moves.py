@@ -32,7 +32,7 @@ underpass token, and its degree at a gap is the sum of the virtual
 senses between that underpass and the gap.
 
 Each kind splits into a check, which raises InapplicableMove at a site
-that does not match and builds nothing, and a rewrite, which builds the
+that does not match and builds no Diagram, and a rewrite, which builds the
 new code; apply runs both and validates the result.
 
 Deletion and triangle sites are patterns of adjacent token pairs.  One
@@ -149,34 +149,29 @@ def _fresh(diagram, count):
     return [base + 1 + i for i in range(count)]
 
 
-def _last_underpass(toks, end=None):
-    """Position of the last underpass token before `end` (default: the
-    whole code), -1 when there is none."""
-    for i in range(len(toks) - 1 if end is None else end - 1, -1, -1):
+def _last_underpass(toks):
+    """Position of the last underpass token, -1 when there is none."""
+    for i in range(len(toks) - 1, -1, -1):
         if toks[i].kind == "U":
             return i
     return -1
 
 
-def _require_cut_gap(toks, g, dropped=0, shown=None):
-    """An underpass cut at gap g keeps the invariant.  A deletion checks
-    the code it leaves without building it: the `dropped` tokens from g on
-    are read as gone, and the message names gap `shown` of that code."""
+def _require_cut_gap(toks, g):
+    """An underpass cut at gap g keeps the invariant."""
     # an undercut on the final long arc at nonzero degree re-anchors the
     # degrees feeding the united first/last column and changes zeta.  The
     # final long arc is the stretch after the last underpass; its degree
     # starts at 0 and moves by the sense of every virtual passage on it.
     last_u = _last_underpass(toks)
-    if g + dropped <= last_u:
+    if g <= last_u:
         return
-    if last_u >= g:  # the last underpass is one of the dropped tokens
-        last_u = _last_underpass(toks, g)
     degree = sum(t.sign for t in toks[last_u + 1 : g] if t.kind == "V")
     _require(
         degree == 0,
         "an underpass cut at gap %d would land on the final long arc at "
         "degree %d; only degree-0 sites keep the invariant there",
-        g if shown is None else shown,
+        g,
         degree,
     )
 
@@ -193,7 +188,7 @@ def _require_anchored(n, what):
 
 # Every kind has a check and a rewrite, both called as (toks, params,
 # diagram).  A check raises InapplicableMove when the site does not match
-# and builds nothing; a rewrite returns the new token list of a site its
+# and builds no Diagram; a rewrite returns the new token list of a site its
 # check accepted.  Neither writes to toks.
 
 # ---------------------------------------------------------------- inserts
@@ -292,8 +287,8 @@ def _check_del_r1(toks, params, diagram):
     _check_kink(toks, i, virtual=False)
     # the kink held both passages of one classical crossing
     _require_anchored(diagram.n - 1, "the code left after a kink deletion")
-    # deleting is the inverse insertion at gap i of the result
-    _require_cut_gap(toks, i, dropped=2)
+    # deleting is the inverse insertion at gap i of the code it leaves
+    _require_cut_gap(_cut_kink(toks, params, diagram), i)
 
 
 def _check_del_v1(toks, params, diagram):
@@ -302,7 +297,9 @@ def _check_del_v1(toks, params, diagram):
 
 def _cut_kink(toks, params, diagram):
     (i,) = params
-    return toks[:i] + toks[i + 2 :]
+    out = list(toks)
+    del out[i : i + 2]
+    return out
 
 
 def _check_pair_pair(toks, i, j, kind_first, kind_second, what):
@@ -340,9 +337,9 @@ def _check_del_r2(toks, params, diagram):
     _check_pair_pair(toks, i, j, "O", "U", ("overpass", "underpass"))
     # the two pairs held both passages of two classical crossings
     _require_anchored(diagram.n - 2, "the code left after a poke deletion")
-    # the underpass pair re-inserts at gap j - 2 of the result; the
-    # overpass pair before it holds no underpass or virtual passage
-    _require_cut_gap(toks, j, dropped=2, shown=j - 2)
+    # deleting is the inverse poke, whose underpass pair re-inserts at gap
+    # j - 2 of the code it leaves
+    _require_cut_gap(_cut_pairs(toks, params, diagram), j - 2)
 
 
 def _check_del_v2(toks, params, diagram):

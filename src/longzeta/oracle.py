@@ -171,7 +171,7 @@ def _check(ok: bool, what: str) -> None:
         raise InternalError("oracle selftest: " + what)
 
 
-def selftest(trials: int = 200, seed: int = 0) -> int:
+def selftest(trials: int, seed: int) -> int:
     """Internal consistency checks; returns the number of checks run.
 
     Covers: both specialization maps kill the ideal generators, reduction

@@ -21,33 +21,29 @@ because f(q)*e = f(1)*e and the e^2 term dies.
 
 ZetaPolynomial is a Laurent polynomial in one more central variable s with
 RingT coefficients, again stored sparsely.  Operators take ring operands
-only; integers enter through the constructors and ==.
+only; integers enter through the constructors and ==.  Both types add and
+multiply through the one sparse Laurent sum and product, _lau_add and
+_lau_mul, and only their constructors drop zero coefficients.
 """
 
 from __future__ import annotations
 
 
-def _lau_add(f: dict[int, int], g: dict[int, int]) -> dict[int, int]:
+def _lau_add(f: dict, g: dict) -> dict:
+    """Sparse Laurent sum, coefficients of any type with +; zeros stay in."""
     out = dict(f)
     for k, c in g.items():
-        v = out.get(k, 0) + c
-        if v:
-            out[k] = v
-        elif k in out:
-            del out[k]
+        out[k] = out[k] + c if k in out else c
     return out
 
 
-def _lau_mul(f: dict[int, int], g: dict[int, int]) -> dict[int, int]:
-    out: dict[int, int] = {}
+def _lau_mul(f: dict, g: dict) -> dict:
+    """Sparse Laurent product, coefficients with + and *; zeros stay in."""
+    out: dict = {}
     for i, ci in f.items():
         for j, cj in g.items():
             k = i + j
-            v = out.get(k, 0) + ci * cj
-            if v:
-                out[k] = v
-            elif k in out:
-                del out[k]
+            out[k] = out[k] + ci * cj if k in out else ci * cj
     return out
 
 
@@ -201,32 +197,15 @@ class ZetaPolynomial:
         return max(self.coeffs) if self.coeffs else None
 
     def scaled(self, c: RingT) -> "ZetaPolynomial":
-        out = ZetaPolynomial()
-        for d, x in self.coeffs.items():
-            y = x * c
-            if not y.is_zero():
-                out.coeffs[d] = y
-        return out
+        return ZetaPolynomial({d: x * c for d, x in self.coeffs.items()})
 
     def __add__(self, other):
         if not isinstance(other, ZetaPolynomial):
             return NotImplemented
-        out = ZetaPolynomial()
-        out.coeffs = dict(self.coeffs)
-        for d, c in other.coeffs.items():
-            v = out.coeffs.get(d)
-            v = c if v is None else v + c
-            if v.is_zero():
-                out.coeffs.pop(d, None)
-            else:
-                out.coeffs[d] = v
-        return out
+        return ZetaPolynomial(_lau_add(self.coeffs, other.coeffs))
 
     def __neg__(self):
-        out = ZetaPolynomial()
-        for d, c in self.coeffs.items():
-            out.coeffs[d] = -c
-        return out
+        return ZetaPolynomial({d: -c for d, c in self.coeffs.items()})
 
     def __sub__(self, other):
         if not isinstance(other, ZetaPolynomial):
@@ -236,12 +215,7 @@ class ZetaPolynomial:
     def __mul__(self, other):
         if not isinstance(other, ZetaPolynomial):
             return NotImplemented
-        acc: dict[int, RingT] = {}
-        for d1, c1 in self.coeffs.items():
-            for d2, c2 in other.coeffs.items():
-                d = d1 + d2
-                acc[d] = acc[d] + c1 * c2 if d in acc else c1 * c2
-        return ZetaPolynomial(acc)
+        return ZetaPolynomial(_lau_mul(self.coeffs, other.coeffs))
 
     def __eq__(self, other):
         if isinstance(other, ZetaPolynomial):

@@ -217,6 +217,37 @@ class TestZetaPolynomial:
         assert reordered.render() == ((x + y) - y).render() == x.render()
 
 
+EPS = RingT({}, 1)  # p - q
+ONE_MINUS_Q = RingT.one() - RingT.q_power(1)  # kills p - q
+
+
+class TestNormalFormUnderCancellation:
+    # equality is dict comparison, so every result must hold no zero
+    # coefficient, however much its terms cancel
+
+    def test_scaling_by_a_zero_divisor_drops_the_killed_term(self):
+        z = ZetaPolynomial({0: ONE_MINUS_Q, 1: RingT.one()})
+        assert z.scaled(EPS).coeffs == {1: EPS}
+
+    @given(ring_elems, ring_elems)
+    def test_ring_results_keep_no_zero_coefficient(self, x, y):
+        for r in (
+            x + y, x - y, x * y, -x, x - x, x + (-x), (x + y) - y,
+            x * EPS, x * ONE_MINUS_Q, ONE_MINUS_Q * EPS,
+        ):
+            assert 0 not in r.lau.values()
+
+    @given(zeta_polys, zeta_polys, ring_elems)
+    def test_zeta_results_keep_no_zero_coefficient(self, z, w, c):
+        for r in (
+            z + w, z - w, z * w, -z, z - z, z + (-z), (z + w) - w,
+            z.scaled(c), z.scaled(EPS), z.scaled(ONE_MINUS_Q),
+            z * ZetaPolynomial({0: ONE_MINUS_Q, 1: EPS}),
+        ):
+            assert 0 not in r.coeffs.values()
+            assert all(0 not in x.lau.values() for x in r.coeffs.values())
+
+
 def _to_raw3(z: ZetaPolynomial) -> dict:
     return raw3_from_parts({d: (c.lau, c.eps) for d, c in z.coeffs.items()})
 

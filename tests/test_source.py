@@ -62,17 +62,25 @@ def test_every_top_level_name_is_used_in_the_library():
 METHOD_EXEMPT = {("_Parser", "error"), ("RingT", "is_zero_divisor")}
 
 
+def _attrs_used(node, into):
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute):
+            into[sub.attr] = into.get(sub.attr, 0) + 1
+
+
 def test_every_method_is_used_in_the_library():
     # a method only the tests call belongs in the tests; dunders are
-    # called by the language. The match is by name, so a same-named
-    # symbol anywhere in the library hides a method: ZetaPolynomial's
-    # shifted, parse and eval_pq1 went unflagged behind connect_sum's
-    # local `shifted`, Diagram.parse and RingT.eval_pq1, and were
-    # deleted by hand
+    # called by the language. A method is reached through an attribute
+    # (x.name), so only attribute accesses count and a same-named function
+    # or local variable hides nothing (connect_sum's local `shifted` once
+    # hid ZetaPolynomial.shifted). The match is still by name, so another
+    # class's same-named method or attribute hides a method: ZetaPolynomial's
+    # parse and eval_pq1 went unflagged behind Diagram.parse and
+    # RingT.eval_pq1, and were deleted by hand
     used, defined = {}, []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        _names_used(tree, used)
+        _attrs_used(tree, used)
         for cls in ast.walk(tree):
             if not isinstance(cls, ast.ClassDef):
                 continue
@@ -81,7 +89,7 @@ def test_every_method_is_used_in_the_library():
                     node.name.startswith("__") and node.name.endswith("__")
                 ):
                     inside = {}
-                    _names_used(node, inside)
+                    _attrs_used(node, inside)
                     defined.append((cls.name, node.name, inside.get(node.name, 0)))
     assert ("RingT", "render", 0) in defined and len(defined) > 30
     unused = [
