@@ -40,10 +40,11 @@ pass over the pairs groups them by kind and crossing ids (_PairIndex);
 every pattern kind scans its candidates lazily from that index, in no
 particular order, and its check keeps the candidates that pass.  Whether
 a kind has a site stops at the first accepted candidate; only a listing
-sorts them.  Insert sites are indexed rather than listed: a sized
-sequence computes site i from the capped gap lists, so a walk step draws
-its one site without building the rest.  A walk step or an
-enumerate_sites call builds one index and drops it when it returns.
+sorts them.  Insert sites are indexed rather than listed: each kind
+states them as consecutive blocks over its capped gap lists, and
+_GapSites computes site i within its block, so a walk step draws its one
+site without building the rest.  A walk step or an enumerate_sites call
+builds one index and drops it when it returns.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ from __future__ import annotations
 import random
 import re
 from bisect import bisect_left, bisect_right
-from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import accumulate
 
 from longzeta.diagram import Diagram, InternalError, PassageToken
 
@@ -520,80 +521,72 @@ def _safe_cut_gaps(toks):
     return out
 
 
-class _GapSites(Sequence):
+class _GapSites:
     """The insert sites of one kind over its capped gap lists, in listing
-    order.  Site i is computed from i (`site`), so a walk step draws one
-    site without building the others."""
+    order, as consecutive blocks: block b holds sizes[b] sites, and its
+    r-th site is site(b, r).  Site i is computed from i, so a walk step
+    draws one site without building the others."""
 
-    __slots__ = ("_len", "_site")
+    __slots__ = ("_starts", "_site")
 
-    def __init__(self, length, site):
-        self._len, self._site = length, site
+    def __init__(self, sizes, site):
+        self._starts, self._site = list(accumulate(sizes, initial=0)), site
 
     def __len__(self):
-        return self._len
+        return self._starts[-1]
 
     def __getitem__(self, i):
-        if not 0 <= i < self._len:
+        starts = self._starts
+        if not 0 <= i < starts[-1]:
             raise IndexError("site index out of range")
-        return self._site(i)
+        b = bisect_right(starts, i) - 1
+        return self._site(b, i - starts[b])
 
 
 _SIGNS = (1, -1)
 
 
 def _r1_gaps(toks):
-    # per cut gap: sign, then kink order
+    # one block per cut gap: sign, then kink order
     cut = _take_spread(_safe_cut_gaps(toks), _KINK_GAP_CAP)
-    return _GapSites(
-        4 * len(cut), lambda i: (cut[i >> 2], _SIGNS[i >> 1 & 1], _ORDERS[i & 1])
-    )
+    return _GapSites([4] * len(cut), lambda b, r: (cut[b], _SIGNS[r >> 1], _ORDERS[r & 1]))
 
 
 def _v1_gaps(toks):
     gaps = _take_spread(range(len(toks) + 1), _KINK_GAP_CAP)
-    return _GapSites(2 * len(gaps), lambda i: (gaps[i >> 1], _SIGNS[i & 1]))
+    return _GapSites([2] * len(gaps), lambda b, r: (gaps[b], _SIGNS[r]))
 
 
 def _r2_gaps(toks):
     # the underpass pair needs a safe cut gap, the overpass pair may
-    # precede it anywhere.  Per cut gap g2: four sites (sign, then variant)
-    # for each overpass gap before it, then the two one-gap sites
+    # precede it anywhere.  One block per cut gap g2: four sites (sign, then
+    # variant) for each overpass gap before it, then the two one-gap sites
     cut = _take_spread(_safe_cut_gaps(toks), _PAIR_GAP_CAP)
     overs = _take_spread(range(len(toks) + 1), _PAIR_GAP_CAP)
     before = [bisect_left(overs, g2) for g2 in cut]
-    starts = [0]
-    for m in before:
-        starts.append(starts[-1] + 4 * m + 2)
 
-    def site(i):
-        b = bisect_right(starts, i) - 1
-        g2, r = cut[b], i - starts[b]
+    def site(b, r):
+        g2 = cut[b]
         if r < 4 * before[b]:
             return (overs[r >> 2], g2, _SIGNS[r >> 1 & 1], _VARIANTS[r & 1])
         return (g2, g2, _SIGNS[r & 1], "antiparallel")
 
-    return _GapSites(starts[-1], site)
+    return _GapSites([4 * m + 2 for m in before], site)
 
 
 def _v2_gaps(toks):
-    # four sites (sign, then variant) per gap pair a < b, in a-major order;
-    # then the same-gap sites, which have one fixed shape, once per gap
+    # one block per gap a but the last: four sites (sign, then variant) per
+    # later gap; then block `last`, the same-gap sites of one fixed shape
     gs = _take_spread(range(len(toks) + 1), _PAIR_GAP_CAP)
-    starts = [0]
-    for ai in range(len(gs) - 1):
-        starts.append(starts[-1] + 4 * (len(gs) - 1 - ai))
-    pairs = starts[-1]
+    last = len(gs) - 1
 
-    def site(i):
-        if i >= pairs:
-            g = gs[(i - pairs) >> 1]
-            return (g, g, _SIGNS[(i - pairs) & 1], "antiparallel")
-        a = bisect_right(starts, i) - 1
-        r = i - starts[a]
-        return (gs[a], gs[a + 1 + (r >> 2)], _SIGNS[r >> 1 & 1], _VARIANTS[r & 1])
+    def site(b, r):
+        if b == last:
+            g = gs[r >> 1]
+            return (g, g, _SIGNS[r & 1], "antiparallel")
+        return (gs[b], gs[b + 1 + (r >> 2)], _SIGNS[r >> 1 & 1], _VARIANTS[r & 1])
 
-    return _GapSites(pairs + 2 * len(gs), site)
+    return _GapSites([4 * (last - a) for a in range(last)] + [2 * len(gs)], site)
 
 
 class _PairIndex:

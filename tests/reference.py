@@ -8,9 +8,12 @@ three-variable raw polynomials of the oracle, slow, direct token scans
 for the move patterns, which the library reads off one index of adjacent
 token pairs instead, and the insert site lists written out in full, which
 the library computes one site at a time from its index.  And the
-per-word token parser, one regex match per word, that Diagram.parse
-replaces with one whole-word scan of the code.  And the q-power
-comparison of two zeta polynomials that the transport-law tests use.
+per-word token parser, one regex match per word; Diagram.parse instead
+looks each word up in its word cache and checks only the words it
+misses, with string methods.  And the q-power comparison of two zeta
+polynomials that the transport-law tests use, the drift exponent of
+concatenation (delta_plus), and random ring elements and zeta
+polynomials (rand_ring, rand_poly) for the determinant cross-checks.
 """
 
 import re
@@ -219,6 +222,13 @@ def closure_zeta(diagram) -> ZetaPolynomial:
     return _det(closure_keys(diagram)[0])
 
 
+def delta_plus(diagram):
+    """Degree of the very last arc (the tail of the final long arc): the
+    drift exponent of concatenation."""
+    model = ArcModel(diagram)
+    return model.arcs[model.long_arcs[-1].arcs[-1]].degree
+
+
 def determinant(mat) -> ZetaPolynomial:
     """Exact determinant of a square matrix over T[s^+-1], through the same
     two lifts, unit-pivot elimination and packed Bareiss that zeta uses.
@@ -249,6 +259,21 @@ def determinant(mat) -> ZetaPolynomial:
         laurent.append(laurent_row)
         dual.append(dual_row)
     return _combine(_det_sparse(laurent), _det_sparse(dual))
+
+
+def rand_ring(rng):
+    """A random element of T with small exponents and coefficients."""
+    lau = {rng.randint(-2, 2): rng.randint(-4, 4) for _ in range(rng.randint(0, 2))}
+    return RingT(lau, rng.randint(-2, 2))
+
+
+def rand_poly(rng):
+    """A random zeta-shaped polynomial over T, zero three times in ten."""
+    if rng.random() < 0.3:
+        return ZetaPolynomial.zero()
+    return ZetaPolynomial(
+        {rng.randint(-2, 2): rand_ring(rng) for _ in range(rng.randint(1, 2))}
+    )
 
 
 def incidence(model, cid, arc) -> RingT:

@@ -30,7 +30,13 @@ from longzeta.invariant import (
 )
 from longzeta.moves import apply, enumerate_sites
 from longzeta.rings import RingT, ZetaPolynomial
-from reference import ArcModel, determinant, equal_up_to_q_power, row_sums_at_s1
+from reference import (
+    delta_plus,
+    determinant,
+    equal_up_to_q_power,
+    rand_poly,
+    row_sums_at_s1,
+)
 
 P = RingT.p_power(1)
 Q = RingT.q_power(1)
@@ -61,12 +67,6 @@ def _line(text):
         return
     with _CAPFD.disabled():
         print(text, flush=True)
-
-
-def delta_plus(diagram):
-    """Degree of the very last arc: the drift exponent of concatenation."""
-    model = ArcModel(diagram)
-    return model.arcs[model.long_arcs[-1].arcs[-1]].degree
 
 
 def to_raw(x):
@@ -398,20 +398,6 @@ def test_criterion_09_plus_half_is_a_unit_at_pq1():
 
 
 def test_criterion_10_determinant_cross_check():
-    def rand_ring(rng):
-        lau = {
-            rng.randint(-2, 2): rng.randint(-4, 4)
-            for _ in range(rng.randint(0, 2))
-        }
-        return RingT(lau, rng.randint(-2, 2))
-
-    def rand_poly(rng):
-        if rng.random() < 0.3:
-            return ZetaPolynomial.zero()
-        return ZetaPolynomial(
-            {rng.randint(-2, 2): rand_ring(rng) for _ in range(rng.randint(1, 2))}
-        )
-
     rng = random.Random(10)
     for i in range(100):
         size = rng.randint(2, 7)

@@ -1,5 +1,6 @@
 """Exit codes, pinned command outputs, JSON round-trips, and corpus sync."""
 
+import hashlib
 import io
 import json
 import random
@@ -410,6 +411,39 @@ def test_corpus_list_matches_repo_data(capsys):
     assert sorted(packaged) == [f.name for f in repo_files]
     for f in repo_files:
         assert packaged[f.name] == Diagram.parse(f.read_text()).render()
+
+
+# sha256 of the joined stdout of the read-only commands on each bundled
+# file, each plain and then with --json, and of `corpus list` the same way.
+# A change that must keep the CLI's output byte-identical keeps these.
+_READ_ONLY = (["zeta"], ["split"], ["certify"], ["bound"], ["moves", "sites"])
+_OUTPUT_DIGESTS = {
+    "figure8.gauss": "e20122b1430851e505582af3e84b9e4077af6550dc04a38acbed8adf024b86d7",
+    "kink_chain_3.gauss": "158409e6e8333ef45d27cfa054e8a91b500a47c7ca7d89b5ecd7d739358e8a54",
+    "trefoil.gauss": "a21f6e1916a1ee54e101cc980cfe1db5b7a1b9b35b75ca0739a12f066c02ee7d",
+    "virtual_kink.gauss": "f23199b47681f92fa56396a3392de8b060d423b9161d4b412c4a39344210465d",
+    "corpus list": "06ed8f0f60188d827cb78f926448b3dbee7378f9cad3e6dc30916c8ef6762e64",
+}
+
+
+def test_read_only_output_over_the_corpus_is_pinned(capsys):
+    def digest(name, argvs):
+        outs = []
+        for argv in argvs:
+            for mode in ([], ["--json"]):
+                code, out, err = run(capsys, *argv, *mode)
+                assert code == 0, (name, argv + mode, err)
+                outs.append(out)
+        return hashlib.sha256("".join(outs).encode()).hexdigest()
+
+    got = {
+        f.name: digest(f.name, [argv + [str(f)] for argv in _READ_ONLY])
+        for f in sorted(DATA.glob("*.gauss"))
+    }
+    got["corpus list"] = digest("corpus list", [["corpus", "list"]])
+    assert sorted(got) == sorted(_OUTPUT_DIGESTS)
+    for name, expected in _OUTPUT_DIGESTS.items():
+        assert got[name] == expected, name
 
 
 def test_importing_the_cli_leaves_importlib_resources_out():

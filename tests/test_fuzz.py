@@ -200,9 +200,11 @@ def test_the_memo_holds_zeta_alone(monkeypatch):
     assert not leading_determinant(dec).is_zero()
 
 
-def test_codes_without_classical_crossings_stay_out_of_the_memo():
-    # det B of such a code is the s^k coefficient of 1, so it depends on k,
-    # which no key holds; this walk meets k = 0 and several k > 0
+def test_det_b_without_classical_crossings_depends_on_k():
+    # zeta of such a code is 1 (memoised under the empty key), and det B is
+    # its s^k coefficient: 1 at k = 0, else 0, which no key could tell
+    # apart.  The law check passes only if leading_determinant reads k; this
+    # walk meets k = 0 and several k > 0
     src = Diagram.parse("V1+ V1-")
     trial = run_trial(src, 12, seed=0)
     assert trial.ok, trial.problems

@@ -31,9 +31,11 @@ from reference import (
     ArcModel,
     closure_keys,
     closure_zeta,
+    delta_plus,
     determinant,
     equal_up_to_q_power,
     incidence,
+    rand_poly,
     row_sums_at_s1,
 )
 
@@ -41,25 +43,6 @@ P = RingT.p_power(1)
 ONE = RingT.one()
 ZP_ONE = ZetaPolynomial.one()
 ZP_ZERO = ZetaPolynomial.zero()
-
-
-def delta_plus(diagram):
-    """Degree of the very last arc (the tail of the final long arc)."""
-    model = ArcModel(diagram)
-    return model.arcs[model.long_arcs[-1].arcs[-1]].degree
-
-
-def rand_ring(rng):
-    lau = {rng.randint(-2, 2): rng.randint(-4, 4) for _ in range(rng.randint(0, 2))}
-    return RingT(lau, rng.randint(-2, 2))
-
-
-def rand_poly(rng):
-    if rng.random() < 0.3:
-        return ZetaPolynomial.zero()
-    return ZetaPolynomial(
-        {rng.randint(-2, 2): rand_ring(rng) for _ in range(rng.randint(1, 2))}
-    )
 
 
 class TestGoldens:
@@ -985,6 +968,6 @@ class TestDegenerateAndErrors:
     def test_cross_check_error(self, monkeypatch):
         import longzeta.invariant as inv
 
-        monkeypatch.setattr(inv, "leading_determinant", lambda dec, memo=None: ONE)
+        monkeypatch.setattr(inv, "leading_determinant", lambda dec: ONE)
         with pytest.raises(CrossCheckError, match=r"det B = 1\*q\^0 but the s\^1"):
             certify_minimality(generate("virtual_kink"))

@@ -640,6 +640,8 @@ def test_insert_sites_match_the_full_lists():
             assert list(sites) == full, (d, name)
             with pytest.raises(IndexError):
                 sites[len(full)]
+            with pytest.raises(IndexError):
+                sites[-1]
 
 
 # ------------------------------------ pair index against the direct scans
