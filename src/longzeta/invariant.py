@@ -24,14 +24,22 @@ straight from a key, one flat tuple that holds per crossing its t and w
 and per cell its column and s-exponent.  decompose emits the keys of
 zeta and det B in its one token pass (diagram.Decomposition documents
 the layout), and each split half is zeta's key with the other half's
-cells left out.  zeta, its split halves and det B eliminate the lifted
-rows of their keys, and incidence_matrix and leading_matrix, the
-T-valued views, read the same rows back entry by entry.  zeta alone
+cells left out.  The split halves and det B eliminate both lifted rows
+of their keys; zeta eliminates only its Laurent rows.  Its matrix has
+the Alexander matrix's shape: row j enters 1 at its own column, and its
+incoming cell at the column of the crossing whose underpass precedes
+j's, one n-cycle through the united column.  The over cell t^w - 1
+lifts to eps*[t = p]*w, so zeta's dual lift is I - M + eps*B with M a
+weighted n-cycle, and _det_cycle reads its eps^0 slice, 1 - s^D, and
+its eps^1 slice, tr(adj(I - M)*B) by Jacobi's formula, off the key in
+one pass.  incidence_matrix and leading_matrix, the T-valued views,
+read the lifted rows back entry by entry.  zeta alone
 takes an optional memo, a dict from key to zeta, so a caller that meets
 one matrix many times fills and eliminates it once; the move fuzzer
 keeps one per trial, since virtual moves leave zeta's matrix as it was.
 det B is computed afresh for every diagram and never read from a memo,
-so the law check stays independent of zeta's elimination.  The matrix
+and it eliminates both lifts, so the law check stays independent of
+zeta's elimination and of _det_cycle's closed form.  The matrix
 has at most three nonzero entries per row, and most of them are
 +-monomials: units of the Laurent ring.  Before any fill, _singular
 reads three kinds of singular matrix off the key: a row with no cell
@@ -205,9 +213,10 @@ def _det_sparse(rows) -> dict[tuple[int, int], int]:
     rows: row i is {column: {(x_exp, y_exp): c}}, columns 0 .. n-1.  The
     rows and their entries are left unchanged.
 
-    Every zeta, split and det B determinant that _singular leaves open
-    comes through here.  While some entry is a unit of the Laurent ring --
-    one term, coefficient +-1 -- the unit with the least Markowitz cost
+    Every split and det B determinant that _singular leaves open comes
+    through here, and so does zeta's Laurent lift (its dual lift is
+    _det_cycle's closed form).  While some entry is a unit of the Laurent
+    ring -- one term, coefficient +-1 -- the unit with the least Markowitz cost
     (row nonzeros - 1) * (column nonzeros - 1) is the pivot (Markowitz
     1957), found by one scan over the rows not yet eliminated; ties go to
     the lowest row index, then to the column that entered that row first
@@ -438,8 +447,10 @@ def _combine(lau_det, dual_det) -> ZetaPolynomial:
     """Reassemble a determinant over T[s^+-1] from its two lifts.
 
     lau_det is over Z[q, s] keyed (q_exp, s_exp), dual_det over Z[s, eps]
-    keyed (s_exp, eps_exp).  The eps^0 slice must equal the Laurent part
-    at q = 1, which is checked; the eps^1 slice is the (p - q) part.  One
+    keyed (s_exp, eps_exp), eliminated or, for a zeta key, _det_cycle's
+    closed form.  The eps^0 slice must equal the Laurent part at q = 1,
+    which is checked, so for zeta the Laurent elimination at q = 1 must
+    read 1 - s^D; the eps^1 slice is the (p - q) part.  One
     entry of the lifts reassembles the same way, which is how the T-valued
     views are read; an entry whose contributions cancel may hold zero
     coefficients, which both slices drop.
@@ -518,14 +529,67 @@ def _singular(key) -> bool:
     return len(named) < len(rows)  # an empty column
 
 
+def _det_cycle(key) -> dict[tuple[int, int], int]:
+    """The dual lift's determinant, keyed (s_exp, eps_exp), of a key with
+    every cell entered (a zeta key), mod eps^2: its eps^0 and eps^1 slices,
+    the only ones _combine reads, in one pass over the key.
+
+    Row j enters 1 at column j, at s^0, and its incoming cell at column
+    sigma(j), the crossing whose underpass precedes j's along the strand;
+    sigma is one n-cycle.  At eps = 0 the over cell t^w - 1 lifts to 0, so
+    the dual matrix is A + eps*B with A = I - M, M[j, sigma(j)] =
+    s^d_in(j) a weighted n-cycle.  Then det A = 1 - s^D, D the sum of the
+    d_in, and adj A = sum_{m<n} M^m, so adj A[c, j] is the one monomial
+    s^path(c -> j), the weight of the walk from c to j along sigma.
+    Jacobi's formula makes the eps^1 slice tr(adj A * B), and only t = p
+    rows enter B: w*s^d_over at the over column, which meets the path
+    from over(j) to j, and -w*s^d_in(j) at sigma(j), which meets the path
+    of weight D - d_in(j) from sigma(j) round to j.  A key of another
+    shape raises InternalError.  The empty key (n = 0) has determinant 1.
+    """
+    if not key:
+        return {(0, 0): 1}  # n = 0: the empty matrix, which has no cycle
+    n = len(key) // 8
+    # eight items per row: t, w and three (column, exponent) cells,
+    # emanating, over and incoming
+    if key[2::8] != tuple(range(n)) or key[3::8] != (0,) * n:
+        raise InternalError("an emanating cell is off its own column or off s^0")
+    sigma, d_in = key[6::8], key[7::8]
+    at = [None] * n  # each crossing's place along sigma, from crossing 0
+    reach = [0] * n  # the weight of the path from crossing 0 to each crossing
+    c = D = 0
+    for m in range(n):
+        if not 0 <= c < n or at[c] is not None:
+            break
+        at[c], reach[c] = m, D
+        D += d_in[c]
+        c = sigma[c]
+    if c != 0 or None in at:
+        raise InternalError("the incoming cells do not form one n-cycle")
+    det = {(0, 0): 1}
+    det[D, 0] = det.get((D, 0), 0) - 1
+    rows = zip(key[0::8], key[1::8], key[4::8], key[5::8])
+    for j, (t, w, o, d_over) in enumerate(rows):
+        if t == "p":
+            # the path from the over column o round to j
+            e = d_over + reach[j] - reach[o] + (D if at[j] < at[o] else 0)
+            det[e, 1] = det.get((e, 1), 0) + w
+            det[D, 1] = det.get((D, 1), 0) - w
+    return {e: c for e, c in det.items() if c}
+
+
 def _det(key) -> ZetaPolynomial:
     """The determinant of the matrix a key describes, a zeta, det B or
     split key in diagram.Decomposition's layout.  A key that _singular
-    decides costs no fill and no elimination."""
+    decides costs no fill and no elimination.  The Laurent lift is always
+    eliminated.  A key with every cell entered, which is every zeta key,
+    takes its dual lift from _det_cycle's closed form; split and det B
+    keys leave cells out and eliminate their dual lift too."""
     if _singular(key):
         return ZetaPolynomial.zero()
     laurent, dual = _fill(key)
-    return _combine(_det_sparse(laurent), _det_sparse(dual))
+    lau_det = _det_sparse(laurent)
+    return _combine(lau_det, _det_sparse(dual) if None in key else _det_cycle(key))
 
 
 def _view(key) -> list[list[ZetaPolynomial]]:

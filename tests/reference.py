@@ -231,12 +231,14 @@ def delta_plus(diagram):
 
 def determinant(mat) -> ZetaPolynomial:
     """Exact determinant of a square matrix over T[s^+-1], through the same
-    two lifts, unit-pivot elimination and packed Bareiss that zeta uses.
+    two lifts, unit-pivot elimination and packed Bareiss that zeta_split
+    and det B use; zeta eliminates only the first lift and takes the
+    second from a closed form that needs its matrix's cycle shape.
 
     Entries are ZetaPolynomials or RingT elements (read as s^0 terms).  The
     Laurent part comes from one determinant over Z[q, s], the (p - q)
     part from the eps^1 slice of one over Z[s, eps] built from the
-    entries f(1) + a*eps.
+    entries f(1) + a*eps; both are eliminated for any matrix.
     """
     n = len(mat)
     for row in mat:

@@ -183,20 +183,21 @@ def test_memoised_trials_agree_with_fresh_determinants(monkeypatch):
 
 
 def test_the_memo_holds_zeta_alone(monkeypatch):
-    # the virtual kink's det B is nonzero, so zeta and det B each reach
-    # _det_sparse, once per lift; the law check reads no memo, so every
-    # call eliminates det B again
+    # the virtual kink's det B is nonzero, so zeta and det B both reach
+    # _det_sparse: zeta once, for its Laurent lift (its dual lift is the
+    # closed form of invariant._det_cycle), and det B once per lift; the
+    # law check reads no memo, so every call eliminates det B again
     calls = _count_det_sparse(monkeypatch)
     dec = decompose(generate("virtual_kink"))
     memo = {}
     z = zeta(dec, memo)
-    assert len(calls) == 2 and list(memo) == [dec.zeta_key]
+    assert len(calls) == 1 and list(memo) == [dec.zeta_key]
     assert check_theorems(dec, z) == []
-    assert len(calls) == 4 and list(memo) == [dec.zeta_key]
+    assert len(calls) == 3 and list(memo) == [dec.zeta_key]
     assert check_theorems(dec, z) == []
-    assert len(calls) == 6
+    assert len(calls) == 5
     # a repeated zeta is served from the memo
-    assert zeta(dec, memo) == z and len(calls) == 6
+    assert zeta(dec, memo) == z and len(calls) == 5
     assert not leading_determinant(dec).is_zero()
 
 

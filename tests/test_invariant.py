@@ -5,14 +5,22 @@ import dataclasses
 import hashlib
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from longzeta import invariant, moves, oracle
-from longzeta.diagram import Diagram, connect_sum, decompose, generate
-from longzeta.fuzz import predicted_shift, random_diagram
+from longzeta.diagram import (
+    Diagram,
+    InternalError,
+    connect_sum,
+    decompose,
+    generate,
+    read_gauss_file,
+)
+from longzeta.fuzz import predicted_shift, random_diagram, run_trial
 from longzeta.invariant import (
     CrossCheckError,
     certify_minimality,
@@ -43,6 +51,7 @@ P = RingT.p_power(1)
 ONE = RingT.one()
 ZP_ONE = ZetaPolynomial.one()
 ZP_ZERO = ZetaPolynomial.zero()
+DATA = Path(__file__).resolve().parent.parent / "src" / "longzeta" / "data"
 
 
 class TestGoldens:
@@ -578,18 +587,92 @@ class TestSparseElimination:
         )
 
     def test_large_code_against_bareiss_alone(self, monkeypatch):
+        # each lift against Bareiss on the whole matrix: zeta eliminates
+        # the Laurent lift alone, and the dual lift's closed form equals
+        # Bareiss below eps^2, the slices _combine reads
         d = random_diagram(random.Random(25), 25, 25)
+        key = decompose(d).zeta_key
         lifts = []
         sparse = invariant._det_sparse
         monkeypatch.setattr(
             invariant, "_det_sparse", lambda rows: lifts.append(rows) or sparse(rows)
         )
         z = zeta(d)
-        laurent, dual = lifts
-        assert z == invariant._combine(
-            invariant._det_packed(dense(laurent)), invariant._det_packed(dense(dual))
-        )
+        laurent, dual = invariant._fill(key)
+        assert lifts == [laurent]
+        packed_laurent = invariant._det_packed(dense(laurent))
+        packed_dual = invariant._det_packed(dense(dual))
+        assert sparse(laurent) == packed_laurent
+        assert invariant._det_cycle(key) == {
+            e: c for e, c in packed_dual.items() if e[1] < 2
+        }
+        assert z == invariant._combine(packed_laurent, packed_dual)
         assert not z.is_zero()
+
+
+def corpus():
+    return [read_gauss_file(str(path)) for path in sorted(DATA.glob("*.gauss"))]
+
+
+class TestDualClosedForm:
+    """_det_cycle: the dual lift of a zeta key, mod eps^2, in closed form."""
+
+    @staticmethod
+    def eliminated(key):
+        # the eps^0 and eps^1 slices of the eliminated dual lift
+        dual = invariant._fill(key)[1]
+        return {e: c for e, c in invariant._det_sparse(dual).items() if e[1] < 2}
+
+    def test_matches_the_eliminated_dual_lift(self):
+        rng = random.Random(26)
+        codes = [random_diagram(rng, rng.randint(1, 10), rng.randint(0, 10))
+                 for _ in range(2000)]
+        for i in range(20):
+            source = (generate("virtual_kink_chain", 3) if i % 2
+                      else random_diagram(rng, rng.randint(1, 7), rng.randint(0, 7)))
+            trial = run_trial(source, 30, seed=i)
+            codes += itertools.accumulate(trial.log, apply, initial=source)
+        codes += [d for d in corpus() if d.n]
+        codes += [generate("virtual_kink_chain", r) for r in range(1, 31)]
+        keys = {decompose(d).zeta_key for d in codes}
+        assert len(keys) > 2000
+        for key in keys:
+            assert invariant._det_cycle(key) == self.eliminated(key), key
+
+    def test_a_key_of_another_shape_is_an_internal_error(self):
+        # the incoming cells of both rows stay in their own column: two
+        # 1-cycles instead of one 2-cycle
+        two_cycles = ("p", 1, 0, 0, 1, 0, 0, 1, "p", 1, 1, 0, 0, 0, 1, -1)
+        with pytest.raises(InternalError, match="one n-cycle"):
+            invariant._det_cycle(two_cycles)
+        # row 0 enters its emanating cell at column 1
+        off_column = ("p", 1, 1, 0, 1, 0, 1, 1, "p", 1, 1, 0, 0, 0, 0, -1)
+        with pytest.raises(InternalError, match="emanating cell"):
+            invariant._det_cycle(off_column)
+
+
+def test_zeta_at_p_q_1_is_one_minus_s_to_the_d():
+    # D is minus the sum of the virtual senses after the last underpass,
+    # read off the tokens alone: the degree at which the final long arc
+    # ends, with its sign flipped.  The analogue of Delta(1) = +-1
+    rng = random.Random(27)
+    codes = [random_diagram(rng, rng.randint(0, 10), rng.randint(0, 10))
+             for _ in range(1000)]
+    codes += corpus() + [generate(name) for name in
+                         ("classical_trefoil", "classical_figure8", "virtual_kink")]
+    codes += [generate("virtual_kink_chain", r) for r in range(1, 31)]
+    seen_d = set()
+    for d in codes:
+        at_one = {e: c.eval_pq1() for e, c in zeta(d).coeffs.items() if c.eval_pq1()}
+        if d.n == 0:
+            assert at_one == {0: 1}
+            continue
+        last = max(i for i, t in enumerate(d.tokens) if t.kind == "U")
+        big_d = -sum(t.sign for t in d.tokens[last:] if t.kind == "V")
+        want = {} if big_d == 0 else {0: 1, big_d: -1}
+        assert at_one == want, d
+        seen_d.add(big_d)
+    assert min(seen_d) < 0 < max(seen_d)
 
 
 class TestCostBudget:
