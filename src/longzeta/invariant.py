@@ -16,31 +16,31 @@ and zeta is its determinant.
 T has zero divisors, but the ring map f(q) + a*(p - q) -> (f, f(1) + a*eps)
 embeds it into Z[q^+-1] x Z[eps]/(eps^2), the pair of specializations the
 oracle uses.  The determinant is therefore taken twice over integral
-domains: over Z[q, s] for the Laurent part, and over Z[s, eps] for the
+domains: over Z[q, s] for the Laurent part, and over Z[eps, s] for the
 (p - q) part, read off the eps^1 slice.  Nothing builds a matrix over T:
-one table holds the two lifts of each of the twelve incidence
-coefficients, and _fill fills the two integer-polynomial matrices
-straight from a key, one flat tuple that holds per crossing its t and w
-and per cell its column and s-exponent.  decompose emits the keys of
-zeta and det B in its one token pass (diagram.Decomposition documents
-the layout), and each split half is zeta's key with the other half's
-cells left out.  The split halves and det B eliminate both lifted rows
-of their keys; zeta eliminates only its Laurent rows.  Its matrix has
-the Alexander matrix's shape: row j enters 1 at its own column, and its
-incoming cell at the column of the crossing whose underpass precedes
-j's, one n-cycle through the united column.  The over cell t^w - 1
-lifts to eps*[t = p]*w, so zeta's dual lift is I - M + eps*B with M a
-weighted n-cycle, and _det_cycle reads its eps^0 slice, 1 - s^D, and
-its eps^1 slice, tr(adj(I - M)*B) by Jacobi's formula, off the key in
-one pass.  incidence_matrix and leading_matrix, the T-valued views,
-read the lifted rows back entry by entry.  zeta alone
-takes an optional memo, a dict from key to zeta, so a caller that meets
-one matrix many times fills and eliminates it once; the move fuzzer
-keeps one per trial, since virtual moves leave zeta's matrix as it was.
-det B is computed afresh for every diagram and never read from a memo,
-and it eliminates both lifts, so the law check stays independent of
-zeta's elimination and of _det_cycle's closed form.  The matrix
-has at most three nonzero entries per row, and most of them are
+two tables, _LAURENT and _DUAL, hold the lifts of the twelve incidence
+coefficients, and _fill fills the lift its table names straight from a
+key, one flat tuple that holds per crossing its t and w and per cell its
+column and s-exponent; both lifts key terms (lift exponent, s-exponent).
+decompose emits the keys of zeta and det B in its one token pass
+(diagram.Decomposition documents the layout), and each split half is
+zeta's key with the other half's cells left out.  The split halves and
+det B fill and eliminate both lifts; zeta only its Laurent lift.  Its
+matrix has the Alexander matrix's shape: row j enters 1 at its own
+column, and its incoming cell at the column of the crossing whose
+underpass precedes j's, one n-cycle through the united column.  The over
+cell t^w - 1 lifts to eps*[t = p]*w, so zeta's dual lift is
+I - M + eps*B with M a weighted n-cycle, and _det_cycle reads its eps^0
+slice, 1 - s^D, and its eps^1 slice, tr(adj(I - M)*B) by Jacobi's
+formula, off the key in one pass.  incidence_matrix and leading_matrix,
+the T-valued views, zip the two lifts' rows back entry by entry.  zeta
+alone takes an optional memo, a dict from key to zeta, so a caller that
+meets one matrix many times fills and eliminates it once; the move
+fuzzer keeps one per trial, since virtual moves leave zeta's matrix as
+it was.  det B is computed afresh for every diagram and never read from
+a memo, and it eliminates both lifts, so the law check stays independent
+of zeta's elimination and of _det_cycle's closed form.  The matrix has
+at most three nonzero entries per row, and most of them are
 +-monomials: units of the Laurent ring.  Before any fill, _singular
 reads three kinds of singular matrix off the key: a row with no cell
 entered, a column that no entered cell names, and rows that each enter
@@ -54,11 +54,10 @@ from its place among the rows and columns left, as expanding along its
 cleared column gives.  A remainder of one row is its single entry.  A
 remainder of two rows or more, a few rows at most, takes one pass over
 its nonzero entries for its monomial shifts, degree bounds and Hadamard
-bound, then runs fraction-free Bareiss
-elimination on entries packed into one integer each (Kronecker
-substitution), so the arithmetic is plain big-integer arithmetic; such a
-remainder that would pack into more than PACKED_BITS_BUDGET bits is
-refused with DeterminantTooLarge.
+bound, then runs fraction-free Bareiss elimination on entries packed
+into one integer each (Kronecker substitution), so the arithmetic is
+plain big-integer arithmetic; such a remainder that would pack into more
+than PACKED_BITS_BUDGET bits is refused with DeterminantTooLarge.
 A lifted matrix whose row or column empties only in one lift (the dual
 lift drops t^w - 1 for t = q) or as its entries cancel is still
 singular: no pivot lies on that zero line, so it stays in the remainder,
@@ -104,27 +103,28 @@ def _lift(x: RingT) -> tuple[dict[int, int], dict[int, int]]:
     return dict(x.lau), {e: c for e, c in ((0, x.eval_pq1()), (1, x.eps)) if c}
 
 
-def _incidence_rule() -> dict:
-    """The incidence rule, keyed by (t, w): one value per role.
+def _incidence_rule() -> tuple[dict, dict]:
+    """The incidence rule as two tables, _LAURENT and _DUAL, keyed (t, w):
+    one value per role in each.
 
     Role 0 is the arc emanating from the underpass, 1 the arc passing over,
     2 the arc coming into the underpass.  Each value is held only as its
-    two lifts, term tuples ((q_exp, c), ...) and ((eps_exp, c), ...), so
-    t^w lifts to q^w and to 1 + [t = p]*w*eps, because p^w = q^w + w*(p - q).
-    The T-valued views are read back from lifted rows by _combine.
+    two lifts, term tuples ((q_exp, c), ...) in _LAURENT and
+    ((eps_exp, c), ...) in _DUAL, so t^w lifts to q^w and to
+    1 + [t = p]*w*eps, because p^w = q^w + w*(p - q).  The T-valued views
+    are read back from lifted rows by _combine.
     """
-    rule = {}
+    laurent, dual = {}, {}
     for t in ("p", "q"):
         for w in (1, -1):
             tw = RingT.gen_power(t, w)
-            rule[t, w] = tuple(
-                tuple(tuple(part.items()) for part in _lift(val))
-                for val in (RingT.one(), tw - RingT.one(), -tw)
-            )
-    return rule
+            lifts = [_lift(val) for val in (RingT.one(), tw - RingT.one(), -tw)]
+            laurent[t, w] = tuple(tuple(lau.items()) for lau, _ in lifts)
+            dual[t, w] = tuple(tuple(eps.items()) for _, eps in lifts)
+    return laurent, dual
 
 
-_INCIDENCE = _incidence_rule()
+_LAURENT, _DUAL = _incidence_rule()
 
 
 def _matrix_dec(diagram_or_dec) -> Decomposition:
@@ -215,12 +215,13 @@ def _det_sparse(rows) -> dict[tuple[int, int], int]:
 
     Every split and det B determinant that _singular leaves open comes
     through here, and so does zeta's Laurent lift (its dual lift is
-    _det_cycle's closed form).  While some entry is a unit of the Laurent
-    ring -- one term, coefficient +-1 -- the unit with the least Markowitz cost
-    (row nonzeros - 1) * (column nonzeros - 1) is the pivot (Markowitz
-    1957), found by one scan over the rows not yet eliminated; ties go to
-    the lowest row index, then to the column that entered that row first
-    (fill-ins enter after the entries already there, in pivot-row order).
+    _det_cycle's closed form); x is q or eps, y is s.  While some entry
+    is a unit of the Laurent ring -- one term, coefficient +-1 -- the unit
+    with the least Markowitz cost (row nonzeros - 1) * (column nonzeros - 1)
+    is the pivot (Markowitz 1957), found by one scan over the rows not yet
+    eliminated; ties go to the lowest row index, then to the column that
+    entered that row first (fill-ins enter after the entries already
+    there, in pivot-row order).
     Its inverse is again a +-monomial, so clearing its column is exact and
     needs no division.  Expanding along the cleared column, the
     determinant gains the pivot as a factor and the sign
@@ -446,14 +447,14 @@ def _det_packed(mat) -> dict[tuple[int, int], int]:
 def _combine(lau_det, dual_det) -> ZetaPolynomial:
     """Reassemble a determinant over T[s^+-1] from its two lifts.
 
-    lau_det is over Z[q, s] keyed (q_exp, s_exp), dual_det over Z[s, eps]
-    keyed (s_exp, eps_exp), eliminated or, for a zeta key, _det_cycle's
-    closed form.  The eps^0 slice must equal the Laurent part at q = 1,
-    which is checked, so for zeta the Laurent elimination at q = 1 must
-    read 1 - s^D; the eps^1 slice is the (p - q) part.  One
-    entry of the lifts reassembles the same way, which is how the T-valued
-    views are read; an entry whose contributions cancel may hold zero
-    coefficients, which both slices drop.
+    lau_det is over Z[q, s] keyed (q_exp, s_exp), dual_det over Z[eps, s]
+    keyed (eps_exp, s_exp), eliminated or, for a zeta key, _det_cycle's
+    closed form; both are read the same way.  The eps^0 slice must equal
+    the Laurent part at q = 1, which is checked, so for zeta the Laurent
+    elimination at q = 1 must read 1 - s^D; the eps^1 slice is the (p - q)
+    part.  One entry of the lifts reassembles the same way, which is how
+    the T-valued views are read; an entry whose contributions cancel may
+    hold zero coefficients, which both slices drop.
     """
     lau_parts: dict[int, dict[int, int]] = {}
     at_one: dict[int, int] = {}
@@ -461,47 +462,42 @@ def _combine(lau_det, dual_det) -> ZetaPolynomial:
         lau_parts.setdefault(d, {})[e] = c
         at_one[d] = at_one.get(d, 0) + c
     if {d: c for d, c in at_one.items() if c} != {
-        d: c for (d, e), c in dual_det.items() if e == 0 and c
+        d: c for (e, d), c in dual_det.items() if e == 0 and c
     }:
         raise CrossCheckError(
             "the eps^0 slice of the dual determinant differs from the"
             " Laurent determinant at q = 1"
         )
-    eps_parts = {d: c for (d, e), c in dual_det.items() if e == 1}
+    eps_parts = {d: c for (e, d), c in dual_det.items() if e == 1}
     return ZetaPolynomial({
         d: RingT(lau_parts.get(d), eps_parts.get(d, 0))
         for d in lau_parts.keys() | eps_parts.keys()
     })
 
 
-def _fill(key):
-    """The two lifts of the matrix a key describes (the layout of
-    diagram.Decomposition's keys), as the sparse rows (laurent, dual) that
-    _det_sparse takes.
+def _fill(key, rule):
+    """One lift of the matrix a key describes (the layout of
+    diagram.Decomposition's keys), as the sparse rows that _det_sparse
+    takes: the Laurent lift for rule _LAURENT, the dual lift for _DUAL.
 
-    Both lifts are filled straight from the key and the rule table, with
-    no RingT arithmetic: Laurent entries keyed (q_exp, s_exp), dual
-    entries keyed (s_exp, eps_exp).  Every determinant and both T-valued
-    views read these rows.
+    The rows are filled straight from the key and the table, with no RingT
+    arithmetic, and both lifts key their entries (lift exponent, s_exp):
+    (q_exp, s_exp) and (eps_exp, s_exp).  Every determinant and both
+    T-valued views read these rows.
     """
-    laurent, dual = [], []
+    rows = []
     items = iter(key)
     # eight items per row: t, w and three (column, exponent) cells
     for t, w, j0, d0, j1, d1, j2, d2 in zip(*[items] * 8):
-        lau_row, dual_row = {}, {}
-        for j, d, (lau, eps) in zip((j0, j1, j2), (d0, d1, d2), _INCIDENCE[t, w]):
-            if d is None:
+        row = {}
+        for j, d, terms in zip((j0, j1, j2), (d0, d1, d2), rule[t, w]):
+            if d is None or not terms:  # q^w - 1 lifts to 0 in the dual
                 continue
-            x = lau_row.setdefault(j, {})
-            for e, c in lau:
+            x = row.setdefault(j, {})
+            for e, c in terms:
                 x[e, d] = x.get((e, d), 0) + c
-            if eps:  # q^w - 1 lifts to 0 in the dual
-                x = dual_row.setdefault(j, {})
-                for e, c in eps:
-                    x[d, e] = x.get((d, e), 0) + c
-        laurent.append(lau_row)
-        dual.append(dual_row)
-    return laurent, dual
+        rows.append(row)
+    return rows
 
 
 def _singular(key) -> bool:
@@ -530,7 +526,7 @@ def _singular(key) -> bool:
 
 
 def _det_cycle(key) -> dict[tuple[int, int], int]:
-    """The dual lift's determinant, keyed (s_exp, eps_exp), of a key with
+    """The dual lift's determinant, keyed (eps_exp, s_exp), of a key with
     every cell entered (a zeta key), mod eps^2: its eps^0 and eps^1 slices,
     the only ones _combine reads, in one pass over the key.
 
@@ -567,14 +563,14 @@ def _det_cycle(key) -> dict[tuple[int, int], int]:
     if c != 0 or None in at:
         raise InternalError("the incoming cells do not form one n-cycle")
     det = {(0, 0): 1}
-    det[D, 0] = det.get((D, 0), 0) - 1
+    det[0, D] = det.get((0, D), 0) - 1
     rows = zip(key[0::8], key[1::8], key[4::8], key[5::8])
     for j, (t, w, o, d_over) in enumerate(rows):
         if t == "p":
             # the path from the over column o round to j
             e = d_over + reach[j] - reach[o] + (D if at[j] < at[o] else 0)
-            det[e, 1] = det.get((e, 1), 0) + w
-            det[D, 1] = det.get((D, 1), 0) - w
+            det[1, e] = det.get((1, e), 0) + w
+            det[1, D] = det.get((1, D), 0) - w
     return {e: c for e, c in det.items() if c}
 
 
@@ -582,22 +578,23 @@ def _det(key) -> ZetaPolynomial:
     """The determinant of the matrix a key describes, a zeta, det B or
     split key in diagram.Decomposition's layout.  A key that _singular
     decides costs no fill and no elimination.  The Laurent lift is always
-    eliminated.  A key with every cell entered, which is every zeta key,
-    takes its dual lift from _det_cycle's closed form; split and det B
-    keys leave cells out and eliminate their dual lift too."""
+    filled and eliminated.  A key with every cell entered, which is every
+    zeta key, fills nothing more and takes its dual lift from _det_cycle's
+    closed form; split and det B keys leave cells out and fill and
+    eliminate their dual lift too."""
     if _singular(key):
         return ZetaPolynomial.zero()
-    laurent, dual = _fill(key)
-    lau_det = _det_sparse(laurent)
-    return _combine(lau_det, _det_sparse(dual) if None in key else _det_cycle(key))
+    lau_det = _det_sparse(_fill(key, _LAURENT))
+    dual_det = _det_sparse(_fill(key, _DUAL)) if None in key else _det_cycle(key)
+    return _combine(lau_det, dual_det)
 
 
 def _view(key) -> list[list[ZetaPolynomial]]:
-    """The matrix over T[s^+-1] that _fill lifts from key."""
-    laurent, dual = _fill(key)
+    """The matrix over T[s^+-1] that _fill lifts from key, its two lifts
+    zipped row by row."""
     return [
-        [_combine(lau.get(j, {}), eps.get(j, {})) for j in range(len(laurent))]
-        for lau, eps in zip(laurent, dual)
+        [_combine(lau.get(j, {}), eps.get(j, {})) for j in range(len(key) // 8)]
+        for lau, eps in zip(_fill(key, _LAURENT), _fill(key, _DUAL))
     ]
 
 

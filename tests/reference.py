@@ -230,15 +230,18 @@ def delta_plus(diagram):
 
 
 def determinant(mat) -> ZetaPolynomial:
-    """Exact determinant of a square matrix over T[s^+-1], through the same
-    two lifts, unit-pivot elimination and packed Bareiss that zeta_split
-    and det B use; zeta eliminates only the first lift and takes the
-    second from a closed form that needs its matrix's cycle shape.
+    """Exact determinant of a square matrix over T[s^+-1], through the
+    unit-pivot elimination and packed Bareiss that the library uses, on
+    the same two lifts keyed the same way, (lift exponent, s_exp).  Here
+    both lifts are eliminated for any matrix; in the library only the
+    split halves and det B eliminate both, and zeta eliminates only the
+    first and takes the second from a closed form that needs its matrix's
+    cycle shape.
 
     Entries are ZetaPolynomials or RingT elements (read as s^0 terms).  The
     Laurent part comes from one determinant over Z[q, s], the (p - q)
-    part from the eps^1 slice of one over Z[s, eps] built from the
-    entries f(1) + a*eps; both are eliminated for any matrix.
+    part from the eps^1 slice of one over Z[eps, s] built from the
+    entries f(1) + a*eps.
     """
     n = len(mat)
     for row in mat:
@@ -255,7 +258,7 @@ def determinant(mat) -> ZetaPolynomial:
                 for e, v in lau.items():
                     lx[e, d] = v
                 for e, v in eps.items():
-                    dx[d, e] = v
+                    dx[e, d] = v
             laurent_row[j] = lx
             dual_row[j] = dx
         laurent.append(laurent_row)

@@ -263,7 +263,7 @@ def zp(*terms):
 
 
 class TestLiftedDeterminant:
-    """Cases aimed at the lift to Z[q, s] x Z[s, eps] and the packing."""
+    """Cases aimed at the lift to Z[q, s] x Z[eps, s] and the packing."""
 
     def test_zero_divisor_leading_minors(self):
         # p - q and q - 1 kill each other, so every leading minor of these
@@ -551,10 +551,11 @@ class TestSparseElimination:
 
     def test_pivot_rule_pins_remainder_sizes(self, monkeypatch):
         # every matrix that reaches _det_packed, as its sizes and a sha256
-        # over its entries: the Laurent remainders of the growth series (the
-        # dual lift's are one row, which never reach _det_packed), then
-        # those of zeta and det B on 50 seeded codes with n 10-15.  Any
-        # change to the pivot choice shows here as other remainders.
+        # over its entries: the Laurent remainders of the growth series
+        # (zeta's dual lift is _det_cycle's closed form), then those of
+        # zeta and det B on 50 seeded codes with n 10-15, det B's dual
+        # remainders keyed (eps_exp, s_exp).  Any change to the pivot
+        # choice shows here as other remainders.
         mats = []
         packed = invariant._det_packed
         monkeypatch.setattr(
@@ -583,7 +584,7 @@ class TestSparseElimination:
             leading_determinant(d)
         assert len(mats) == 48
         assert digest() == (
-            "ccf5d558420cd1af2920a8fb7fa465761520340819f328eac34c9386d511a86c"
+            "95c83357db436c883a868d8c59f5ded36322c50f6f0b7ac89b1e3dce0d1bb5db"
         )
 
     def test_large_code_against_bareiss_alone(self, monkeypatch):
@@ -598,13 +599,14 @@ class TestSparseElimination:
             invariant, "_det_sparse", lambda rows: lifts.append(rows) or sparse(rows)
         )
         z = zeta(d)
-        laurent, dual = invariant._fill(key)
+        laurent = invariant._fill(key, invariant._LAURENT)
+        dual = invariant._fill(key, invariant._DUAL)
         assert lifts == [laurent]
         packed_laurent = invariant._det_packed(dense(laurent))
         packed_dual = invariant._det_packed(dense(dual))
         assert sparse(laurent) == packed_laurent
         assert invariant._det_cycle(key) == {
-            e: c for e, c in packed_dual.items() if e[1] < 2
+            e: c for e, c in packed_dual.items() if e[0] < 2
         }
         assert z == invariant._combine(packed_laurent, packed_dual)
         assert not z.is_zero()
@@ -620,8 +622,8 @@ class TestDualClosedForm:
     @staticmethod
     def eliminated(key):
         # the eps^0 and eps^1 slices of the eliminated dual lift
-        dual = invariant._fill(key)[1]
-        return {e: c for e, c in invariant._det_sparse(dual).items() if e[1] < 2}
+        dual = invariant._fill(key, invariant._DUAL)
+        return {e: c for e, c in invariant._det_sparse(dual).items() if e[0] < 2}
 
     def test_matches_the_eliminated_dual_lift(self):
         rng = random.Random(26)
@@ -649,6 +651,24 @@ class TestDualClosedForm:
         off_column = ("p", 1, 1, 0, 1, 0, 1, 1, "p", 1, 1, 0, 0, 0, 0, -1)
         with pytest.raises(InternalError, match="emanating cell"):
             invariant._det_cycle(off_column)
+
+
+def test_lift_tables_equal_the_oracle_ring_maps():
+    # each incidence coefficient written by hand as a raw (p, q)
+    # polynomial -- 1, t^w - 1, -t^w -- so the tables are pinned without
+    # RingT arithmetic: p -> q gives the Laurent lift, and p -> 1 + delta,
+    # q -> 1 gives the dual lift's eps^0 and eps^1 terms
+    assert invariant._LAURENT.keys() == invariant._DUAL.keys() == {
+        ("p", 1), ("p", -1), ("q", 1), ("q", -1)
+    }
+    for (t, w), laurent in invariant._LAURENT.items():
+        tw = (w, 0) if t == "p" else (0, w)
+        raws = ({(0, 0): 1}, {tw: 1, (0, 0): -1}, {tw: -1})
+        for role, raw in enumerate(raws):
+            assert dict(laurent[role]) == oracle.spec_p_to_q(raw), (t, w, role)
+            value, derivative = oracle.spec_dual(raw)
+            want = {e: c for e, c in ((0, value), (1, derivative)) if c}
+            assert dict(invariant._DUAL[t, w][role]) == want, (t, w, role)
 
 
 def test_zeta_at_p_q_1_is_one_minus_s_to_the_d():
@@ -692,7 +712,7 @@ class TestCostBudget:
         # shows, so n = 200 costs no fill and no elimination
         d = random_diagram(random.Random(200), 200, 0)
         filled = []
-        monkeypatch.setattr(invariant, "_fill", filled.append)
+        monkeypatch.setattr(invariant, "_fill", lambda key, rule: filled.append(key))
         assert zeta(d).is_zero()
         assert filled == []
 
@@ -776,7 +796,8 @@ def test_singular_keys_have_zero_determinants():
     for d in codes:
         dec = decompose(d)
         for tag, key in every_key(dec).items():
-            laurent, dual = invariant._fill(key)
+            laurent = invariant._fill(key, invariant._LAURENT)
+            dual = invariant._fill(key, invariant._DUAL)
             why = (
                 {} in laurent,
                 len(set().union(*laurent)) < len(laurent),
@@ -806,7 +827,15 @@ def test_certify_fills_only_undecided_keys(monkeypatch):
     monkeypatch.setattr(
         invariant, "_singular", lambda key: decided.append((key, singular(key))) or decided[-1][1]
     )
-    monkeypatch.setattr(invariant, "_fill", lambda key: filled.append(key) or fill(key))
+    lift_name = {id(invariant._LAURENT): "laurent", id(invariant._DUAL): "dual"}
+    monkeypatch.setattr(
+        invariant,
+        "_fill",
+        lambda key, rule: filled.append((key, lift_name[id(rule)])) or fill(key, rule),
+    )
+    # an undecided zeta key fills its Laurent lift alone (its dual lift is
+    # _det_cycle's closed form); an undecided B key fills both lifts
+    lifts = {"zeta": ["laurent"], "B": ["laurent", "dual"]}
 
     def filled_names(d):
         # certify decides zeta's key first, then B's
@@ -814,8 +843,10 @@ def test_certify_fills_only_undecided_keys(monkeypatch):
         certify_minimality(d)
         dec = decompose(d)
         assert [key for key, _ in decided] == [dec.zeta_key, dec.b_key]
-        assert filled == [key for key, fired in decided if not fired]
-        return [name for name, (_, fired) in zip(("zeta", "B"), decided) if not fired]
+        names = [name for name, (_, fired) in zip(("zeta", "B"), decided) if not fired]
+        keys = dict(zip(("zeta", "B"), (dec.zeta_key, dec.b_key)))
+        assert filled == [(keys[name], lift) for name in names for lift in lifts[name]]
+        return names
 
     assert filled_names(generate("classical_trefoil")) == []
     assert filled_names(b_empty_row) == ["zeta"]
