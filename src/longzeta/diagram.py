@@ -42,6 +42,8 @@ from __future__ import annotations
 
 import functools
 
+from longzeta.records import FrozenRecord
+
 
 class InvalidDiagram(ValueError):
     """Raised when an operation needs a valid code but the code is not."""
@@ -58,10 +60,11 @@ _PARTNER = {"V": "V", "O": "U", "U": "O"}
 
 
 def _well_paired(tokens):
-    """The crossing counts (n, k) when every crossing has exactly two
-    passages: V and V with opposite senses, or one O and one U with equal
-    signs.  None otherwise.  One pass, no per-crossing lists; validate()
-    explains a code that fails it."""
+    """The crossing counts and the largest crossing id, (n, k, max id),
+    when every crossing has exactly two passages: V and V with opposite
+    senses, or one O and one U with equal signs.  None otherwise.  One
+    pass, no per-crossing lists; validate() explains a code that fails
+    it."""
     first = {}  # cid -> its first passage, then False once paired
     k = 0
     for t in tokens:
@@ -76,57 +79,30 @@ def _well_paired(tokens):
             k += 1
     if any(first.values()):
         return None
-    return len(first) - k, k
+    return len(first) - k, k, max(first, default=0)
 
 
-class PassageToken:
+class PassageToken(FrozenRecord):
     """One crossing passage: kind is 'O', 'U' or 'V', cid the crossing id,
     sign the writhe sign for O/U and the sense for V.
 
-    A slotted value object: tokens are equal exactly when they are tokens
-    with equal fields, hash as the tuple (kind, cid, sign), and cannot be
-    changed once built; copy and pickle rebuild them through __reduce__.
+    A frozen record (see longzeta.records): tokens are equal exactly when
+    they are tokens with equal fields, hash as the tuple (kind, cid, sign),
+    and cannot be changed once built.
     """
 
     __slots__ = ("kind", "cid", "sign")
 
     def __init__(self, kind: str, cid: int, sign: int):
-        # __setattr__ refuses every write, so the slots are filled through
-        # their descriptors
-        _set_kind(self, kind)
-        _set_cid(self, cid)
-        _set_sign(self, sign)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("cannot assign to field %r" % name)
-
-    def __delattr__(self, name):
-        raise AttributeError("cannot delete field %r" % name)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.cid == other.cid and self.kind == other.kind and self.sign == other.sign
-
-    def __hash__(self):
-        return hash((self.kind, self.cid, self.sign))
-
-    def __repr__(self):
-        return "PassageToken(kind=%r, cid=%r, sign=%r)" % (self.kind, self.cid, self.sign)
-
-    def __reduce__(self):
-        return PassageToken, (self.kind, self.cid, self.sign)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "cid", cid)
+        object.__setattr__(self, "sign", sign)
 
     def render(self) -> str:
         return "%s%d%s" % (self.kind, self.cid, "+" if self.sign > 0 else "-")
 
     def __str__(self):
         return self.render()
-
-
-_set_kind = PassageToken.kind.__set__
-_set_cid = PassageToken.cid.__set__
-_set_sign = PassageToken.sign.__set__
 
 
 class _Unreadable(Exception):
@@ -158,10 +134,12 @@ def _token(word):
 class Diagram:
     """Immutable passage sequence, possibly not yet validated.
 
-    validate()'s pairing pass counts the crossings of a valid code, and
-    those counts (n, k) are the one cache: once they are set, re-checking
-    or re-counting the diagram costs nothing.  n and k go through check(),
-    so on an invalid code they raise InvalidDiagram.
+    validate()'s pairing pass counts the crossings of a valid code and
+    finds its largest crossing id, and those three numbers are the one
+    cache: once they are set, re-checking the diagram, counting its
+    crossings or reading max_id() costs nothing.  n and k go through
+    check(), so on an invalid code they raise InvalidDiagram; max_id()
+    scans the tokens of a code that was never validated or is invalid.
     """
 
     __slots__ = ("tokens", "_counts")
@@ -223,6 +201,9 @@ class Diagram:
         return self.check()._counts[1]
 
     def max_id(self) -> int:
+        """The largest crossing id, 0 for the empty code."""
+        if self._counts is not None:
+            return self._counts[2]
         return max((t.cid for t in self.tokens), default=0)
 
     def validate(self) -> list[str]:
@@ -231,8 +212,9 @@ class Diagram:
         Never raises: parseable-but-wrong codes come back with the full
         list so a caller can report everything at once.  A valid code
         passes one pairing pass, which also counts its crossings for n
-        and k, and is not checked again; only a code that fails it is
-        sorted by crossing to name every violation, on every call.
+        and k and finds its largest id, and is not checked again; only a
+        code that fails it is sorted by crossing to name every violation,
+        on every call.
         """
         if self._counts is None:
             self._counts = _well_paired(self.tokens)

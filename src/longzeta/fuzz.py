@@ -21,11 +21,11 @@ diagram, memo hits included, and no memo outlives its trial.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from longzeta.diagram import Diagram, PassageToken, decompose, generate
 from longzeta.invariant import check_theorems, zeta
 from longzeta.moves import MoveSpec, apply, random_equivalent
+from longzeta.records import Record
 from longzeta.rings import RingT
 
 # growth caps for walked codes; sources stay well under these
@@ -65,15 +65,15 @@ def predicted_shift(before: Diagram, move: MoveSpec) -> int:
     return 0
 
 
-@dataclass
-class TrialResult:
+class TrialResult(Record):
     """One walked trajectory with everything needed to replay it."""
 
-    index: int
-    source: str
-    log: list[MoveSpec]
-    r: int
-    problems: list[str] = field(default_factory=list)
+    __slots__ = ("index", "source", "log", "r", "problems")
+
+    def __init__(self, index: int, source: str, log: list[MoveSpec], r: int,
+                 problems: list[str]):
+        self.index, self.source, self.log = index, source, log
+        self.r, self.problems = r, problems
 
     @property
     def ok(self) -> bool:
@@ -83,13 +83,13 @@ class TrialResult:
         return [m.render() for m in self.log]
 
 
-@dataclass
-class CampaignReport:
-    trials: int
-    steps: int
-    seed: int
-    results: list[TrialResult]
-    diagrams_checked: int
+class CampaignReport(Record):
+    __slots__ = ("trials", "steps", "seed", "results", "diagrams_checked")
+
+    def __init__(self, trials: int, steps: int, seed: int,
+                 results: list[TrialResult], diagrams_checked: int):
+        self.trials, self.steps, self.seed = trials, steps, seed
+        self.results, self.diagrams_checked = results, diagrams_checked
 
     @property
     def failures(self) -> list[TrialResult]:
@@ -117,7 +117,7 @@ def run_trial(source: Diagram, steps: int, seed: int, index: int = 0) -> TrialRe
         max_classical=MAX_CLASSICAL,
         max_virtual=MAX_VIRTUAL,
     )
-    result = TrialResult(index=index, source=source.render(), log=log, r=0)
+    result = TrialResult(index=index, source=source.render(), log=log, r=0, problems=[])
     # each replayed diagram is decomposed once, for zeta and det B alike,
     # and each distinct zeta matrix of the trajectory is eliminated once:
     # memo maps zeta's key to zeta, and lives for this trial only

@@ -52,10 +52,10 @@ from __future__ import annotations
 import random
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
 
 from longzeta.diagram import Diagram, InternalError, PassageToken
+from longzeta.records import FrozenRecord
 
 
 class InapplicableMove(ValueError):
@@ -92,15 +92,19 @@ def _schema(kind, count):
     return entry.schema
 
 
-@dataclass(frozen=True)
-class MoveSpec:
-    """One move with its site parameters; renders to a replayable line."""
+class MoveSpec(FrozenRecord):
+    """One move with its site parameters; renders to a replayable line.
 
-    kind: str
-    params: tuple
+    A frozen record (see longzeta.records): moves are equal exactly when
+    they are moves with equal kind and params, hash as the tuple (kind,
+    params), and cannot be changed once built; copy and pickle check the
+    parameters again.
+    """
 
-    def __post_init__(self):
-        for code, p in zip(_schema(self.kind, len(self.params)), self.params):
+    __slots__ = ("kind", "params")
+
+    def __init__(self, kind: str, params: tuple):
+        for code, p in zip(_schema(kind, len(params)), params):
             # codec values are ints and strs; exact types keep out True and
             # 1.0, which equal 1 but are neither a position nor a sign
             words = _CODECS[code][1]
@@ -109,7 +113,9 @@ class MoveSpec:
             else:
                 ok = p in words.values() and type(p) in (int, str)
             if not ok:
-                raise ValueError("bad parameter %r for %s" % (p, self.kind))
+                raise ValueError("bad parameter %r for %s" % (p, kind))
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "params", params)
 
     def render(self) -> str:
         out = [self.kind]
@@ -597,8 +603,10 @@ class _PairIndex:
     classical_kinks, virtual_kinks: positions of pairs of one crossing.
     oo_opp, vv_opp: (position, id pair) of O/O and V/V pairs of two
     crossings with opposite signs (the leading pair of a poke deletion).
-    uu, vv, cc: id pair -> positions of U/U, V/V and non-V/non-V pairs of
-    two crossings.
+    uu, vv, ou: id pair -> positions of U/U, V/V and mixed O/U pairs (in
+    either order) of two crossings.
+    oo: classical id -> (position, other id) of the O/O pairs of two
+    crossings with equal signs, listed under both ids.
     side: virtual id -> (position, classical id) of the pairs coupling one
     virtual passage with one classical passage.
 
@@ -608,34 +616,46 @@ class _PairIndex:
     """
 
     __slots__ = (
-        "classical_kinks", "virtual_kinks", "oo_opp", "vv_opp", "uu", "vv", "cc", "side"
+        "classical_kinks", "virtual_kinks", "oo_opp", "vv_opp",
+        "uu", "vv", "oo", "ou", "side",
     )
 
     def __init__(self, toks):
         self.classical_kinks, self.virtual_kinks = ck, vk = [], []
         self.oo_opp, self.vv_opp = oo_opp, vv_opp = [], []
-        self.uu, self.vv, self.cc, self.side = uu, vv, cc, side = {}, {}, {}, {}
-        for i, (a, b) in enumerate(zip(toks, toks[1:])):
-            ca, cb = a.cid, b.cid
-            if ca == cb:
-                (vk if a.kind == "V" else ck).append(i)
-                continue
-            key = (ca, cb) if ca < cb else (cb, ca)
-            if a.kind == "V":
-                if b.kind == "V":
+        self.uu, self.vv, self.oo, self.ou, self.side = uu, vv, oo, ou, side = (
+            {}, {}, {}, {}, {}
+        )
+        if not toks:
+            return
+        # one pass that carries the previous token, its kind and its id; a
+        # sign is read only where a pattern compares two
+        prev = toks[0]
+        pk, pc = prev.kind, prev.cid
+        for i, t in enumerate(toks[1:]):
+            kind, c = t.kind, t.cid
+            if c == pc:
+                (vk if pk == "V" else ck).append(i)
+            elif pk == "V":
+                if kind == "V":
+                    key = (pc, c) if pc < c else (c, pc)
                     vv.setdefault(key, []).append(i)
-                    if a.sign == -b.sign:
+                    if t.sign == -prev.sign:
                         vv_opp.append((i, key))
                 else:
-                    side.setdefault(ca, []).append((i, cb))
-            elif b.kind == "V":
-                side.setdefault(cb, []).append((i, ca))
-            else:
-                cc.setdefault(key, []).append(i)
-                if a.kind == b.kind == "U":
-                    uu.setdefault(key, []).append(i)
-                elif a.kind == b.kind == "O" and a.sign == -b.sign:
-                    oo_opp.append((i, key))
+                    side.setdefault(pc, []).append((i, c))
+            elif kind == "V":
+                side.setdefault(c, []).append((i, pc))
+            elif kind != pk:
+                ou.setdefault((pc, c) if pc < c else (c, pc), []).append(i)
+            elif kind == "U":
+                uu.setdefault((pc, c) if pc < c else (c, pc), []).append(i)
+            elif t.sign == prev.sign:
+                oo.setdefault(pc, []).append((i, c))
+                oo.setdefault(c, []).append((i, pc))
+            elif t.sign == -prev.sign:
+                oo_opp.append((i, (pc, c) if pc < c else (c, pc)))
+            prev, pk, pc = t, kind, c
 
 
 def _pair_delete_sites(leading, closing):
@@ -671,6 +691,30 @@ def _triangle_sites(by_ids):
                         x, y, z = sorted((p1, p2, p3))
                         if y - x >= 2 and z - y >= 2:
                             yield (x, y, z)
+
+
+def _classical_triangle_sites(index):
+    """Disjoint triples, each sorted, in the roles _check_tri_classical
+    takes: a U/U pair of ids y, z, an equal-sign O/O pair of y and some x,
+    and a mixed pair of x and z.  Each triple is found once, from its U/U
+    pair and the one of its ids that the O/O pair holds."""
+    oo, ou = index.oo, index.ou
+    if not oo or not ou:
+        return
+    for (a, b), unders in index.uu.items():
+        for y, z in ((a, b), (b, a)):
+            overs = oo.get(y)
+            if overs is None:
+                continue
+            for p2, x in overs:
+                mixed = ou.get((x, z) if x < z else (z, x))
+                if mixed is None:
+                    continue
+                for p1 in unders:
+                    for p3 in mixed:
+                        u, v, w = sorted((p1, p2, p3))
+                        if v - u >= 2 and w - v >= 2:
+                            yield (u, v, w)
 
 
 def _semivirtual_sites(index):
@@ -731,7 +775,7 @@ _KIND_TABLE = {
     ),
     "Triangle_classical": _Kind(
         "iii", _check_tri_classical, _swap_pairs, 0, 0,
-        scan=lambda x: _triangle_sites(x.cc),
+        scan=_classical_triangle_sites,
     ),
     "Triangle_virtual": _Kind(
         "iii", _check_tri_virtual, _swap_pairs, 0, 0,

@@ -428,8 +428,10 @@ def _disjoint(ps):
     return all(b - a >= 2 for a, b in zip(ps, ps[1:]))
 
 
-def _triangle_sites(toks, virtual):
-    """Every pair of id sets sharing one id, closed by a third set."""
+def all_triangle_sites(toks, virtual):
+    """Every pair of id sets sharing one id, closed by a third set: the
+    triangles of all-virtual pairs, or of all-classical pairs whatever
+    their roles."""
     want = (lambda a, b: a.kind == "V" and b.kind == "V") if virtual else (
         lambda a, b: a.kind != "V" and b.kind != "V"
     )
@@ -453,6 +455,29 @@ def _triangle_sites(toks, virtual):
                         ps = tuple(sorted((p1, p2, p3)))
                         if _disjoint(ps):
                             found.add(ps)
+    return sorted(found)
+
+
+def _classical_triangle_sites(toks):
+    """Every disjoint U/U pair, O/O pair of equal signs and mixed O/U pair
+    whose ids make a triangle in the roles a classical slide takes: the
+    U/U and O/O pairs share one id, and the mixed pair holds the other
+    two."""
+    under = _adjacent_pairs(toks, lambda a, b: a.kind == b.kind == "U")
+    over = _adjacent_pairs(
+        toks, lambda a, b: a.kind == b.kind == "O" and a.sign == b.sign
+    )
+    mixed = _adjacent_pairs(toks, lambda a, b: {a.kind, b.kind} == {"O", "U"})
+    ids = [{a.cid, b.cid} for a, b in zip(toks, toks[1:])]
+    found = []
+    for p1 in under:
+        for p2 in over:
+            if len(ids[p1] & ids[p2]) != 1:
+                continue
+            for p3 in mixed:
+                ps = tuple(sorted((p1, p2, p3)))
+                if ids[p3] == ids[p1] ^ ids[p2] and _disjoint(ps):
+                    found.append(ps)
     return sorted(found)
 
 
@@ -484,8 +509,8 @@ REFERENCE_SCANS = {
     "V1_delete": lambda toks: _kink_delete_sites(toks, True),
     "R2_delete": lambda toks: _pair_delete_sites(toks, "O", "U"),
     "V2_delete": lambda toks: _pair_delete_sites(toks, "V", "V"),
-    "Triangle_classical": lambda toks: _triangle_sites(toks, False),
-    "Triangle_virtual": lambda toks: _triangle_sites(toks, True),
+    "Triangle_classical": _classical_triangle_sites,
+    "Triangle_virtual": lambda toks: all_triangle_sites(toks, True),
     "Triangle_semivirtual": _semivirtual_sites,
 }
 

@@ -75,6 +75,20 @@ class TestParse:
             with pytest.raises(InvalidDiagram, match="mixes virtual and classical"):
                 getattr(d, count)
 
+    def test_max_id_matches_a_scan_of_the_tokens(self):
+        # the pairing pass records the largest id of a validated code; a
+        # code never validated, or invalid, is scanned
+        rng = random.Random(28)
+        for _ in range(100):
+            toks = random_diagram(rng, rng.randint(0, 6), rng.randint(0, 6)).tokens
+            want = max(t.cid for t in toks) if toks else 0
+            validated, fresh = Diagram(toks).check(), Diagram(toks)
+            assert validated.max_id() == fresh.max_id() == want
+            assert fresh._counts is None and validated._counts is not None
+        bad = Diagram.parse("O3+ U3- V7+ O2+")
+        assert bad.validate() and bad.max_id() == 7
+        assert Diagram.parse("").check().max_id() == 0 == Diagram([]).max_id()
+
     def test_a_long_code_parses_and_its_first_bad_word_is_named(self):
         # 200,000 distinct words, so every word misses the word cache
         text = _long_code()
@@ -460,7 +474,7 @@ class TestDecomposition:
 
     def test_long_arc_count_is_checked(self):
         d = generate("classical_trefoil")
-        d._counts = (4, 0)  # a classical count the tokens do not have
+        d._counts = (4, 0, 3)  # a classical count the tokens do not have
         with pytest.raises(InternalError, match="one long arc per underpass"):
             decompose(d)
 

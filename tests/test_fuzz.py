@@ -132,6 +132,34 @@ def test_report_flags_fabricated_failure():
     assert report.summary().startswith("0/1 trajectories invariant")
 
 
+def test_reports_compare_and_print_by_their_fields():
+    # plain classes, so the CLI loads no dataclasses; equality, repr and
+    # unhashability are the ones a dataclass had
+    def trial(r):
+        return TrialResult(
+            index=3, source="O1+ U1+", log=[MoveSpec("V1_insert", (0, 1))], r=r,
+            problems=["boom"],
+        )
+
+    t = trial(2)
+    assert repr(t) == (
+        "TrialResult(index=3, source='O1+ U1+', "
+        "log=[MoveSpec(kind='V1_insert', params=(0, 1))], r=2, problems=['boom'])"
+    )
+    assert t == trial(2) and t != trial(1) and not t.ok
+    assert t.log_lines() == ["V1_insert 0 +"]
+    report = CampaignReport(trials=1, steps=0, seed=0, results=[t], diagrams_checked=1)
+    assert repr(report) == (
+        "CampaignReport(trials=1, steps=0, seed=0, results=[%r], diagrams_checked=1)" % t
+    )
+    assert report == CampaignReport(1, 0, 0, [trial(2)], 1)
+    assert report != CampaignReport(1, 0, 0, [trial(1)], 1)
+    assert report.max_abs_r == 2 and report.failures == [t]
+    for record in (t, report):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)
+
+
 def _recording(results, fn):
     def wrapper(*args):
         results.append(fn(*args))

@@ -1,7 +1,9 @@
 """Move rewrites: pinned examples, regime preconditions, site enumeration,
 seeded walks, and the q-power transport laws."""
 
+import copy
 import hashlib
+import pickle
 import random
 
 import pytest
@@ -27,7 +29,13 @@ from longzeta.moves import (
     random_equivalent,
 )
 from longzeta.rings import RingT
-from reference import REFERENCE_GAPS, REFERENCE_SCANS, ArcModel, equal_up_to_q_power
+from reference import (
+    REFERENCE_GAPS,
+    REFERENCE_SCANS,
+    ArcModel,
+    all_triangle_sites,
+    equal_up_to_q_power,
+)
 
 VK = generate("virtual_kink")  # O1+ V2+ U1+ V2-
 
@@ -134,6 +142,37 @@ def test_spec_validates_parameters():
         with pytest.raises(ValueError) as err:
             MoveSpec(kind, params)
         assert str(err.value) == msg
+
+
+def test_spec_is_an_immutable_value():
+    move = MoveSpec("R1_insert", (0, 1, "OU"))
+    with pytest.raises(AttributeError):
+        move.kind = "V1_insert"
+    with pytest.raises(AttributeError):
+        move.params = (0, 1)
+    with pytest.raises(AttributeError):
+        del move.params
+    with pytest.raises(AttributeError):
+        move.extra = 1
+    assert repr(move) == "MoveSpec(kind='R1_insert', params=(0, 1, 'OU'))"
+
+
+def test_spec_equality_and_hash_follow_kind_and_params():
+    a, b = MoveSpec("V1_insert", (2, 1)), MoveSpec.parse("V1_insert 2 +")
+    assert a == b and hash(a) == hash(b) == hash(("V1_insert", (2, 1)))
+    assert a != MoveSpec("V1_insert", (2, -1)) and a != MoveSpec("V1_delete", (2,))
+    # a tuple of the same fields is not a move
+    assert a != ("V1_insert", (2, 1))
+    assert len({a, b, MoveSpec("V1_insert", (3, 1))}) == 2
+
+
+def test_spec_survives_pickle_and_copy():
+    for move in enumerate_sites(generate("classical_trefoil")):
+        for back in (
+            pickle.loads(pickle.dumps(move)), copy.copy(move), copy.deepcopy(move)
+        ):
+            assert back == move and type(back) is MoveSpec
+            assert repr(back) == repr(move) and back.render() == move.render()
 
 
 # ------------------------------------------------------- pinned rewrites
@@ -647,11 +686,28 @@ def test_insert_sites_match_the_full_lists():
 # ------------------------------------ pair index against the direct scans
 
 
+def _classical_triangles_kept(d):
+    """The accepted all-classical triangles, each checked to be among the
+    role-split scan's candidates."""
+    toks, kind = list(d.tokens), _KIND_TABLE["Triangle_classical"]
+    scanned = set(kind.scan(_PairIndex(d.tokens)))
+    kept = 0
+    for ps in all_triangle_sites(toks, virtual=False):
+        try:
+            kind.check(toks, ps, d)
+        except InapplicableMove:
+            continue
+        assert ps in scanned, (d, ps)
+        kept += 1
+    return kept
+
+
 def _assert_scans_match(d):
     index = _PairIndex(d.tokens)
     for kind, reference in REFERENCE_SCANS.items():
         # the scans yield candidates in any order
         assert sorted(_KIND_TABLE[kind].scan(index)) == reference(d.tokens), (d, kind)
+    _classical_triangles_kept(d)
 
 
 def test_index_scans_match_the_reference_scans():
@@ -679,6 +735,14 @@ def test_index_scans_match_the_reference_scans():
 @given(st.integers(0, 2**32), st.integers(0, 9), st.integers(0, 9))
 def test_index_scans_match_on_shuffled_codes(seed, n, k):
     _assert_scans_match(random_diagram(random.Random(seed), n, k))
+
+
+def test_role_split_scan_keeps_every_accepted_classical_triangle():
+    # the scan reads only U/U, equal-sign O/O and mixed pairs, the roles and
+    # sign rule the check enforces; the triangles of every other classical
+    # pair it skips are ones the check would refuse
+    codes = _walked_codes(2026, 80) + list(_random_codes(1020, 200))
+    assert sum(map(_classical_triangles_kept, codes)) > 10
 
 
 # (source, steps, seed, bounds) -> (final code, sha256 prefix of the log
