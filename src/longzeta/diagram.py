@@ -137,9 +137,8 @@ class Diagram:
     validate()'s pairing pass counts the crossings of a valid code and
     finds its largest crossing id, and those three numbers are the one
     cache: once they are set, re-checking the diagram, counting its
-    crossings or reading max_id() costs nothing.  n and k go through
-    check(), so on an invalid code they raise InvalidDiagram; max_id()
-    scans the tokens of a code that was never validated or is invalid.
+    crossings or reading max_id() costs nothing.  n, k and max_id() go
+    through check(), so on an invalid code they raise InvalidDiagram.
     """
 
     __slots__ = ("tokens", "_counts")
@@ -202,9 +201,7 @@ class Diagram:
 
     def max_id(self) -> int:
         """The largest crossing id, 0 for the empty code."""
-        if self._counts is not None:
-            return self._counts[2]
-        return max((t.cid for t in self.tokens), default=0)
+        return self.check()._counts[2]
 
     def validate(self) -> list[str]:
         """All invariant violations, empty when the code is a valid diagram.

@@ -27,9 +27,9 @@ the cut does not open the final long arc.  Sites violating these
 conditions raise InapplicableMove like any other pattern mismatch.
 
 These conditions are read off the tokens directly, without a full arc
-decomposition: the final long arc is the stretch after the last
-underpass token, and its degree at a gap is the sum of the virtual
-senses between that underpass and the gap.
+decomposition: one reader, _final_arc, finds the final long arc (the
+stretch after the last underpass token) and its degree at each gap on it,
+the sum of the virtual senses between that underpass and the gap.
 
 Each kind splits into a check, which raises InapplicableMove at a site
 that does not match and builds no Diagram, and a rewrite, which builds the
@@ -156,24 +156,29 @@ def _fresh(diagram, count):
     return [base + 1 + i for i in range(count)]
 
 
-def _last_underpass(toks):
-    """Position of the last underpass token, -1 when there is none."""
-    for i in range(len(toks) - 1, -1, -1):
-        if toks[i].kind == "U":
-            return i
-    return -1
+def _final_arc(toks):
+    """The gap where the final long arc starts, right after the last
+    underpass (0 when there is none), and the arc's degree at each gap from
+    there to the end: 0, moved by the sense of each virtual passage."""
+    start = len(toks)
+    while start and toks[start - 1].kind != "U":
+        start -= 1
+    degree, degrees = 0, [0]
+    for t in toks[start:]:
+        if t.kind == "V":
+            degree += t.sign
+        degrees.append(degree)
+    return start, degrees
 
 
 def _require_cut_gap(toks, g):
     """An underpass cut at gap g keeps the invariant."""
     # an undercut on the final long arc at nonzero degree re-anchors the
-    # degrees feeding the united first/last column and changes zeta.  The
-    # final long arc is the stretch after the last underpass; its degree
-    # starts at 0 and moves by the sense of every virtual passage on it.
-    last_u = _last_underpass(toks)
-    if g <= last_u:
+    # degrees feeding the united first/last column and changes zeta
+    start, degrees = _final_arc(toks)
+    if g < start:
         return
-    degree = sum(t.sign for t in toks[last_u + 1 : g] if t.kind == "V")
+    degree = degrees[g - start]
     _require(
         degree == 0,
         "an underpass cut at gap %d would land on the final long arc at "
@@ -475,8 +480,9 @@ def _check_tri_semivirtual(toks, params, diagram):
         delta,
         delta_o,
     )
+    # the underpass before the final long arc's start gap opens that arc
     _require(
-        toks[_last_underpass(toks)].cid != ut.cid,
+        toks[_final_arc(toks)[0] - 1].cid != ut.cid,
         "the underpass at this triangle opens the final long arc; sliding "
         "a virtual passage across it rescales half of the united column",
     )
@@ -512,19 +518,10 @@ def _take_spread(items, cap):
 
 
 def _safe_cut_gaps(toks):
-    """Gaps where _require_cut_gap passes, in one pass over the tokens."""
-    last_u = _last_underpass(toks)
-    # gaps up to the last underpass lie off the final long arc, and the
-    # gap right after it starts that arc at degree 0
-    out = list(range(last_u + 2))
-    degree = 0
-    for g in range(last_u + 2, len(toks) + 1):
-        t = toks[g - 1]
-        if t.kind == "V":
-            degree += t.sign
-        if degree == 0:
-            out.append(g)
-    return out
+    """Gaps where _require_cut_gap passes: every gap before the final long
+    arc, then its degree-0 gaps."""
+    start, degrees = _final_arc(toks)
+    return [*range(start), *(start + i for i, d in enumerate(degrees) if d == 0)]
 
 
 class _GapSites:

@@ -14,22 +14,20 @@ misses, with string methods.  And the q-power comparison of two zeta
 polynomials that the transport-law tests use, the drift exponent of
 concatenation (delta_plus), and random ring elements and zeta
 polynomials (rand_ring, rand_poly) for the determinant cross-checks.
+And the degree of every gap on the final long arc, read off the arc
+model (cut_gap_reference), from which the insert site lists take their
+underpass cut gaps, and every small code (small_codes) for the
+exhaustive checks.
 """
 
 import re
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import product
 
-from longzeta.diagram import InvalidDiagram, PassageToken
+from longzeta.diagram import Diagram, InvalidDiagram, PassageToken
 from longzeta.invariant import _combine, _det, _det_sparse, _lift, incidence_matrix
-from longzeta.moves import (
-    _KINK_GAP_CAP,
-    _ORDERS,
-    _PAIR_GAP_CAP,
-    _VARIANTS,
-    _safe_cut_gaps,
-    _take_spread,
-)
+from longzeta.moves import _KINK_GAP_CAP, _ORDERS, _PAIR_GAP_CAP, _VARIANTS, _take_spread
 from longzeta.oracle import _add_term, raw_from_parts, raw_reduce
 from longzeta.rings import RingT, ZetaPolynomial
 
@@ -220,6 +218,51 @@ def closure_zeta(diagram) -> ZetaPolynomial:
     """zeta under the closure convention; without classical crossings it
     is the empty determinant, 1."""
     return _det(closure_keys(diagram)[0])
+
+
+def cut_gap_reference(diagram):
+    """{gap: degree of its arc if on the final long arc, else None}, read
+    off the arc model.  Gap g lies between tokens g - 1 and g."""
+    model = ArcModel(diagram)
+    out = {}
+    for g in range(len(diagram) + 1):
+        (arc,) = [a for a in model.arcs if a.start < g <= a.end]
+        out[g] = arc.degree if model.long_arcs[arc.long_arc].is_final else None
+    return out
+
+
+# the (first, second) passage of one crossing: a classical crossing of
+# either sign with either passage first, or a virtual one of either sense
+_CROSSING_SHAPES = (
+    ("O", "U", 1, 1), ("O", "U", -1, -1), ("U", "O", 1, 1), ("U", "O", -1, -1),
+    ("V", "V", 1, -1), ("V", "V", -1, 1),
+)
+
+
+def _matchings(positions):
+    """Every pairing of the positions, each pair and the pairs in the
+    order of their first position."""
+    if not positions:
+        yield []
+        return
+    first = positions[0]
+    for i in range(1, len(positions)):
+        rest = positions[1:i] + positions[i + 1:]
+        for pairs in _matchings(rest):
+            yield [(first, positions[i])] + pairs
+
+
+def small_codes(m):
+    """Every valid code with n + k <= m, smallest first, ids by first
+    appearance: (2j - 1)!! pairings of the 2j positions times 6^j crossing
+    shapes for each j = n + k, so 1, 6, 108 and 3,240 codes for j = 0 to 3."""
+    for j in range(m + 1):
+        for pairs in _matchings(list(range(2 * j))):
+            for shapes in product(_CROSSING_SHAPES, repeat=j):
+                toks = [None] * (2 * j)
+                for cid, ((a, b), (ka, kb, sa, sb)) in enumerate(zip(pairs, shapes), 1):
+                    toks[a], toks[b] = PassageToken(ka, cid, sa), PassageToken(kb, cid, sb)
+                yield Diagram(toks)
 
 
 def delta_plus(diagram):
@@ -518,8 +561,14 @@ REFERENCE_SCANS = {
 # ------------------------------------------------------ insert site lists
 
 
+def _cut_gaps(toks):
+    """The gaps where an underpass cut keeps the invariant: off the final
+    long arc, or on it at degree 0."""
+    return [g for g, degree in cut_gap_reference(Diagram(toks)).items() if not degree]
+
+
 def _r1_gaps(toks):
-    cut = _take_spread(_safe_cut_gaps(toks), _KINK_GAP_CAP)
+    cut = _take_spread(_cut_gaps(toks), _KINK_GAP_CAP)
     return [(g, w, o) for g in cut for w in (1, -1) for o in _ORDERS]
 
 
@@ -529,7 +578,7 @@ def _v1_gaps(toks):
 
 
 def _r2_gaps(toks):
-    cut = _take_spread(_safe_cut_gaps(toks), _PAIR_GAP_CAP)
+    cut = _take_spread(_cut_gaps(toks), _PAIR_GAP_CAP)
     overs = _take_spread(range(len(toks) + 1), _PAIR_GAP_CAP)
     out = []
     for g2 in cut:

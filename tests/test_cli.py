@@ -403,6 +403,22 @@ def test_oracle_selftest_runs(capsys):
     assert code == 0 and json.loads(out)["checks"] > 0
 
 
+def test_oracle_selftest_default_output_is_pinned(capsys):
+    # the default trials and seed, plain and as JSON
+    assert run(capsys, "oracle", "selftest") == (0, "oracle selftest: 1056 checks passed\n", "")
+    assert run(capsys, "oracle", "selftest", "--json") == (0, '{"checks": 1056}\n', "")
+
+
+def test_a_listed_site_of_the_virtual_kink_replays_through_moves_apply(capsys):
+    # MoveSpec renders and parses its sign and variant words, and the fresh
+    # crossing ids come from the largest id the validated code recorded
+    code, out, _ = run(capsys, "moves", "sites", "--json", VK, "R2_insert")
+    sites = json.loads(out)["sites"]
+    assert (code, len(sites), sites[-3]) == (0, 32, "R2_insert 2 3 - antiparallel")
+    code, out, _ = run(capsys, "moves", "apply", VK, sites[-3])
+    assert (code, out) == (0, "O1+ V2+ O3- O4+ U1+ U4+ U3- V2-\n")
+
+
 def test_corpus_list_matches_repo_data(capsys):
     code, out, _ = run(capsys, "corpus", "list", "--json")
     assert code == 0
@@ -449,8 +465,10 @@ def test_read_only_output_over_the_corpus_is_pinned(capsys):
 def test_importing_the_cli_leaves_importlib_resources_out():
     # only `corpus list` reads the packaged data, so only it imports
     # importlib.resources (and with it pathlib, tempfile and typing); -S
-    # keeps the host's site packages from importing them first
-    src = str(DATA.parent.parent)
+    # keeps the host's site packages from importing them first.  The probe
+    # imports longzeta from where this suite does: the checkout's src, or
+    # the installed package's directory
+    src = str(Path(cli.__file__).resolve().parent.parent)
     probe = (
         "import sys; sys.path.insert(0, %r); import longzeta.cli;"
         " print('longzeta.cli' in sys.modules, 'importlib.resources' in sys.modules)"

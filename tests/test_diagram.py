@@ -76,18 +76,21 @@ class TestParse:
                 getattr(d, count)
 
     def test_max_id_matches_a_scan_of_the_tokens(self):
-        # the pairing pass records the largest id of a validated code; a
-        # code never validated, or invalid, is scanned
+        # max_id reads the largest id the pairing pass records, as n and k
+        # read the counts: a code never validated is validated first, and an
+        # invalid code raises
         rng = random.Random(28)
         for _ in range(100):
             toks = random_diagram(rng, rng.randint(0, 6), rng.randint(0, 6)).tokens
             want = max(t.cid for t in toks) if toks else 0
             validated, fresh = Diagram(toks).check(), Diagram(toks)
+            assert fresh._counts is None
             assert validated.max_id() == fresh.max_id() == want
-            assert fresh._counts is None and validated._counts is not None
+            assert fresh._counts is not None
         bad = Diagram.parse("O3+ U3- V7+ O2+")
-        assert bad.validate() and bad.max_id() == 7
-        assert Diagram.parse("").check().max_id() == 0 == Diagram([]).max_id()
+        with pytest.raises(InvalidDiagram, match="classical crossing 3 has mismatched signs"):
+            bad.max_id()
+        assert Diagram.parse("").max_id() == 0 == Diagram([]).max_id()
 
     def test_a_long_code_parses_and_its_first_bad_word_is_named(self):
         # 200,000 distinct words, so every word misses the word cache

@@ -24,6 +24,7 @@ from longzeta.fuzz import predicted_shift, random_diagram, run_trial
 from longzeta.invariant import (
     CrossCheckError,
     certify_minimality,
+    check_theorems,
     det_division_free,
     incidence_matrix,
     leading_determinant,
@@ -45,6 +46,7 @@ from reference import (
     incidence,
     rand_poly,
     row_sums_at_s1,
+    small_codes,
 )
 
 P = RingT.p_power(1)
@@ -917,6 +919,25 @@ class TestTheorems:
                 minimal_seen += 1
                 assert cert.zeta_top == kv
         assert minimal_seen > 10  # the test bed actually exercises both outcomes
+
+    def test_both_laws_and_the_certified_counts_on_every_small_code(self):
+        # every code with n + k <= 3; a code certifies when its s^k
+        # coefficient is nonzero.  The empty code's zeta is the empty
+        # determinant 1, so it certifies k = 0; no other code with n = 0 or
+        # k = 0 does
+        counts = {}
+        for d in small_codes(3):
+            z = zeta(d)
+            assert check_theorems(d, z) == [], d
+            count = counts.setdefault((d.n, d.k), [0, 0])
+            count[0] += not z.coeff(d.k).is_zero()
+            count[1] += 1
+        assert counts == {
+            (0, 0): [1, 1],
+            (1, 0): [0, 4], (0, 1): [0, 2],
+            (2, 0): [0, 48], (1, 1): [14, 48], (0, 2): [0, 12],
+            (3, 0): [0, 960], (2, 1): [536, 1440], (1, 2): [44, 720], (0, 3): [0, 120],
+        }
 
     def test_renumbering_invariance(self):
         rng = random.Random(12)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from longzeta.diagram import Diagram, InternalError, InvalidDiagram, PassageToken, generate
-from longzeta.fuzz import random_diagram
+from longzeta.fuzz import predicted_shift, random_diagram
 from longzeta.invariant import zeta
 from longzeta.moves import (
     KINDS,
@@ -19,8 +19,8 @@ from longzeta.moves import (
     MoveSpec,
     _KIND_TABLE,
     _PairIndex,
+    _final_arc,
     _has_site,
-    _last_underpass,
     _pattern_sites,
     _require_cut_gap,
     _safe_cut_gaps,
@@ -34,7 +34,9 @@ from reference import (
     REFERENCE_SCANS,
     ArcModel,
     all_triangle_sites,
+    cut_gap_reference,
     equal_up_to_q_power,
+    small_codes,
 )
 
 VK = generate("virtual_kink")  # O1+ V2+ U1+ V2-
@@ -566,15 +568,25 @@ def _random_codes(seed, count):
         yield from _edge_variants(random_diagram(rng, rng.randint(0, 8), rng.randint(0, 8)))
 
 
-def _cut_gap_reference(d):
-    """{gap: degree of its arc if on the final long arc, else None}, read
-    off the arc model."""
-    model = ArcModel(d)
-    out = {}
-    for g in range(len(d) + 1):
-        (arc,) = [a for a in model.arcs if a.start < g <= a.end]
-        out[g] = arc.degree if model.long_arcs[arc.long_arc].is_final else None
-    return out
+def _assert_cut_gap_rule(d):
+    """The final-long-arc reader, the cut-gap check and the safe-gap list
+    agree with the arc model at every gap of d, messages included."""
+    toks = d.tokens
+    ref = cut_gap_reference(d)
+    start, degrees = _final_arc(toks)
+    assert len(degrees) == len(toks) + 1 - start
+    assert {g: degrees[g - start] if g >= start else None for g in ref} == ref
+    assert _safe_cut_gaps(toks) == [g for g, deg in ref.items() if not deg]
+    for g, deg in ref.items():
+        if not deg:
+            _require_cut_gap(toks, g)
+            continue
+        with pytest.raises(InapplicableMove) as err:
+            _require_cut_gap(toks, g)
+        assert str(err.value) == (
+            "an underpass cut at gap %d would land on the final long arc at "
+            "degree %d; only degree-0 sites keep the invariant there" % (g, deg)
+        )
 
 
 def test_token_cut_gap_rule_matches_the_decomposition():
@@ -583,22 +595,60 @@ def test_token_cut_gap_rule_matches_the_decomposition():
         toks = d.tokens
         seen_u_end += bool(toks) and toks[-1].kind == "U"
         seen_v_end += len(toks) >= 2 and toks[-1].kind == toks[-2].kind == "V"
-        ref = _cut_gap_reference(d)
-        safe = set(_safe_cut_gaps(toks))
-        assert safe == {g for g, deg in ref.items() if not deg}
-        for g, deg in ref.items():
-            if not deg:
-                _require_cut_gap(toks, g)
-                continue
-            with pytest.raises(InapplicableMove) as err:
-                _require_cut_gap(toks, g)
-            assert "at gap %d " % g in str(err.value)
-            assert "at degree %d;" % deg in str(err.value)
-        if d.n >= 1:
-            assert _last_underpass(toks) == max(ArcModel(d).u_pos.values())
-        else:
-            assert _last_underpass(toks) == -1
+        _assert_cut_gap_rule(d)
     assert seen_u_end > 20 and seen_v_end > 20
+
+
+def test_cut_gap_rule_matches_the_decomposition_on_every_small_code():
+    # every code with n + k <= 3: the final long arc empty, at the start,
+    # all of the code, and at every degree its virtual passages reach
+    codes = 0
+    for d in small_codes(3):
+        _assert_cut_gap_rule(d)
+        codes += 1
+    assert codes == 1 + 6 + 108 + 3240
+
+
+def test_semivirtual_final_arc_clause_matches_the_decomposition():
+    # the clause refuses a slide exactly at the classical crossing whose
+    # underpass opens the final long arc, the arc model's last origin; it
+    # runs last, so a slide it does not refuse is accepted.  With n + k <= 3
+    # the one classical crossing opens that arc, so walked codes add the
+    # accepted slides
+    kind = _KIND_TABLE["Triangle_semivirtual"]
+    seen = {True: 0, False: 0}
+    for d in [*small_codes(3), *_walked_codes(2029, 40)]:
+        opener = ArcModel(d).long_arcs[-1].origin
+        for ps in kind.scan(_PairIndex(d.tokens)):
+            (cid,) = {t.cid for p in ps for t in d.tokens[p : p + 2] if t.kind != "V"}
+            try:
+                kind.check(d.tokens, ps, d)
+            except InapplicableMove as exc:
+                if "final long arc" not in str(exc):
+                    continue
+                assert str(exc) == (
+                    "the underpass at this triangle opens the final long arc; sliding "
+                    "a virtual passage across it rescales half of the united column"
+                )
+                refused = True
+            else:
+                refused = False
+            assert refused == (cid == opener), (d, ps)
+            seen[refused] += 1
+    assert all(seen.values()), seen
+
+
+def test_transport_law_on_every_site_of_every_small_code():
+    # every site enumerate_sites lists on every code with n + k <= 2, the
+    # empty code included: apply moves zeta by exactly q^predicted_shift
+    sites = 0
+    for d in small_codes(2):
+        z0 = zeta(d)
+        for move in enumerate_sites(d):
+            shift = RingT.q_power(predicted_shift(d, move))
+            assert zeta(apply(d, move)) == z0.scaled(shift), (d, move)
+            sites += 1
+    assert sites == 12_806
 
 
 def test_site_existence_matches_enumeration():
