@@ -25,23 +25,27 @@ column and s-exponent; both lifts key terms (lift exponent, s-exponent).
 decompose emits the keys of zeta and det B in its one token pass
 (diagram.Decomposition documents the layout), and each split half is
 zeta's key with the other half's cells left out.  The split halves and
-det B fill and eliminate both lifts; zeta only its Laurent lift.  Its
-matrix has the Alexander matrix's shape: row j enters 1 at its own
-column, and its incoming cell at the column of the crossing whose
-underpass precedes j's, one n-cycle through the united column.  The over
-cell t^w - 1 lifts to eps*[t = p]*w, so zeta's dual lift is
+det B fill and eliminate both lifts; zeta fills neither.  Its matrix has
+the Alexander matrix's shape: row j enters 1 at its own column, and its
+incoming cell at the column of the crossing whose underpass precedes
+j's, one n-cycle sigma through the united column, which _cycle reads
+and checks.  A column that no over cell names holds only its own row's
+1 and one incoming unit, so _contract eliminates every such column in
+closed form, walking sigma, and hands _det_sparse the Laurent lift's
+Schur complement on the over-crossed columns, about half of them.  The
+over cell t^w - 1 lifts to eps*[t = p]*w, so zeta's dual lift is
 I - M + eps*B with M a weighted n-cycle, and _det_cycle reads its eps^0
 slice, 1 - s^D, and its eps^1 slice, tr(adj(I - M)*B) by Jacobi's
 formula, off the key in one pass.  incidence_matrix and leading_matrix,
 the T-valued views, zip the two lifts' rows back entry by entry.  zeta
 alone takes an optional memo, a dict from key to zeta, so a caller that
-meets one matrix many times fills and eliminates it once; the move
-fuzzer keeps one per trial, since virtual moves leave zeta's matrix as
-it was.  det B is computed afresh for every diagram and never read from
-a memo, and it eliminates both lifts, so the law check stays independent
-of zeta's elimination and of _det_cycle's closed form.  The matrix has
-at most three nonzero entries per row, and most of them are
-+-monomials: units of the Laurent ring.  Before any fill, _singular
+meets one matrix many times eliminates it once; the move fuzzer keeps
+one per trial, since virtual moves leave zeta's matrix as it was.  det B
+is computed afresh for every diagram and never read from a memo, and it
+fills and eliminates both lifts, so the law check stays independent of
+_contract and of _det_cycle's closed form.  The matrix has at most three
+nonzero entries per row, and most of them are +-monomials: units of the
+Laurent ring.  Before any fill, _singular
 reads three kinds of singular matrix off the key: a row with no cell
 entered, a column that no entered cell names, and rows that each enter
 all three cells at one s-exponent, so that every row sums to zero.
@@ -136,7 +140,8 @@ def _matrix_dec(diagram_or_dec) -> Decomposition:
 
 def incidence_matrix(diagram_or_dec) -> list[list[ZetaPolynomial]]:
     """The n x n matrix over T[s^+-1] whose determinant is zeta, read entry
-    by entry off the lifted rows that zeta eliminates.  Rejects n = 0."""
+    by entry off the two lifts _fill builds from zeta's key.  Rejects
+    n = 0."""
     return _view(_matrix_dec(diagram_or_dec).zeta_key)
 
 
@@ -196,10 +201,10 @@ def det_division_free(mat, one, zero):
 # it bounds only remainders of two rows or more, the only ones packed.
 # Bareiss's exact big-integer divisions make its cost grow about
 # quadratically with that size.  zeta on fuzz.random_diagram(Random(nk),
-# nk, nk) packs 157k bits at n = k = 60 (zeta: 0.46 s, BENCH_7.json) and
-# 902k bits at n = k = 70 (31 s, Python 3.11 on a 2-vCPU Xeon), so a
-# determinant over this budget is refused up front instead of run for
-# minutes.
+# nk, nk) packs 157k bits at n = k = 60 (zeta: 1.1 s) and 482k bits at
+# n = k = 70 (7 s); on random_diagram(Random(100), 70, 70) it would pack
+# 862k bits (14 s; Python 3.11 on a 2-vCPU Xeon), so a determinant over
+# this budget is refused up front instead of run for tens of seconds.
 PACKED_BITS_BUDGET = 1 << 19
 
 
@@ -214,14 +219,15 @@ def _det_sparse(rows) -> dict[tuple[int, int], int]:
     rows and their entries are left unchanged.
 
     Every split and det B determinant that _singular leaves open comes
-    through here, and so does zeta's Laurent lift (its dual lift is
-    _det_cycle's closed form); x is q or eps, y is s.  While some entry
-    is a unit of the Laurent ring -- one term, coefficient +-1 -- the unit
-    with the least Markowitz cost (row nonzeros - 1) * (column nonzeros - 1)
-    is the pivot (Markowitz 1957), found by one scan over the rows not yet
-    eliminated; ties go to the lowest row index, then to the column that
-    entered that row first (fill-ins enter after the entries already
-    there, in pivot-row order).
+    through here, and so does zeta's Laurent lift, as _contract's Schur
+    complement (its dual lift is _det_cycle's closed form); x is q or
+    eps, y is s.  While some entry is a unit of the Laurent ring -- one
+    term, coefficient +-1 -- the unit with the least Markowitz cost
+    (row nonzeros - 1) * (column nonzeros - 1) is the pivot (Markowitz
+    1957), found by one scan over the rows not yet eliminated; ties go
+    to the lowest row index, then to the column that entered that row
+    first (fill-ins enter after the entries already there, in pivot-row
+    order).
     Its inverse is again a +-monomial, so clearing its column is exact and
     needs no division.  Expanding along the cleared column, the
     determinant gains the pivot as a factor and the sign
@@ -482,8 +488,9 @@ def _fill(key, rule):
 
     The rows are filled straight from the key and the table, with no RingT
     arithmetic, and both lifts key their entries (lift exponent, s_exp):
-    (q_exp, s_exp) and (eps_exp, s_exp).  Every determinant and both
-    T-valued views read these rows.
+    (q_exp, s_exp) and (eps_exp, s_exp).  The split and det B
+    determinants and both T-valued views read these rows; zeta reads
+    _contract's and _det_cycle's instead.
     """
     rows = []
     items = iter(key)
@@ -525,10 +532,42 @@ def _singular(key) -> bool:
     return len(named) < len(rows)  # an empty column
 
 
+def _cycle(key) -> list[int]:
+    """The crossings of a key with every cell entered (a zeta key) in
+    their order along sigma from crossing 0, order[m + 1] = sigma(order[m]),
+    where sigma(j) is the column of row j's incoming cell: the crossing
+    whose underpass precedes j's along the strand.  Each row must enter
+    its emanating cell at its own column and s^0, and its over cell at
+    some column; sigma must be one n-cycle.  A key of another shape raises
+    InternalError, after at most n steps along sigma.  _det_cycle and
+    _contract read the cycle through here alone."""
+    n = len(key) // 8
+    if not n:
+        return []
+    # eight items per row: t, w and three (column, exponent) cells,
+    # emanating, over and incoming
+    if key[2::8] != tuple(range(n)) or key[3::8] != (0,) * n:
+        raise InternalError("an emanating cell is off its own column or off s^0")
+    sigma = key[6::8]
+    cols = key[4::8] + sigma
+    if not (0 <= min(cols) and max(cols) < n):
+        raise InternalError("an over or incoming cell names no column")
+    # one n-cycle exactly when the walk from crossing 0 first returns to
+    # it after n steps; a walk that returns sooner, or not by then, stops
+    order = [0]
+    c = sigma[0]
+    while c and len(order) < n:
+        order.append(c)
+        c = sigma[c]
+    if c or len(order) < n:
+        raise InternalError("the incoming cells do not form one n-cycle")
+    return order
+
+
 def _det_cycle(key) -> dict[tuple[int, int], int]:
     """The dual lift's determinant, keyed (eps_exp, s_exp), of a key with
     every cell entered (a zeta key), mod eps^2: its eps^0 and eps^1 slices,
-    the only ones _combine reads, in one pass over the key.
+    the only ones _combine reads, in one pass along _cycle's order.
 
     Row j enters 1 at column j, at s^0, and its incoming cell at column
     sigma(j), the crossing whose underpass precedes j's along the strand;
@@ -541,27 +580,19 @@ def _det_cycle(key) -> dict[tuple[int, int], int]:
     rows enter B: w*s^d_over at the over column, which meets the path
     from over(j) to j, and -w*s^d_in(j) at sigma(j), which meets the path
     of weight D - d_in(j) from sigma(j) round to j.  A key of another
-    shape raises InternalError.  The empty key (n = 0) has determinant 1.
+    shape raises InternalError (_cycle).  The empty key (n = 0) has
+    determinant 1.
     """
     if not key:
         return {(0, 0): 1}  # n = 0: the empty matrix, which has no cycle
     n = len(key) // 8
-    # eight items per row: t, w and three (column, exponent) cells,
-    # emanating, over and incoming
-    if key[2::8] != tuple(range(n)) or key[3::8] != (0,) * n:
-        raise InternalError("an emanating cell is off its own column or off s^0")
-    sigma, d_in = key[6::8], key[7::8]
-    at = [None] * n  # each crossing's place along sigma, from crossing 0
+    d_in = key[7::8]
+    at = [0] * n  # each crossing's place along sigma, from crossing 0
     reach = [0] * n  # the weight of the path from crossing 0 to each crossing
-    c = D = 0
-    for m in range(n):
-        if not 0 <= c < n or at[c] is not None:
-            break
+    D = 0
+    for m, c in enumerate(_cycle(key)):
         at[c], reach[c] = m, D
         D += d_in[c]
-        c = sigma[c]
-    if c != 0 or None in at:
-        raise InternalError("the incoming cells do not form one n-cycle")
     det = {(0, 0): 1}
     det[0, D] = det.get((0, D), 0) - 1
     rows = zip(key[0::8], key[1::8], key[4::8], key[5::8])
@@ -574,19 +605,66 @@ def _det_cycle(key) -> dict[tuple[int, int], int]:
     return {e: c for e, c in det.items() if c}
 
 
+def _contract(key):
+    """The Laurent lift of a key with every cell entered (a zeta key),
+    contracted onto S, the columns that some over cell names: the Schur
+    complement of the other columns' block, as the sparse rows, keyed
+    (q_exp, s_exp), that _det_sparse takes, with S renumbered in order.
+    Its determinant is the whole lift's, sign included.
+
+    Row j is e_j - u_j*e_sigma(j) + v_j*e_over(j), with the incoming unit
+    u_j = q^w*s^d_in and the over cell v_j = (q^w - 1)*s^d_over (_cycle
+    reads sigma).  A column c outside S holds only row c's emanating 1
+    and the incoming unit of the row before it on sigma, so the other
+    columns' block is I minus sigma restricted to them, weighted: a union
+    of paths, since sigma is one n-cycle and S is not empty, so the block
+    is unit triangular and its determinant is 1.  Adding u_j times row
+    sigma(j) to row j clears column sigma(j) and moves row j on to
+    sigma(j)'s cells, so each S row walks sigma from its own crossing:
+    it enters 1 at its own column, each passed row's v scaled by the
+    product of the units passed before it, and, at the first S column it
+    reaches, minus the product of all of them.  Entries at one column
+    sum; a sum that cancels keeps its zero coefficients, which _det_sparse
+    drops.  A key of another shape raises InternalError (_cycle) before
+    any walk, so no walk loops.
+    """
+    _cycle(key)  # a key of another shape is refused before any walk
+    ws, overs, d_over, sigma, d_in = key[1::8], key[4::8], key[5::8], key[6::8], key[7::8]
+    col = {c: i for i, c in enumerate(sorted(set(overs)))}
+    rows = []
+    for c, i in col.items():
+        row = {i: {(0, 0): 1}}
+        a = b = 0  # the product of the units passed, q^a * s^b
+        j = c
+        while True:
+            w, d = ws[j], b + d_over[j]
+            x = row.setdefault(col[overs[j]], {})
+            x[a + w, d] = x.get((a + w, d), 0) + 1
+            x[a, d] = x.get((a, d), 0) - 1
+            a += w
+            b += d_in[j]
+            j = sigma[j]
+            if j in col:
+                break
+        x = row.setdefault(col[j], {})
+        x[a, b] = x.get((a, b), 0) - 1
+        rows.append(row)
+    return rows
+
+
 def _det(key) -> ZetaPolynomial:
     """The determinant of the matrix a key describes, a zeta, det B or
     split key in diagram.Decomposition's layout.  A key that _singular
-    decides costs no fill and no elimination.  The Laurent lift is always
-    filled and eliminated.  A key with every cell entered, which is every
-    zeta key, fills nothing more and takes its dual lift from _det_cycle's
-    closed form; split and det B keys leave cells out and fill and
-    eliminate their dual lift too."""
+    decides costs no fill and no elimination.  A key with every cell
+    entered, which is every zeta key, fills nothing: its Laurent lift is
+    _contract's Schur complement, eliminated, and its dual lift
+    _det_cycle's closed form.  Split and det B keys leave cells out and
+    fill and eliminate both lifts."""
     if _singular(key):
         return ZetaPolynomial.zero()
-    lau_det = _det_sparse(_fill(key, _LAURENT))
-    dual_det = _det_sparse(_fill(key, _DUAL)) if None in key else _det_cycle(key)
-    return _combine(lau_det, dual_det)
+    if None in key:
+        return _combine(_det_sparse(_fill(key, _LAURENT)), _det_sparse(_fill(key, _DUAL)))
+    return _combine(_det_sparse(_contract(key)), _det_cycle(key))
 
 
 def _view(key) -> list[list[ZetaPolynomial]]:

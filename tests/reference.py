@@ -277,9 +277,9 @@ def determinant(mat) -> ZetaPolynomial:
     unit-pivot elimination and packed Bareiss that the library uses, on
     the same two lifts keyed the same way, (lift exponent, s_exp).  Here
     both lifts are eliminated for any matrix; in the library only the
-    split halves and det B eliminate both, and zeta eliminates only the
-    first and takes the second from a closed form that needs its matrix's
-    cycle shape.
+    split halves and det B eliminate both, and zeta eliminates the first
+    contracted onto its over-crossed columns and takes the second from a
+    closed form, both of which need its matrix's cycle shape.
 
     Entries are ZetaPolynomials or RingT elements (read as s^0 terms).  The
     Laurent part comes from one determinant over Z[q, s], the (p - q)

@@ -553,11 +553,12 @@ class TestSparseElimination:
 
     def test_pivot_rule_pins_remainder_sizes(self, monkeypatch):
         # every matrix that reaches _det_packed, as its sizes and a sha256
-        # over its entries: the Laurent remainders of the growth series
-        # (zeta's dual lift is _det_cycle's closed form), then those of
-        # zeta and det B on 50 seeded codes with n 10-15, det B's dual
-        # remainders keyed (eps_exp, s_exp).  Any change to the pivot
-        # choice shows here as other remainders.
+        # over its entries: the remainders of zeta's contracted Laurent
+        # lift on the growth series (its dual lift is _det_cycle's closed
+        # form), then those of zeta and det B on 50 seeded codes with n
+        # 10-15, det B's dual remainders keyed (eps_exp, s_exp).  Any
+        # change to the pivot choice or to the contraction shows here as
+        # other remainders.
         mats = []
         packed = invariant._det_packed
         monkeypatch.setattr(
@@ -574,9 +575,9 @@ class TestSparseElimination:
             before = len(mats)
             zeta(random_diagram(random.Random(nk), nk, nk))
             sizes.append([len(m) for m in mats[before:]])
-        assert sizes == [[2], [3], [6], [5], [8]]
+        assert sizes == [[2], [3], [5], [5], [8]]
         assert digest() == (
-            "210a39dcb8a18e959f1f07a0f22544a575951dd815c37ec4ca9696671170ec23"
+            "943462bc889d15e9944027a1e8db90fa75f27b8330fcce7bb0cf0ea9aba8384b"
         )
         rng = random.Random(16)
         for _ in range(50):
@@ -586,12 +587,13 @@ class TestSparseElimination:
             leading_determinant(d)
         assert len(mats) == 48
         assert digest() == (
-            "95c83357db436c883a868d8c59f5ded36322c50f6f0b7ac89b1e3dce0d1bb5db"
+            "4df2be1cebbf504580ed0cc0d28b2c2aba7c6cf1112234ac92614ccc9c81772e"
         )
 
     def test_large_code_against_bareiss_alone(self, monkeypatch):
-        # each lift against Bareiss on the whole matrix: zeta eliminates
-        # the Laurent lift alone, and the dual lift's closed form equals
+        # each lift against Bareiss on the whole filled matrix: zeta
+        # eliminates its contracted Laurent lift alone, whose determinant
+        # is the whole lift's, and the dual lift's closed form equals
         # Bareiss below eps^2, the slices _combine reads
         d = random_diagram(random.Random(25), 25, 25)
         key = decompose(d).zeta_key
@@ -601,12 +603,12 @@ class TestSparseElimination:
             invariant, "_det_sparse", lambda rows: lifts.append(rows) or sparse(rows)
         )
         z = zeta(d)
-        laurent = invariant._fill(key, invariant._LAURENT)
-        dual = invariant._fill(key, invariant._DUAL)
-        assert lifts == [laurent]
-        packed_laurent = invariant._det_packed(dense(laurent))
-        packed_dual = invariant._det_packed(dense(dual))
-        assert sparse(laurent) == packed_laurent
+        contracted = invariant._contract(key)
+        assert lifts == [contracted]
+        assert len(contracted) < len(key) // 8
+        packed_laurent = invariant._det_packed(dense(invariant._fill(key, invariant._LAURENT)))
+        packed_dual = invariant._det_packed(dense(invariant._fill(key, invariant._DUAL)))
+        assert sparse(contracted) == packed_laurent
         assert invariant._det_cycle(key) == {
             e: c for e, c in packed_dual.items() if e[0] < 2
         }
@@ -644,15 +646,80 @@ class TestDualClosedForm:
             assert invariant._det_cycle(key) == self.eliminated(key), key
 
     def test_a_key_of_another_shape_is_an_internal_error(self):
-        # the incoming cells of both rows stay in their own column: two
-        # 1-cycles instead of one 2-cycle
-        two_cycles = ("p", 1, 0, 0, 1, 0, 0, 1, "p", 1, 1, 0, 0, 0, 1, -1)
-        with pytest.raises(InternalError, match="one n-cycle"):
-            invariant._det_cycle(two_cycles)
-        # row 0 enters its emanating cell at column 1
-        off_column = ("p", 1, 1, 0, 1, 0, 1, 1, "p", 1, 1, 0, 0, 0, 0, -1)
-        with pytest.raises(InternalError, match="emanating cell"):
-            invariant._det_cycle(off_column)
+        # both readers of the cycle refuse it, through _cycle, before any
+        # walk along it
+        for read in (invariant._det_cycle, invariant._contract):
+            # the incoming cells of both rows stay in their own column:
+            # two 1-cycles instead of one 2-cycle
+            two_cycles = ("p", 1, 0, 0, 1, 0, 0, 1, "p", 1, 1, 0, 0, 0, 1, -1)
+            with pytest.raises(InternalError, match="one n-cycle"):
+                read(two_cycles)
+            # row 0 enters its emanating cell at column 1
+            off_column = ("p", 1, 1, 0, 1, 0, 1, 1, "p", 1, 1, 0, 0, 0, 0, -1)
+            with pytest.raises(InternalError, match="emanating cell"):
+                read(off_column)
+            # row 1's over cell names column 2 of a 2 x 2 matrix
+            over_outside = ("p", 1, 0, 0, 1, 0, 1, 1, "p", 1, 1, 0, 2, 0, 0, -1)
+            with pytest.raises(InternalError, match="names no column"):
+                read(over_outside)
+
+
+class TestContraction:
+    """_contract: zeta's Laurent lift contracted onto its over-crossed
+    columns, with the whole lift's determinant."""
+
+    @staticmethod
+    def check(key):
+        contracted = invariant._contract(key)
+        assert len(contracted) == len(set(key[4::8]))
+        want = invariant._det_sparse(invariant._fill(key, invariant._LAURENT))
+        assert invariant._det_sparse(contracted) == want, key
+        return want
+
+    def test_every_small_zeta_key(self):
+        keys = {decompose(d).zeta_key for d in small_codes(3) if d.n}
+        assert len(keys) > 1000
+        for key in keys:
+            self.check(key)
+
+    def test_seeded_random_codes(self):
+        rng = random.Random(30)
+        nonzero = 0
+        for _ in range(200):
+            n = rng.randint(1, 15)
+            key = decompose(random_diagram(rng, n, rng.randint(0, n))).zeta_key
+            nonzero += bool(self.check(key))
+        assert nonzero > 100
+
+    def test_merged_cells(self):
+        # rows (t, w, own column, 0, over column, d_over, sigma, d_in) with
+        # sigma the cycle 0 -> 1 -> ... -> n - 1 -> 0 unless noted
+        keys = {
+            # row 1's over cell on its own column
+            "own column": ("p", 1, 0, 0, 1, 2, 1, 1,
+                           "q", -1, 1, 0, 1, -1, 0, 3),
+            # row 0's over cell on sigma(0) = 1, where its incoming cell is
+            "sigma column": ("p", -1, 0, 0, 1, 1, 1, 2,
+                             "p", 1, 1, 0, 0, 0, 0, -1),
+            # rows 1 and 2 lie off S = {0}, so row 0 passes both, and
+            # every over cell lands on column 0
+            "two passed over cells": ("p", 1, 0, 0, 0, 1, 1, 0,
+                                      "q", -1, 1, 0, 0, 2, 2, 1,
+                                      "p", 1, 2, 0, 0, -1, 0, 1),
+            # all three cells in the one column
+            "n = 1": ("q", -1, 0, 0, 0, 2, 0, 1),
+        }
+        for name, key in keys.items():
+            assert self.check(key), name
+        # row 0 walks 0 -> 1 -> 2 -> 0: its own 1, the three over cells
+        # (q^w - 1)*s^d_over scaled by the units passed before each, 1,
+        # q and s, and minus the product of all three units, q*s^2; row
+        # 2's -s*s^-1 cancels the 1
+        (row,) = invariant._contract(keys["two passed over cells"])
+        assert row.keys() == {0}
+        assert {e: c for e, c in row[0].items() if c} == {
+            (1, 1): 1, (0, 1): -1, (0, 2): 1, (1, 2): -2, (1, 0): 1
+        }
 
 
 def test_lift_tables_equal_the_oracle_ring_maps():
@@ -719,7 +786,9 @@ class TestCostBudget:
         assert filled == []
 
     def test_n_k_70_fails_fast(self):
-        d = random_diagram(random.Random(70), 70, 70)
+        # seed 100 is refused within milliseconds; seed 70 evaluates since
+        # zeta's Laurent lift is contracted before its elimination
+        d = random_diagram(random.Random(100), 70, 70)
         with pytest.raises(invariant.DeterminantTooLarge):
             zeta(d)
 
@@ -835,19 +904,26 @@ def test_certify_fills_only_undecided_keys(monkeypatch):
         "_fill",
         lambda key, rule: filled.append((key, lift_name[id(rule)])) or fill(key, rule),
     )
-    # an undecided zeta key fills its Laurent lift alone (its dual lift is
-    # _det_cycle's closed form); an undecided B key fills both lifts
-    lifts = {"zeta": ["laurent"], "B": ["laurent", "dual"]}
+    contracted = []
+    contract = invariant._contract
+    monkeypatch.setattr(
+        invariant, "_contract", lambda key: contracted.append(key) or contract(key)
+    )
+    # an undecided zeta key fills nothing: its Laurent lift is contracted
+    # and its dual lift is _det_cycle's closed form; an undecided B key
+    # fills both lifts
+    lifts = {"zeta": [], "B": ["laurent", "dual"]}
 
     def filled_names(d):
         # certify decides zeta's key first, then B's
-        del decided[:], filled[:]
+        del decided[:], filled[:], contracted[:]
         certify_minimality(d)
         dec = decompose(d)
         assert [key for key, _ in decided] == [dec.zeta_key, dec.b_key]
         names = [name for name, (_, fired) in zip(("zeta", "B"), decided) if not fired]
         keys = dict(zip(("zeta", "B"), (dec.zeta_key, dec.b_key)))
         assert filled == [(keys[name], lift) for name in names for lift in lifts[name]]
+        assert contracted == [dec.zeta_key] * ("zeta" in names)
         return names
 
     assert filled_names(generate("classical_trefoil")) == []
