@@ -28,22 +28,23 @@ zeta's key with the other half's cells left out.  The split halves and
 det B fill and eliminate both lifts; zeta fills neither.  Its matrix has
 the Alexander matrix's shape: row j enters 1 at its own column, and its
 incoming cell at the column of the crossing whose underpass precedes
-j's, one n-cycle sigma through the united column, which _cycle reads
-and checks.  A column that no over cell names holds only its own row's
-1 and one incoming unit, so _contract eliminates every such column in
-closed form, walking sigma, and hands _det_sparse the Laurent lift's
+j's, one n-cycle sigma through the united column.  _zeta_lifts checks a
+zeta key once, reads sigma once, and makes one pass along it that
+yields both lifts in closed form.  A column that no over cell names
+holds only its own row's 1 and one incoming unit, so the pass
+eliminates every such column and hands _det_sparse the Laurent lift's
 Schur complement on the over-crossed columns, about half of them.  The
 over cell t^w - 1 lifts to eps*[t = p]*w, so zeta's dual lift is
-I - M + eps*B with M a weighted n-cycle, and _det_cycle reads its eps^0
-slice, 1 - s^D, and its eps^1 slice, tr(adj(I - M)*B) by Jacobi's
-formula, off the key in one pass.  incidence_matrix and leading_matrix,
+I - M + eps*B with M a weighted n-cycle, and the same pass reads its
+eps^0 slice, 1 - s^D, and its eps^1 slice, tr(adj(I - M)*B) by Jacobi's
+formula, off the key.  incidence_matrix and leading_matrix,
 the T-valued views, zip the two lifts' rows back entry by entry.  zeta
 alone takes an optional memo, a dict from key to zeta, so a caller that
 meets one matrix many times eliminates it once; the move fuzzer keeps
 one per trial, since virtual moves leave zeta's matrix as it was.  det B
 is computed afresh for every diagram and never read from a memo, and it
 fills and eliminates both lifts, so the law check stays independent of
-_contract and of _det_cycle's closed form.  The matrix has at most three
+_zeta_lifts' closed form.  The matrix has at most three
 nonzero entries per row, and most of them are +-monomials: units of the
 Laurent ring.  Before any fill, _singular
 reads three kinds of singular matrix off the key: a row with no cell
@@ -219,8 +220,8 @@ def _det_sparse(rows) -> dict[tuple[int, int], int]:
     rows and their entries are left unchanged.
 
     Every split and det B determinant that _singular leaves open comes
-    through here, and so does zeta's Laurent lift, as _contract's Schur
-    complement (its dual lift is _det_cycle's closed form); x is q or
+    through here, and so does zeta's Laurent lift, as the Schur complement
+    _zeta_lifts returns (its dual lift is a closed form); x is q or
     eps, y is s.  While some entry is a unit of the Laurent ring -- one
     term, coefficient +-1 -- the unit with the least Markowitz cost
     (row nonzeros - 1) * (column nonzeros - 1) is the pivot (Markowitz
@@ -454,7 +455,7 @@ def _combine(lau_det, dual_det) -> ZetaPolynomial:
     """Reassemble a determinant over T[s^+-1] from its two lifts.
 
     lau_det is over Z[q, s] keyed (q_exp, s_exp), dual_det over Z[eps, s]
-    keyed (eps_exp, s_exp), eliminated or, for a zeta key, _det_cycle's
+    keyed (eps_exp, s_exp), eliminated or, for a zeta key, _zeta_lifts'
     closed form; both are read the same way.  The eps^0 slice must equal
     the Laurent part at q = 1, which is checked, so for zeta the Laurent
     elimination at q = 1 must read 1 - s^D; the eps^1 slice is the (p - q)
@@ -490,7 +491,7 @@ def _fill(key, rule):
     arithmetic, and both lifts key their entries (lift exponent, s_exp):
     (q_exp, s_exp) and (eps_exp, s_exp).  The split and det B
     determinants and both T-valued views read these rows; zeta reads
-    _contract's and _det_cycle's instead.
+    _zeta_lifts', which reads sigma once, instead.
     """
     rows = []
     items = iter(key)
@@ -532,139 +533,116 @@ def _singular(key) -> bool:
     return len(named) < len(rows)  # an empty column
 
 
-def _cycle(key) -> list[int]:
-    """The crossings of a key with every cell entered (a zeta key) in
-    their order along sigma from crossing 0, order[m + 1] = sigma(order[m]),
-    where sigma(j) is the column of row j's incoming cell: the crossing
-    whose underpass precedes j's along the strand.  Each row must enter
-    its emanating cell at its own column and s^0, and its over cell at
-    some column; sigma must be one n-cycle.  A key of another shape raises
-    InternalError, after at most n steps along sigma.  _det_cycle and
-    _contract read the cycle through here alone."""
+def _zeta_lifts(key):
+    """Both lifts of a key with every cell entered (a zeta key), in closed
+    form from one reading of sigma: the Laurent lift contracted onto S,
+    the columns that some over cell names, as the sparse rows, keyed
+    (q_exp, s_exp), that _det_sparse takes, S renumbered in order; and
+    the dual lift's determinant, keyed (eps_exp, s_exp), mod eps^2: its
+    eps^0 and eps^1 slices, the only ones _combine reads.
+
+    Row j is e_j - u_j*e_sigma(j) + v_j*e_over(j), where sigma(j) is the
+    column of its incoming cell, the crossing whose underpass precedes
+    j's along the strand; in the Laurent lift u_j = q^w*s^d_in is the
+    incoming unit and v_j = (q^w - 1)*s^d_over the over cell.  The key is
+    checked once, before any pass that builds a lift: each row enters its
+    emanating cell at its own column and s^0, every over and incoming
+    cell names a column, and sigma is one n-cycle; a key of another shape
+    raises InternalError, after at most n steps along sigma.  That walk
+    from crossing 0 records each crossing's place along sigma, the weight
+    of the path to it, and D, the sum of the d_in.  One pass along sigma,
+    from the lowest over-crossed crossing, then yields both lifts.
+
+    Laurent: a column c outside S holds only row c's emanating 1 and the
+    incoming unit of the row before it on sigma, so the other columns'
+    block is I minus sigma restricted to them, weighted: a union of
+    paths, since S is not empty, so the block is unit triangular and the
+    Schur complement on S has the whole lift's determinant, sign
+    included.  Adding u_j times row sigma(j) to row j clears column
+    sigma(j) and moves row j on to sigma(j)'s cells, so each S row walks
+    sigma from its own crossing: it enters 1 at its own column, each
+    passed row's v scaled by the product of the units passed before it,
+    and, at the first S column it reaches, minus the product of all of
+    them.  Entries at one column sum; a sum that cancels keeps its zero
+    coefficients, which _det_sparse drops.
+
+    Dual: at eps = 0 the over cell lifts to 0, so the dual matrix is
+    A + eps*B with A = I - M, M[j, sigma(j)] = s^d_in(j) a weighted
+    n-cycle.  Then det A = 1 - s^D, and adj A = sum_{m<n} M^m, so
+    adj A[c, j] is the one monomial s^path(c -> j), the weight of the
+    walk from c to j along sigma.  Jacobi's formula makes the eps^1
+    slice tr(adj A * B), and only t = p rows enter B: w*s^d_over at the
+    over column, which meets the path from over(j) to j, and
+    -w*s^d_in(j) at sigma(j), which meets the path of weight
+    D - d_in(j) from sigma(j) round to j.  The empty key (n = 0) has no
+    rows and determinant 1.
+    """
     n = len(key) // 8
     if not n:
-        return []
+        return [], {(0, 0): 1}  # the empty matrix, which has no cycle
     # eight items per row: t, w and three (column, exponent) cells,
     # emanating, over and incoming
     if key[2::8] != tuple(range(n)) or key[3::8] != (0,) * n:
         raise InternalError("an emanating cell is off its own column or off s^0")
-    sigma = key[6::8]
-    cols = key[4::8] + sigma
-    if not (0 <= min(cols) and max(cols) < n):
+    ts, ws, overs, d_over, sigma, d_in = (key[i::8] for i in (0, 1, 4, 5, 6, 7))
+    if not (0 <= min(overs + sigma) and max(overs + sigma) < n):
         raise InternalError("an over or incoming cell names no column")
     # one n-cycle exactly when the walk from crossing 0 first returns to
     # it after n steps; a walk that returns sooner, or not by then, stops
-    order = [0]
-    c = sigma[0]
-    while c and len(order) < n:
-        order.append(c)
-        c = sigma[c]
-    if c or len(order) < n:
-        raise InternalError("the incoming cells do not form one n-cycle")
-    return order
-
-
-def _det_cycle(key) -> dict[tuple[int, int], int]:
-    """The dual lift's determinant, keyed (eps_exp, s_exp), of a key with
-    every cell entered (a zeta key), mod eps^2: its eps^0 and eps^1 slices,
-    the only ones _combine reads, in one pass along _cycle's order.
-
-    Row j enters 1 at column j, at s^0, and its incoming cell at column
-    sigma(j), the crossing whose underpass precedes j's along the strand;
-    sigma is one n-cycle.  At eps = 0 the over cell t^w - 1 lifts to 0, so
-    the dual matrix is A + eps*B with A = I - M, M[j, sigma(j)] =
-    s^d_in(j) a weighted n-cycle.  Then det A = 1 - s^D, D the sum of the
-    d_in, and adj A = sum_{m<n} M^m, so adj A[c, j] is the one monomial
-    s^path(c -> j), the weight of the walk from c to j along sigma.
-    Jacobi's formula makes the eps^1 slice tr(adj A * B), and only t = p
-    rows enter B: w*s^d_over at the over column, which meets the path
-    from over(j) to j, and -w*s^d_in(j) at sigma(j), which meets the path
-    of weight D - d_in(j) from sigma(j) round to j.  A key of another
-    shape raises InternalError (_cycle).  The empty key (n = 0) has
-    determinant 1.
-    """
-    if not key:
-        return {(0, 0): 1}  # n = 0: the empty matrix, which has no cycle
-    n = len(key) // 8
-    d_in = key[7::8]
     at = [0] * n  # each crossing's place along sigma, from crossing 0
     reach = [0] * n  # the weight of the path from crossing 0 to each crossing
-    D = 0
-    for m, c in enumerate(_cycle(key)):
+    m = D = c = 0
+    while True:
         at[c], reach[c] = m, D
+        m += 1
         D += d_in[c]
-    det = {(0, 0): 1}
-    det[0, D] = det.get((0, D), 0) - 1
-    rows = zip(key[0::8], key[1::8], key[4::8], key[5::8])
-    for j, (t, w, o, d_over) in enumerate(rows):
-        if t == "p":
-            # the path from the over column o round to j
-            e = d_over + reach[j] - reach[o] + (D if at[j] < at[o] else 0)
-            det[1, e] = det.get((1, e), 0) + w
-            det[1, D] = det.get((1, D), 0) - w
-    return {e: c for e, c in det.items() if c}
-
-
-def _contract(key):
-    """The Laurent lift of a key with every cell entered (a zeta key),
-    contracted onto S, the columns that some over cell names: the Schur
-    complement of the other columns' block, as the sparse rows, keyed
-    (q_exp, s_exp), that _det_sparse takes, with S renumbered in order.
-    Its determinant is the whole lift's, sign included.
-
-    Row j is e_j - u_j*e_sigma(j) + v_j*e_over(j), with the incoming unit
-    u_j = q^w*s^d_in and the over cell v_j = (q^w - 1)*s^d_over (_cycle
-    reads sigma).  A column c outside S holds only row c's emanating 1
-    and the incoming unit of the row before it on sigma, so the other
-    columns' block is I minus sigma restricted to them, weighted: a union
-    of paths, since sigma is one n-cycle and S is not empty, so the block
-    is unit triangular and its determinant is 1.  Adding u_j times row
-    sigma(j) to row j clears column sigma(j) and moves row j on to
-    sigma(j)'s cells, so each S row walks sigma from its own crossing:
-    it enters 1 at its own column, each passed row's v scaled by the
-    product of the units passed before it, and, at the first S column it
-    reaches, minus the product of all of them.  Entries at one column
-    sum; a sum that cancels keeps its zero coefficients, which _det_sparse
-    drops.  A key of another shape raises InternalError (_cycle) before
-    any walk, so no walk loops.
-    """
-    _cycle(key)  # a key of another shape is refused before any walk
-    ws, overs, d_over, sigma, d_in = key[1::8], key[4::8], key[5::8], key[6::8], key[7::8]
+        c = sigma[c]
+        if not c or m == n:
+            break
+    if c or m < n:
+        raise InternalError("the incoming cells do not form one n-cycle")
     col = {c: i for i, c in enumerate(sorted(set(overs)))}
-    rows = []
-    for c, i in col.items():
-        row = {i: {(0, 0): 1}}
-        a = b = 0  # the product of the units passed, q^a * s^b
-        j = c
-        while True:
-            w, d = ws[j], b + d_over[j]
-            x = row.setdefault(col[overs[j]], {})
-            x[a + w, d] = x.get((a + w, d), 0) + 1
-            x[a, d] = x.get((a, d), 0) - 1
-            a += w
-            b += d_in[j]
-            j = sigma[j]
-            if j in col:
-                break
-        x = row.setdefault(col[j], {})
-        x[a, b] = x.get((a, b), 0) - 1
-        rows.append(row)
-    return rows
+    rows = {}
+    dual = {(0, 0): 1}
+    dual[0, D] = dual.get((0, D), 0) - 1
+    j = min(col)
+    for _ in range(n):
+        if j in col:  # an over-crossed crossing opens its row
+            row = rows[j] = {col[j]: {(0, 0): 1}}
+            a = b = 0  # the product of the units passed, q^a * s^b
+        w, o = ws[j], overs[j]
+        d = b + d_over[j]
+        x = row.setdefault(col[o], {})
+        x[a + w, d] = x.get((a + w, d), 0) + 1
+        x[a, d] = x.get((a, d), 0) - 1
+        if ts[j] == "p":
+            # the path from the over column o round to j
+            e = d_over[j] + reach[j] - reach[o] + (D if at[j] < at[o] else 0)
+            dual[1, e] = dual.get((1, e), 0) + w
+            dual[1, D] = dual.get((1, D), 0) - w
+        a += w
+        b += d_in[j]
+        j = sigma[j]
+        if j in col:  # the row's walk ends at the next S column
+            x = row.setdefault(col[j], {})
+            x[a, b] = x.get((a, b), 0) - 1
+    return [rows[c] for c in col], {e: c for e, c in dual.items() if c}
 
 
 def _det(key) -> ZetaPolynomial:
     """The determinant of the matrix a key describes, a zeta, det B or
     split key in diagram.Decomposition's layout.  A key that _singular
     decides costs no fill and no elimination.  A key with every cell
-    entered, which is every zeta key, fills nothing: its Laurent lift is
-    _contract's Schur complement, eliminated, and its dual lift
-    _det_cycle's closed form.  Split and det B keys leave cells out and
-    fill and eliminate both lifts."""
+    entered, which is every zeta key, fills nothing: _zeta_lifts reads
+    sigma once and returns its Laurent lift's Schur complement, which is
+    eliminated, and its dual lift's closed form.  Split and det B keys
+    leave cells out and fill and eliminate both lifts."""
     if _singular(key):
         return ZetaPolynomial.zero()
     if None in key:
         return _combine(_det_sparse(_fill(key, _LAURENT)), _det_sparse(_fill(key, _DUAL)))
-    return _combine(_det_sparse(_contract(key)), _det_cycle(key))
+    rows, dual = _zeta_lifts(key)
+    return _combine(_det_sparse(rows), dual)
 
 
 def _view(key) -> list[list[ZetaPolynomial]]:

@@ -212,9 +212,9 @@ def test_memoised_trials_agree_with_fresh_determinants(monkeypatch):
 
 def test_the_memo_holds_zeta_alone(monkeypatch):
     # the virtual kink's det B is nonzero, so zeta and det B both reach
-    # _det_sparse: zeta once, for its Laurent lift as invariant._contract
-    # leaves it (its dual lift is the closed form of invariant._det_cycle),
-    # and det B once per lift; the law check reads no memo, so every call
+    # _det_sparse: zeta once, for the contracted Laurent lift that
+    # invariant._zeta_lifts returns with its dual lift's closed form, and
+    # det B once per lift; the law check reads no memo, so every call
     # eliminates det B again
     calls = _count_det_sparse(monkeypatch)
     dec = decompose(generate("virtual_kink"))

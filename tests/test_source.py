@@ -57,6 +57,25 @@ def test_every_top_level_name_is_used_in_the_library():
     assert unused == []
 
 
+def test_bench_wraps_every_exempt_name():
+    # the exemption above holds only while bench/spans.py wraps each name:
+    # its targets() returns (owner, attribute, ...) tuples, read here
+    # without importing the harness
+    tree = ast.parse((SRC.parent.parent / "bench" / "spans.py").read_text())
+    (targets,) = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "targets"
+    ]
+    wrapped = {
+        item.elts[1].value
+        for node in ast.walk(targets) if isinstance(node, ast.List)
+        for item in node.elts
+        if isinstance(item.elts[0], ast.Name) and item.elts[0].id == "invariant"
+    }
+    assert "zeta" in wrapped
+    assert BENCH_WRAPPED <= wrapped
+
+
 # methods only a caller outside src/longzeta names: argparse calls
 # ArgumentParser.error, and README documents RingT.is_zero_divisor
 METHOD_EXEMPT = {("_Parser", "error"), ("RingT", "is_zero_divisor")}
